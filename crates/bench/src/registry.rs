@@ -502,9 +502,11 @@ fn net_machine_on_message() -> Box<dyn FnMut()> {
         seq: 1,
         payload: Payload::PullRequest { beacon: false },
     };
+    let mut replies = Vec::new();
     Box::new(move || {
         for _ in 0..BATCH {
-            let replies = machine.on_message(&req);
+            replies.clear();
+            machine.on_message(&req, &mut replies);
             std::hint::black_box(replies.len());
         }
     })

@@ -17,6 +17,13 @@
 //!   real loss under pressure; termination is aggregated from the
 //!   gossiped beacons each worker observes on its own shard.
 //!
+//! Both drivers keep one outbox and one encode buffer for the whole run,
+//! and reschedule a node by replacing the event heap's root in place
+//! (one sift-down instead of a pop and a push; the delivered order is
+//! unchanged because every `(time, node)` key is unique). Together with
+//! the transports' lent frames, an activation on the channel driver
+//! allocates nothing once the buffers have reached their working size.
+//!
 //! The run ends when every machine has raised its termination beacon
 //! (rapid machines raise it when their schedule halts), or when a
 //! configured stop fires; the driver separately records the first moment
@@ -141,6 +148,10 @@ pub struct Cluster {
     unanimity: Option<(u64, SimTime)>,
     decode_errors: u64,
     obs: Option<NetObs>,
+    /// Envelopes the current machine call emitted, awaiting encoding.
+    outbox: Vec<Envelope>,
+    /// Encode buffer for one frame.
+    frame: Vec<u8>,
 }
 
 /// Pre-registered observability cells for the deployment drivers. The
@@ -211,6 +222,8 @@ impl Cluster {
             unanimity: None,
             decode_errors: 0,
             obs: None,
+            outbox: Vec::new(),
+            frame: Vec::new(),
         }
     }
 
@@ -279,16 +292,16 @@ impl Cluster {
         self.beacons
     }
 
-    /// Runs `machines[i].on_tick()` / `on_message` bookkeeping: apply the
-    /// closure, then fold the machine's color/beacon/halt transitions
-    /// into the cluster counters.
-    fn dispatch<F>(&mut self, i: usize, f: F) -> Vec<Envelope>
+    /// Runs `machines[i].on_tick` / `on_message` bookkeeping: apply the
+    /// closure (which fills the cluster's outbox), then fold the
+    /// machine's color/beacon/halt transitions into the cluster counters.
+    fn dispatch<F>(&mut self, i: usize, f: F)
     where
-        F: FnOnce(&mut NodeMachine) -> Vec<Envelope>,
+        F: FnOnce(&mut NodeMachine, &mut Vec<Envelope>),
     {
         let m = &mut self.machines[i];
         let (c0, b0, h0) = (m.color(), m.beacon(), m.halted());
-        let out = f(m);
+        f(m, &mut self.outbox);
         let (c1, b1, h1) = (m.color(), m.beacon(), m.halted());
         if c1 != c0 {
             self.counts[c0.index()] -= 1;
@@ -313,19 +326,17 @@ impl Cluster {
                 _ => {}
             }
         }
-        out
     }
 
-    /// Routes an outbox into the channel transport.
-    fn route(&mut self, outbox: &[Envelope]) {
-        let mut buf = Vec::new();
-        for env in outbox {
-            buf.clear();
-            env.encode_into(&mut buf);
-            let sent = self.transport.send(env.dst, &buf);
+    /// Encodes the outbox into the channel transport and empties it.
+    fn route(&mut self) {
+        for env in self.outbox.drain(..) {
+            self.frame.clear();
+            env.encode_into(&mut self.frame);
+            let sent = self.transport.send(env.dst, &self.frame);
             if let Some(obs) = &self.obs {
                 obs.sends.inc();
-                obs.bytes_out.add(buf.len() as u64);
+                obs.bytes_out.add(self.frame.len() as u64);
                 if !sent {
                     obs.drops.inc();
                     obs.obs.trace.emit(
@@ -347,11 +358,11 @@ impl Cluster {
                 obs.recvs.inc();
                 obs.bytes_in.add(frame.len() as u64);
             }
-            match Envelope::decode(&frame) {
+            match Envelope::decode(frame) {
                 Ok((env, _)) => {
                     if (env.dst as usize) < self.machines.len() {
-                        let replies = self.dispatch(env.dst as usize, |m| m.on_message(&env));
-                        self.route(&replies);
+                        self.dispatch(env.dst as usize, |m, out| m.on_message(&env, out));
+                        self.route();
                     }
                 }
                 Err(_) => self.decode_errors += 1,
@@ -367,15 +378,19 @@ impl Cluster {
     /// Panics if the cluster is empty.
     pub fn step_channel(&mut self) {
         // lint: allow(panic-hygiene): documented panic — the method's # Panics section requires a non-empty cluster
-        let Reverse((t, id)) = self.heap.pop().expect("non-empty cluster");
+        let &Reverse((t, id)) = self.heap.peek().expect("non-empty cluster");
         self.now = t;
         self.steps += 1;
         let i = id as usize;
-        let outbox = self.dispatch(i, |m| m.on_tick());
-        self.route(&outbox);
+        self.dispatch(i, NodeMachine::on_tick);
+        self.route();
         self.pump_to_quiescence();
         let gap = self.machines[i].sample_gap();
-        self.heap.push(Reverse((t + SimTime::from_secs(gap), id)));
+        // Nothing above touched the heap, so its root is still this
+        // activation: reschedule it in place.
+        if let Some(mut root) = self.heap.peek_mut() {
+            *root = Reverse((t + SimTime::from_secs(gap), id));
+        }
         if self.unanimity.is_none() && self.counts.iter().any(|&c| c == self.n() as u64) {
             self.unanimity = Some((self.steps, self.now));
         }
@@ -661,8 +676,8 @@ fn udp_worker(machines: &mut [NodeMachine], mut transport: UdpTransport, ctx: Wo
     let call = |m: &mut NodeMachine, out: &mut Vec<Envelope>, msg: Option<&Envelope>| {
         let (b0, h0) = (m.beacon(), m.halted());
         match msg {
-            Some(env) => out.extend(m.on_message(env)),
-            None => out.extend(m.on_tick()),
+            Some(env) => m.on_message(env, out),
+            None => m.on_tick(out),
         }
         let (b1, h1) = (m.beacon(), m.halted());
         match (b0, b1) {
@@ -695,7 +710,7 @@ fn udp_worker(machines: &mut [NodeMachine], mut transport: UdpTransport, ctx: Wo
                 obs.recvs.inc();
                 obs.bytes_in.add(frame.len() as u64);
             }
-            match Envelope::decode(&frame) {
+            match Envelope::decode(frame) {
                 Ok((env, _)) => {
                     let li = env.dst as usize;
                     if let Some(m) = li
@@ -710,11 +725,13 @@ fn udp_worker(machines: &mut [NodeMachine], mut transport: UdpTransport, ctx: Wo
                 }
             }
         }
-        // Fire the next local activation by virtual time.
-        if let Some(Reverse((t, li))) = heap.pop() {
+        // Fire the next local activation by virtual time, and reschedule
+        // it by replacing the heap root in place.
+        if let Some(mut root) = heap.peek_mut() {
+            let Reverse((t, li)) = *root;
             call(&mut machines[li], &mut outbox, None);
             let gap = machines[li].sample_gap();
-            heap.push(Reverse((t + SimTime::from_secs(gap), li)));
+            *root = Reverse((t + SimTime::from_secs(gap), li));
             ctx.steps.fetch_add(1, Ordering::Relaxed);
         }
         // Route everything produced this iteration, then flush.

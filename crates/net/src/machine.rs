@@ -1,8 +1,8 @@
 //! One node as a pure message-driven state machine.
 //!
 //! A [`NodeMachine`] owns one node's opinion and protocol state and
-//! advances through exactly two entry points, both of which *return*
-//! their outbox instead of touching a socket:
+//! advances through exactly two entry points, both of which append what
+//! they send to a caller-owned outbox instead of touching a socket:
 //!
 //! * [`NodeMachine::on_tick`] — one local Poisson-clock activation: the
 //!   protocol's pull step becomes a batch of [`Payload::PullRequest`]
@@ -11,8 +11,10 @@
 //!   answered immediately, replies are matched to the pending query by
 //!   `(src, seq)` and applied when the query completes.
 //!
-//! The handler-returns-outbox shape keeps the machine transport-agnostic
-//! and single-threaded-testable; the cluster drivers own delivery.
+//! The handler-fills-outbox shape keeps the machine transport-agnostic
+//! and single-threaded-testable; the cluster drivers own delivery. The
+//! outbox belongs to the driver, which reuses it for every call, so a
+//! handler call allocates nothing.
 //!
 //! **Interaction semantics match the micro engine**: a query applies
 //! only when *every* pulled response has arrived (a dropped reply aborts
@@ -53,6 +55,9 @@ const BEACON_FANOUT: usize = 2;
 /// (a query whose replies were lost would otherwise leak forever).
 const PENDING_CAP: usize = 32;
 
+/// Most pulls one query makes (3-Majority).
+const MAX_PULLS: usize = 3;
+
 /// The default number of consecutive all-agreeing interactions before a
 /// gossip node raises its termination beacon.
 pub fn default_beacon_threshold(n: usize) -> u32 {
@@ -88,9 +93,33 @@ struct Pending {
     seq: u64,
     kind: QueryKind,
     want: usize,
-    replies: Vec<Reply>,
+    /// The peer each request went to; a peer sampled twice holds two
+    /// slots.
+    peers: [u32; MAX_PULLS],
+    /// Bit `j` is set once the peer in slot `j` has replied.
+    answered: u8,
+    /// Replies in arrival order: the first `answered.count_ones()` are
+    /// filled.
+    replies: [Reply; MAX_PULLS],
     /// The node's real time when the query was issued (Sync Gadget).
     issued_rt: u64,
+}
+
+impl Pending {
+    /// Records `reply` from `src` if `src` holds an unanswered slot of
+    /// this query, and returns whether the query is now complete. A reply
+    /// from a peer the query never asked, or a second copy of one already
+    /// counted, is ignored.
+    fn accept(&mut self, src: u32, reply: Reply) -> bool {
+        let Some(slot) =
+            (0..self.want).find(|&j| self.peers[j] == src && self.answered & (1 << j) == 0)
+        else {
+            return false;
+        };
+        self.replies[self.answered.count_ones() as usize] = reply;
+        self.answered |= 1 << slot;
+        self.answered.count_ones() as usize == self.want
+    }
 }
 
 /// Protocol-specific state.
@@ -220,24 +249,33 @@ impl NodeMachine {
         if self.pending.len() >= PENDING_CAP {
             self.pending.remove(0);
         }
-        self.pending.push(Pending {
-            seq,
-            kind,
-            want,
-            replies: Vec::with_capacity(want),
-            issued_rt,
-        });
-        for _ in 0..want {
-            let dst = self.sample_peer();
+        let mut peers = [0; MAX_PULLS];
+        for peer in &mut peers[..want] {
+            *peer = self.sample_peer();
             out.push(Envelope {
                 src: self.id,
-                dst,
+                dst: *peer,
                 seq,
                 payload: Payload::PullRequest {
                     beacon: self.beacon,
                 },
             });
         }
+        // Unanswered slots are never read; any reply value fills them.
+        let blank = Reply {
+            color: self.color,
+            bit: false,
+            real_time: 0,
+        };
+        self.pending.push(Pending {
+            seq,
+            kind,
+            want,
+            peers,
+            answered: 0,
+            replies: [blank; MAX_PULLS],
+            issued_rt,
+        });
     }
 
     /// Raises the beacon (idempotent) and pushes it to a few peers.
@@ -288,10 +326,10 @@ impl NodeMachine {
         }
     }
 
-    /// One local Poisson-clock activation. Returns the outbox.
-    pub fn on_tick(&mut self) -> Vec<Envelope> {
+    /// One local Poisson-clock activation. Appends the frames it sends
+    /// (pull requests, beacon pushes) to `out`.
+    pub fn on_tick(&mut self, out: &mut Vec<Envelope>) {
         self.ticks += 1;
-        let mut out = Vec::new();
         // Decide what this tick does under a short read-only borrow,
         // then act with the borrow released.
         enum Step {
@@ -314,11 +352,10 @@ impl NodeMachine {
             }
         };
         match step {
-            Step::Gossip(want) => self.issue(QueryKind::Gossip, want, 0, &mut out),
+            Step::Gossip(want) => self.issue(QueryKind::Gossip, want, 0, out),
             Step::HaltedTick => self.rapid_state().real_time += 1,
-            Step::Rapid(action) => self.rapid_tick(action, &mut out),
+            Step::Rapid(action) => self.rapid_tick(action, out),
         }
-        out
     }
 
     /// One activation of the rapid schedule — the same per-action
@@ -382,10 +419,13 @@ impl NodeMachine {
         state.real_time += 1;
     }
 
-    /// Handles one inbound frame addressed to this node. Returns the
-    /// outbox (replies, beacon pushes).
-    pub fn on_message(&mut self, env: &Envelope) -> Vec<Envelope> {
-        let mut out = Vec::new();
+    /// Handles one inbound frame addressed to this node. Appends the
+    /// frames it sends (replies, beacon pushes) to `out`.
+    ///
+    /// A reply counts toward a pending query only if it echoes the
+    /// query's `seq` and comes from a peer the query asked whose request
+    /// is still unanswered; duplicated or stray replies are ignored.
+    pub fn on_message(&mut self, env: &Envelope, out: &mut Vec<Envelope>) {
         match env.payload {
             Payload::PullRequest { beacon: _ } => {
                 let (bit, real_time) = match &self.proto {
@@ -412,15 +452,15 @@ impl NodeMachine {
             } => {
                 let color = Color::new(color as usize);
                 self.observe_beacon(color, beacon);
+                let reply = Reply {
+                    color,
+                    bit,
+                    real_time,
+                };
                 if let Some(i) = self.pending.iter().position(|p| p.seq == env.seq) {
-                    self.pending[i].replies.push(Reply {
-                        color,
-                        bit,
-                        real_time,
-                    });
-                    if self.pending[i].replies.len() >= self.pending[i].want {
+                    if self.pending[i].accept(env.src, reply) {
                         let query = self.pending.swap_remove(i);
-                        self.complete(query, &mut out);
+                        self.complete(query, out);
                     }
                 }
             }
@@ -428,12 +468,11 @@ impl NodeMachine {
                 self.observe_beacon(Color::new(color as usize), beacon);
             }
         }
-        out
     }
 
     /// Applies a completed query — the protocol's decision step.
     fn complete(&mut self, query: Pending, out: &mut Vec<Envelope>) {
-        let replies = &query.replies;
+        let replies = &query.replies[..query.want];
         let old = self.color;
         match query.kind {
             QueryKind::Gossip => {
@@ -542,28 +581,53 @@ mod tests {
         }
     }
 
+    /// One activation; returns what it sent.
+    fn tick(m: &mut NodeMachine) -> Vec<Envelope> {
+        let mut out = Vec::new();
+        m.on_tick(&mut out);
+        out
+    }
+
+    /// Delivers one frame; returns what the machine sent in response.
+    fn deliver(m: &mut NodeMachine, env: &Envelope) -> Vec<Envelope> {
+        let mut out = Vec::new();
+        m.on_message(env, &mut out);
+        out
+    }
+
+    /// Ticks until the two requests of one Two-Choices query go to
+    /// distinct peers (`distinct`) or to the same peer twice.
+    fn two_choices_query(m: &mut NodeMachine, distinct: bool) -> Vec<Envelope> {
+        loop {
+            let out = tick(m);
+            if (out[0].dst != out[1].dst) == distinct {
+                return out;
+            }
+        }
+    }
+
     #[test]
     fn voter_adopts_the_single_reply() {
         let mut m = machine(0, 0, GossipRule::Voter);
-        let out = m.on_tick();
+        let out = tick(&mut m);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].payload, Payload::PullRequest { .. }));
-        m.on_message(&reply_to(&out[0], 1, false));
+        deliver(&mut m, &reply_to(&out[0], 1, false));
         assert_eq!(m.color(), Color::new(1));
     }
 
     #[test]
     fn two_choices_requires_agreement() {
         let mut m = machine(0, 0, GossipRule::TwoChoices);
-        let out = m.on_tick();
+        let out = tick(&mut m);
         assert_eq!(out.len(), 2);
-        m.on_message(&reply_to(&out[0], 1, false));
-        m.on_message(&reply_to(&out[1], 2, false));
+        deliver(&mut m, &reply_to(&out[0], 1, false));
+        deliver(&mut m, &reply_to(&out[1], 2, false));
         assert_eq!(m.color(), Color::new(0), "disagreeing pair is a no-op");
 
-        let out = m.on_tick();
-        m.on_message(&reply_to(&out[0], 2, false));
-        m.on_message(&reply_to(&out[1], 2, false));
+        let out = tick(&mut m);
+        deliver(&mut m, &reply_to(&out[0], 2, false));
+        deliver(&mut m, &reply_to(&out[1], 2, false));
         assert_eq!(m.color(), Color::new(2));
     }
 
@@ -576,7 +640,7 @@ mod tests {
             seq: 9,
             payload: Payload::PullRequest { beacon: false },
         };
-        let out = m.on_message(&req);
+        let out = deliver(&mut m, &req);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].dst, 5);
         assert_eq!(out[0].seq, 9);
@@ -600,21 +664,61 @@ mod tests {
                 real_time: 0,
             },
         };
-        m.on_message(&phantom);
+        deliver(&mut m, &phantom);
         assert_eq!(m.color(), Color::new(0));
+    }
+
+    #[test]
+    fn a_duplicated_reply_fills_one_slot_only() {
+        let mut m = machine(0, 0, GossipRule::TwoChoices);
+        let out = two_choices_query(&mut m, true);
+        let first = reply_to(&out[0], 1, false);
+        deliver(&mut m, &first);
+        deliver(&mut m, &first);
+        assert_eq!(
+            m.color(),
+            Color::new(0),
+            "one peer's reply twice is not two agreeing choices"
+        );
+        deliver(&mut m, &reply_to(&out[1], 1, false));
+        assert_eq!(m.color(), Color::new(1), "the second peer completes it");
+    }
+
+    #[test]
+    fn a_reply_from_a_peer_never_asked_is_dropped() {
+        let mut m = machine(0, 0, GossipRule::Voter);
+        let out = tick(&mut m);
+        let stranger = Envelope {
+            src: (out[0].dst + 1) % 8,
+            ..reply_to(&out[0], 1, false)
+        };
+        deliver(&mut m, &stranger);
+        assert_eq!(m.color(), Color::new(0), "a stray reply echoing the seq");
+        deliver(&mut m, &reply_to(&out[0], 2, false));
+        assert_eq!(m.color(), Color::new(2), "the asked peer's reply applies");
+    }
+
+    #[test]
+    fn a_peer_sampled_twice_answers_both_slots() {
+        let mut m = machine(0, 0, GossipRule::TwoChoices);
+        let out = two_choices_query(&mut m, false);
+        deliver(&mut m, &reply_to(&out[0], 1, false));
+        assert_eq!(m.color(), Color::new(0));
+        deliver(&mut m, &reply_to(&out[1], 1, false));
+        assert_eq!(m.color(), Color::new(1));
     }
 
     #[test]
     fn beacon_rises_after_stable_agreement_and_falls_on_change() {
         let mut m = machine(0, 0, GossipRule::Voter);
         for _ in 0..4 {
-            let out = m.on_tick();
-            m.on_message(&reply_to(&out[0], 0, false));
+            let out = tick(&mut m);
+            deliver(&mut m, &reply_to(&out[0], 0, false));
         }
         assert!(m.beacon(), "threshold 4 reached");
         // A color change revokes the beacon.
-        let out = m.on_tick();
-        m.on_message(&reply_to(&out[0], 1, false));
+        let out = tick(&mut m);
+        deliver(&mut m, &reply_to(&out[0], 1, false));
         assert!(!m.beacon());
         assert_eq!(m.color(), Color::new(1));
     }
@@ -631,10 +735,10 @@ mod tests {
                 beacon: true,
             },
         };
-        m.on_message(&opinion);
+        deliver(&mut m, &opinion);
         for _ in 0..2 {
-            let out = m.on_tick();
-            m.on_message(&reply_to(&out[0], 0, false));
+            let out = tick(&mut m);
+            deliver(&mut m, &reply_to(&out[0], 0, false));
         }
         assert!(m.beacon(), "boosted threshold 4/2 = 2 reached");
     }
@@ -644,8 +748,8 @@ mod tests {
         let mut m = machine(0, 0, GossipRule::Voter);
         let mut pushes = 0;
         for _ in 0..4 {
-            let out = m.on_tick();
-            let replies = m.on_message(&reply_to(&out[0], 0, false));
+            let out = tick(&mut m);
+            let replies = deliver(&mut m, &reply_to(&out[0], 0, false));
             pushes += replies
                 .iter()
                 .filter(|e| matches!(e.payload, Payload::Opinion { beacon: true, .. }))
@@ -671,7 +775,7 @@ mod tests {
         // replies ever arriving every pull aborts, and the node still
         // walks working time to the halt slot.
         for _ in 0..params.total_len() + 2 {
-            m.on_tick();
+            tick(&mut m);
         }
         assert!(m.halted());
         assert!(m.beacon());
@@ -682,7 +786,7 @@ mod tests {
             seq: 1,
             payload: Payload::PullRequest { beacon: false },
         };
-        assert_eq!(m.on_message(&req).len(), 1);
+        assert_eq!(deliver(&mut m, &req).len(), 1);
     }
 
     #[test]

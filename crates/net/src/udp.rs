@@ -21,12 +21,11 @@
 //!   interactions (the same semantics as the simulator's message-loss
 //!   fault), so the protocol tolerates them by construction.
 
-use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 
-use crate::transport::Transport;
+use crate::transport::{FrameQueue, Transport};
 
 /// Default bound on the per-socket outbox queue.
 pub const DEFAULT_OUTBOX_CAP: usize = 1024;
@@ -60,9 +59,12 @@ pub struct UdpTransport {
     socket: UdpSocket,
     /// `addr_of[node]` is the socket address of the worker hosting it.
     addr_of: Arc<Vec<SocketAddr>>,
-    outbox: VecDeque<(SocketAddr, Vec<u8>)>,
+    /// Queued frames, tagged with their destination node (already
+    /// checked against `addr_of`).
+    outbox: FrameQueue,
     capacity: usize,
     dropped: u64,
+    /// The receive buffer `recv` lends datagrams from.
     buf: Box<[u8; RECV_BUF]>,
 }
 
@@ -73,7 +75,7 @@ impl UdpTransport {
         UdpTransport {
             socket,
             addr_of,
-            outbox: VecDeque::new(),
+            outbox: FrameQueue::default(),
             capacity: capacity.max(1),
             dropped: 0,
             buf: Box::new([0u8; RECV_BUF]),
@@ -93,31 +95,31 @@ impl UdpTransport {
 
 impl Transport for UdpTransport {
     fn send(&mut self, dst: u32, frame: &[u8]) -> bool {
-        let Some(&addr) = self.addr_of.get(dst as usize) else {
+        if dst as usize >= self.addr_of.len() {
             self.dropped += 1;
             return false;
-        };
+        }
         if self.outbox.len() >= self.capacity {
             // Never block on a slow receiver: drop and count.
             self.dropped += 1;
             return false;
         }
-        self.outbox.push_back((addr, frame.to_vec()));
+        self.outbox.push(dst, frame);
         true
     }
 
     fn flush(&mut self) -> usize {
-        while let Some((addr, frame)) = self.outbox.front() {
-            match self.socket.send_to(frame, addr) {
+        while let Some((dst, frame)) = self.outbox.front() {
+            match self.socket.send_to(frame, self.addr_of[dst as usize]) {
                 Ok(_) => {
-                    self.outbox.pop_front();
+                    self.outbox.pop();
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     // Unroutable datagram (e.g. peer socket closed):
                     // counted like any other loss.
-                    self.outbox.pop_front();
+                    self.outbox.pop();
                     self.dropped += 1;
                 }
             }
@@ -125,10 +127,10 @@ impl Transport for UdpTransport {
         self.outbox.len()
     }
 
-    fn recv(&mut self) -> Option<Vec<u8>> {
+    fn recv(&mut self) -> Option<&[u8]> {
         loop {
             match self.socket.recv_from(&mut self.buf[..]) {
-                Ok((len, _)) => return Some(self.buf[..len].to_vec()),
+                Ok((len, _)) => return Some(&self.buf[..len]),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
                 Err(_) => return None,
