@@ -13,41 +13,14 @@
 
 use rapid_graph::topology::Topology;
 use rapid_sim::fault::{FaultPlan, FaultState};
-use rapid_sim::node::NodeId;
 use rapid_sim::rng::SimRng;
 use rapid_sim::scheduler::{Activation, ActivationSource};
 use rapid_sim::time::SimTime;
 
+use crate::asynchronous::kernel::{resolve_all, GossipRule, MAX_PULLS};
 use crate::convergence::{AsyncOutcome, ConvergenceError};
+use crate::faults::pull;
 use crate::opinion::Configuration;
-
-/// The update rule applied on each tick.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum GossipRule {
-    /// Sample one neighbor, adopt its color.
-    Voter,
-    /// Sample two neighbors (with replacement); adopt iff they agree.
-    TwoChoices,
-    /// Sample three; adopt the majority, or the first sample if all differ.
-    ThreeMajority,
-}
-
-impl GossipRule {
-    /// Human-readable rule name.
-    pub fn name(self) -> &'static str {
-        match self {
-            GossipRule::Voter => "async-voter",
-            GossipRule::TwoChoices => "async-two-choices",
-            GossipRule::ThreeMajority => "async-3-majority",
-        }
-    }
-}
-
-impl std::fmt::Display for GossipRule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// An asynchronous gossip simulation.
 ///
@@ -212,7 +185,18 @@ impl<G: Topology, S: ActivationSource> AsyncGossipSim<G, S> {
             }
         }
         self.ticks[i] += 1;
-        self.apply_rule(u);
+        // An interaction aborts (the node keeps its color) unless every
+        // pulled response arrives.
+        let own = self.config.color(u);
+        let mut pulled = [own; MAX_PULLS];
+        let pulled = &mut pulled[..self.rule.pulls()];
+        let all = resolve_all(pulled, || {
+            pull(&self.topology, u, &mut self.rng, self.faults.as_mut())
+                .map(|v| self.config.color(v))
+        });
+        if all {
+            self.config.set_color(u, self.rule.decide(own, pulled));
+        }
         if let Some(budget) = self.halt_after {
             if self.ticks[i] >= budget {
                 self.halted_count += 1;
@@ -222,62 +206,6 @@ impl<G: Topology, S: ActivationSource> AsyncGossipSim<G, S> {
             }
         }
         a
-    }
-
-    /// Pulls one neighbor: the sample always comes from the main RNG
-    /// stream (so fault-free runs are bit-identical to the pre-fault
-    /// implementation), then the fault layer may void the response — the
-    /// contacted node is down, or the message is lost.
-    fn pull(&mut self, u: NodeId) -> Option<NodeId> {
-        let v = self.topology.sample_neighbor(u, &mut self.rng);
-        if let Some(f) = self.faults.as_mut() {
-            if f.is_down(v) || f.message_lost() {
-                return None;
-            }
-        }
-        Some(v)
-    }
-
-    // An interaction aborts (the node keeps its color) unless every pulled
-    // response arrives; all samples are drawn regardless, so the main RNG
-    // stream does not depend on which responses were lost.
-    fn apply_rule(&mut self, u: NodeId) {
-        match self.rule {
-            GossipRule::Voter => {
-                if let Some(v) = self.pull(u) {
-                    let c = self.config.color(v);
-                    self.config.set_color(u, c);
-                }
-            }
-            GossipRule::TwoChoices => {
-                let v = self.pull(u);
-                let w = self.pull(u);
-                if let (Some(v), Some(w)) = (v, w) {
-                    let cv = self.config.color(v);
-                    if cv == self.config.color(w) {
-                        self.config.set_color(u, cv);
-                    }
-                }
-            }
-            GossipRule::ThreeMajority => {
-                let x = self.pull(u);
-                let y = self.pull(u);
-                let z = self.pull(u);
-                if let (Some(x), Some(y), Some(z)) = (x, y, z) {
-                    let a = self.config.color(x);
-                    let b = self.config.color(y);
-                    let c = self.config.color(z);
-                    let winner = if a == b || a == c {
-                        a
-                    } else if b == c {
-                        b
-                    } else {
-                        a
-                    };
-                    self.config.set_color(u, winner);
-                }
-            }
-        }
     }
 
     /// Runs until unanimity, every node frozen, or `max_steps`.

@@ -16,20 +16,23 @@
 //!   state and per-(epoch, node) RNG streams: the scaling engine for
 //!   `n = 10⁷` (see [`sharded`]).
 //!
-//! The working-time machinery lives in [`params`] (sub-phase lengths,
-//! theory-guided defaults) and [`schedule`] (pure working-time → action
-//! decoding, exhaustively unit-tested). The Sync Gadget — sample real
-//! times, then *jump* the working time to their median — is implemented in
-//! [`node`] and exercised by [`RapidSim`].
+//! Every engine runs the same per-node rules from [`kernel`]: the gossip
+//! rules' [`GossipRule::decide`] and the Rapid transition, Sync Gadget
+//! included (sample real times, then *jump* the working time to their
+//! median). The working-time machinery lives in [`params`] (sub-phase
+//! lengths, theory-guided defaults) and [`schedule`] (pure working-time →
+//! action decoding, exhaustively unit-tested).
 
 pub mod gossip;
+pub mod kernel;
 pub mod node;
 pub mod params;
 pub mod rapid;
 pub mod schedule;
 pub mod sharded;
 
-pub use gossip::{AsyncGossipSim, GossipRule};
+pub use gossip::AsyncGossipSim;
+pub use kernel::GossipRule;
 pub use node::NodeState;
 pub use params::Params;
 pub use rapid::{RapidOutcome, RapidSim};

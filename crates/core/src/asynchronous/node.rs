@@ -1,9 +1,6 @@
 //! Per-node protocol state, including the Sync Gadget's bookkeeping.
 
-use crate::opinion::Color;
-
-/// Sentinel for "never jumped".
-const NO_PHASE: u32 = u32::MAX;
+use crate::asynchronous::kernel::{RapidView, NO_COLOR, NO_PHASE};
 
 /// The full asynchronous-protocol state of one node (besides its color,
 /// which lives in the shared [`crate::opinion::Configuration`]).
@@ -13,26 +10,26 @@ const NO_PHASE: u32 = u32::MAX;
 /// * **working time** — drives the schedule; incremented per tick, but can
 ///   be *jumped* by the Sync Gadget;
 /// * **real time** — the total number of ticks performed; never rewritten.
+///
+/// The protocol itself runs in the [kernel](crate::asynchronous::kernel),
+/// over [`NodeState::view`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeState {
     /// Working time (schedule position).
     pub working_time: u64,
     /// Real time (total ticks performed).
     pub real_time: u64,
-    /// Two-Choices intermediate color, if the last sample pair agreed.
-    pub intermediate: Option<Color>,
+    /// The Two-Choices intermediate color's index, or `NO_COLOR` if the
+    /// last sample pair disagreed.
+    pub(crate) intermediate: u32,
     /// The extra bit of the memory model.
     pub bit: bool,
     /// Sync Gadget samples: `(their_real_time, my_real_time_at_sampling)`.
-    ///
-    /// The paper increments every collected sample once per own tick until
-    /// the jump; recording the local tick of collection and adding the
-    /// elapsed ticks at jump time is arithmetically identical and O(1) per
-    /// tick instead of O(samples).
     pub samples: Vec<(u64, u64)>,
-    /// Phase in which this node last jumped (guards against double jumps
-    /// after a backward jump re-enters the same phase).
-    last_jump_phase: u32,
+    /// Phase in which this node last jumped, or `NO_PHASE` (guards
+    /// against double jumps after a backward jump re-enters the same
+    /// phase).
+    pub(crate) last_jump_phase: u32,
     /// Whether the node has finished part 2 and frozen its color.
     pub halted: bool,
 }
@@ -43,7 +40,7 @@ impl NodeState {
         NodeState {
             working_time: 0,
             real_time: 0,
-            intermediate: None,
+            intermediate: NO_COLOR,
             bit: false,
             samples: Vec::new(),
             last_jump_phase: NO_PHASE,
@@ -51,40 +48,18 @@ impl NodeState {
         }
     }
 
-    /// Whether the node already jumped in `phase`.
-    pub fn jumped_in(&self, phase: u32) -> bool {
-        self.last_jump_phase == phase
-    }
-
-    /// Records that the node jumped in `phase`.
-    pub fn mark_jumped(&mut self, phase: u32) {
-        self.last_jump_phase = phase;
-    }
-
-    /// The gadget's median estimate of the population's real time, as of
-    /// this node's current tick: each sample `(T_v, r_u)` is extrapolated
-    /// to `T_v + (real_time − r_u)` (the sampled clock kept ticking at unit
-    /// rate), then the median is taken.
-    ///
-    /// Returns `None` if no samples were collected.
-    pub fn median_time_estimate(&self) -> Option<u64> {
-        if self.samples.is_empty() {
-            return None;
+    /// The kernel's view of this node.
+    #[inline]
+    pub fn view(&mut self) -> RapidView<'_> {
+        RapidView {
+            working_time: &mut self.working_time,
+            real_time: &mut self.real_time,
+            intermediate: &mut self.intermediate,
+            bit: &mut self.bit,
+            last_jump_phase: &mut self.last_jump_phase,
+            halted: &mut self.halted,
+            samples: &mut self.samples,
         }
-        let mut ests: Vec<u64> = self
-            .samples
-            .iter()
-            .map(|&(t_v, r_u)| t_v + (self.real_time - r_u))
-            .collect();
-        ests.sort_unstable();
-        Some(ests[ests.len() / 2])
-    }
-
-    /// Clears the phase-scoped state (entering a new Two-Choices step).
-    pub fn reset_phase_state(&mut self) {
-        self.intermediate = None;
-        self.bit = false;
-        self.samples.clear();
     }
 }
 
@@ -97,6 +72,9 @@ impl Default for NodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asynchronous::kernel::Step;
+    use crate::asynchronous::params::Params;
+    use crate::asynchronous::schedule::{Action, Schedule};
 
     #[test]
     fn fresh_node_is_at_time_zero() {
@@ -104,52 +82,47 @@ mod tests {
         assert_eq!(s.working_time, 0);
         assert_eq!(s.real_time, 0);
         assert!(!s.bit && !s.halted);
-        assert_eq!(s.intermediate, None);
-        assert_eq!(s.median_time_estimate(), None);
+        assert_eq!(s.intermediate, NO_COLOR);
+        assert_eq!(s.last_jump_phase, NO_PHASE);
+        assert!(s.samples.is_empty());
         assert_eq!(NodeState::default(), s);
     }
 
     #[test]
-    fn median_extrapolates_elapsed_ticks() {
+    fn jump_guard_tracks_phase() {
+        let schedule = Schedule::new(Params::for_network(1 << 12, 4));
+        let jump_slot = schedule.params().phase_len() - 1;
         let mut s = NodeState::new();
         s.real_time = 10;
-        // Sampled T_v = 100 when my clock read 4: estimate 100 + (10-4) = 106.
-        s.samples.push((100, 4));
-        assert_eq!(s.median_time_estimate(), Some(106));
-    }
-
-    #[test]
-    fn median_of_odd_sample_count() {
-        let mut s = NodeState::new();
-        s.real_time = 0;
-        for &t in &[30u64, 10, 20] {
-            s.samples.push((t, 0));
-        }
-        assert_eq!(s.median_time_estimate(), Some(20));
-    }
-
-    #[test]
-    fn jump_guard_tracks_phase() {
-        let mut s = NodeState::new();
-        assert!(!s.jumped_in(3));
-        s.mark_jumped(3);
-        assert!(s.jumped_in(3));
-        assert!(!s.jumped_in(4));
+        s.samples.push((jump_slot + 5, 10));
+        s.working_time = jump_slot;
+        assert_eq!(schedule.action_at(jump_slot), Action::Jump);
+        let first = s.view().finish(&schedule, Action::Jump, Some(&[]));
+        assert_eq!(first.jump, Some(5));
+        assert_eq!(s.last_jump_phase, 0);
+        // Back on the same slot of the same phase: the guard holds.
+        s.working_time = jump_slot;
+        let again = s.view().finish(&schedule, Action::Jump, Some(&[]));
+        assert_eq!(again.jump, None);
+        assert_eq!(s.working_time, jump_slot + 1, "no jump: one tick on");
     }
 
     #[test]
     fn reset_clears_phase_scoped_state_only() {
+        let schedule = Schedule::new(Params::for_network(1 << 12, 4));
         let mut s = NodeState::new();
         s.bit = true;
-        s.intermediate = Some(Color::new(1));
+        s.intermediate = 1;
         s.samples.push((5, 1));
-        s.working_time = 42;
+        s.working_time = schedule.tc_sample_offset();
         s.real_time = 40;
-        s.reset_phase_state();
+        let action = Action::TwoChoicesSample;
+        let step = s.view().begin(&schedule);
+        assert_eq!(step, Step::Apply { action, pulls: 2 });
         assert!(!s.bit);
-        assert_eq!(s.intermediate, None);
+        assert_eq!(s.intermediate, NO_COLOR);
         assert!(s.samples.is_empty());
-        assert_eq!(s.working_time, 42);
+        assert_eq!(s.working_time, schedule.tc_sample_offset());
         assert_eq!(s.real_time, 40);
     }
 }

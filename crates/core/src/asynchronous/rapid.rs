@@ -23,15 +23,16 @@
 
 use rapid_graph::topology::Topology;
 use rapid_sim::fault::{FaultPlan, FaultState};
-use rapid_sim::node::NodeId;
 use rapid_sim::rng::{Seed, SimRng};
 use rapid_sim::scheduler::{Activation, ActivationSource};
 use rapid_sim::time::SimTime;
 
+use crate::asynchronous::kernel::{resolve_all, Peer, Step, MAX_PULLS};
 use crate::asynchronous::node::NodeState;
 use crate::asynchronous::params::Params;
 use crate::asynchronous::schedule::{Action, Schedule};
 use crate::convergence::ConvergenceError;
+use crate::faults::pull;
 use crate::opinion::{Color, Configuration};
 
 /// Outcome of a full rapid-consensus run.
@@ -277,20 +278,6 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
         counts
     }
 
-    /// Pulls one neighbor: the sample always comes from the main RNG
-    /// stream (so fault-free runs are bit-identical to the pre-fault
-    /// implementation), then the fault layer may void the response — the
-    /// contacted node is down, or the message is lost.
-    fn pull(&mut self, u: NodeId) -> Option<NodeId> {
-        let v = self.topology.sample_neighbor(u, &mut self.rng);
-        if let Some(f) = self.faults.as_mut() {
-            if f.is_down(v) || f.message_lost() {
-                return None;
-            }
-        }
-        Some(v)
-    }
-
     /// Executes one activation; returns it with the action performed.
     ///
     /// With a fault layer installed, a crashed node's tick is consumed as
@@ -313,89 +300,35 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
                 return (a, Action::Wait);
             }
         }
-        if self.nodes[i].halted {
-            self.nodes[i].real_time += 1;
-            return (a, Action::Halt);
+        let (action, pulls) = match self.nodes[i].view().begin(&self.schedule) {
+            Step::Done(action) => return (a, action),
+            Step::Apply { action, pulls } => (action, pulls),
+        };
+        let mut pulled = [Peer::default(); MAX_PULLS];
+        let pulled = &mut pulled[..pulls];
+        let all = resolve_all(pulled, || {
+            let v = pull(&self.topology, u, &mut self.rng, self.faults.as_mut())?;
+            let peer = &self.nodes[v.index()];
+            Some(Peer {
+                color: self.config.color(v),
+                bit: peer.bit,
+                real_time: peer.real_time,
+            })
+        });
+        let effect = self.nodes[i]
+            .view()
+            .finish(&self.schedule, action, all.then_some(pulled));
+        if let Some(c) = effect.recolor {
+            self.config.set_color(u, c);
         }
-
-        let action = self.schedule.action_at(self.nodes[i].working_time);
-        let mut jumped = false;
-        match action {
-            Action::Wait => {}
-            Action::TwoChoicesSample => {
-                self.nodes[i].reset_phase_state();
-                let v = self.pull(u);
-                let w = self.pull(u);
-                if let (Some(v), Some(w)) = (v, w) {
-                    let cv = self.config.color(v);
-                    if cv == self.config.color(w) {
-                        self.nodes[i].intermediate = Some(cv);
-                    }
-                }
-            }
-            Action::Commit => {
-                if let Some(c) = self.nodes[i].intermediate.take() {
-                    self.config.set_color(u, c);
-                    self.nodes[i].bit = true;
-                } else {
-                    self.nodes[i].bit = false;
-                }
-            }
-            Action::BitPropagation => {
-                if !self.nodes[i].bit {
-                    if let Some(v) = self.pull(u) {
-                        if self.nodes[v.index()].bit {
-                            let c = self.config.color(v);
-                            self.config.set_color(u, c);
-                            self.nodes[i].bit = true;
-                        }
-                    }
-                }
-            }
-            Action::SyncSample => {
-                if let Some(v) = self.pull(u) {
-                    let t_v = self.nodes[v.index()].real_time;
-                    let r_u = self.nodes[i].real_time;
-                    self.nodes[i].samples.push((t_v, r_u));
-                }
-            }
-            Action::Jump => {
-                let phase = self.schedule.phase_of(self.nodes[i].working_time);
-                if !self.nodes[i].jumped_in(phase) {
-                    if let Some(target) = self.nodes[i].median_time_estimate() {
-                        let from = self.nodes[i].working_time;
-                        self.nodes[i].working_time = target;
-                        self.nodes[i].mark_jumped(phase);
-                        self.jumps += 1;
-                        self.max_jump_displacement =
-                            self.max_jump_displacement.max(from.abs_diff(target));
-                        jumped = true;
-                    }
-                }
-            }
-            Action::Endgame => {
-                let v = self.pull(u);
-                let w = self.pull(u);
-                if let (Some(v), Some(w)) = (v, w) {
-                    let cv = self.config.color(v);
-                    if cv == self.config.color(w) {
-                        self.config.set_color(u, cv);
-                    }
-                }
-            }
-            Action::Halt => {
-                self.nodes[i].halted = true;
-                self.halted_count += 1;
-                if self.first_halt.is_none() {
-                    self.first_halt = Some(a.time);
-                }
-            }
+        if let Some(displacement) = effect.jump {
+            self.jumps += 1;
+            self.max_jump_displacement = self.max_jump_displacement.max(displacement);
         }
-
-        if !jumped {
-            self.nodes[i].working_time += 1;
+        if effect.halted {
+            self.halted_count += 1;
+            self.first_halt.get_or_insert(a.time);
         }
-        self.nodes[i].real_time += 1;
         (a, action)
     }
 

@@ -43,8 +43,8 @@ pub enum Action {
 
 impl Action {
     /// Whether executing this action can change the acting node's color —
-    /// the actions after which a unanimity check is worthwhile. Keep in
-    /// sync with the `tick` implementation in `rapid.rs`.
+    /// the actions after which a unanimity check is worthwhile (pinned
+    /// against the kernel's transition by its unit tests).
     pub fn changes_color(self) -> bool {
         matches!(
             self,

@@ -52,8 +52,10 @@ use rapid_sim::poisson::sample_poisson;
 use rapid_sim::rng::{Seed, SimRng};
 use rapid_sim::time::SimTime;
 
-use crate::asynchronous::gossip::GossipRule;
-use crate::asynchronous::schedule::{Action, Schedule};
+use crate::asynchronous::kernel::{
+    resolve_all, GossipRule, Peer, RapidView, Step, MAX_PULLS, NO_COLOR, NO_PHASE,
+};
+use crate::asynchronous::schedule::Schedule;
 use crate::opinion::{Color, Configuration};
 
 /// Epoch length τ in simulation-time units.
@@ -62,13 +64,6 @@ use crate::opinion::{Color, Configuration};
 /// activation per epoch (at unit rate), matching the granularity at
 /// which the paper's analysis discretises the Poisson clock.
 pub const DEFAULT_TAU: f64 = 1.0;
-
-/// Sentinel for "no intermediate color" in the SoA encoding of
-/// [`crate::asynchronous::NodeState::intermediate`].
-const NO_COLOR: u32 = u32::MAX;
-
-/// Sentinel for "never jumped" (mirrors the sequential node state).
-const NO_PHASE: u32 = u32::MAX;
 
 /// Which protocol the epoch engine advances.
 #[derive(Clone, Debug)]
@@ -79,20 +74,17 @@ pub enum ShardedProtocol {
     Rapid(Schedule),
 }
 
-/// Struct-of-arrays node state for the full protocol (the SoA mirror of
-/// [`crate::asynchronous::NodeState`]).
+/// Struct-of-arrays node state for the full protocol: one vector per
+/// field of the kernel's [`RapidView`], in its encoding.
 #[derive(Clone, Debug)]
 struct RapidSoa {
     schedule: Schedule,
     working_time: Vec<u64>,
     real_time: Vec<u64>,
-    /// `NO_COLOR` encodes `None`.
     intermediate: Vec<u32>,
     bit: Vec<bool>,
-    /// `NO_PHASE` encodes "never jumped".
     last_jump_phase: Vec<u32>,
     halted: Vec<bool>,
-    /// Sync-Gadget samples `(their_real_time, my_real_time)`.
     samples: Vec<Vec<(u64, u64)>>,
 }
 
@@ -179,20 +171,6 @@ fn split_by_sizes<'a, T>(mut s: &'a mut [T], sizes: &[usize]) -> Vec<&'a mut [T]
     out
 }
 
-/// The median real-time estimate of the Sync Gadget (mirrors
-/// [`crate::asynchronous::NodeState::median_time_estimate`]).
-fn median_estimate(samples: &[(u64, u64)], real_time: u64) -> Option<u64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut ests: Vec<u64> = samples
-        .iter()
-        .map(|&(t_v, r_u)| t_v + (real_time - r_u))
-        .collect();
-    ests.sort_unstable();
-    Some(ests[ests.len() / 2])
-}
-
 /// One shard's mutable view of the rapid SoA state.
 struct RapidShard<'a> {
     colors: &'a mut [Color],
@@ -203,6 +181,26 @@ struct RapidShard<'a> {
     last_jump_phase: &'a mut [u32],
     halted: &'a mut [bool],
     samples: &'a mut [Vec<(u64, u64)>],
+}
+
+impl RapidShard<'_> {
+    /// The shard's `local`-th node: its color, and the kernel's view of
+    /// the rest of its state.
+    #[inline]
+    fn node(&mut self, local: usize) -> (&mut Color, RapidView<'_>) {
+        (
+            &mut self.colors[local],
+            RapidView {
+                working_time: &mut self.working_time[local],
+                real_time: &mut self.real_time[local],
+                intermediate: &mut self.intermediate[local],
+                bit: &mut self.bit[local],
+                last_jump_phase: &mut self.last_jump_phase[local],
+                halted: &mut self.halted[local],
+                samples: &mut self.samples[local],
+            },
+        )
+    }
 }
 
 /// The frozen epoch-start state every pull resolves against.
@@ -456,8 +454,24 @@ impl ShardedSim {
                 let rule = *rule;
                 let snap: &[Color] = &self.snap_colors;
                 let snap_counts: &[u64] = &self.snap_counts;
-                run_shards(color_shards, &sizes, self.workers, move |lo, shard| {
-                    gossip_epoch_shard(rule, topo, snap, snap_counts, epoch_seed, lambda, lo, shard)
+                // One copy of the shard loop per pull count, so the pulls
+                // of an activation unroll.
+                let shard = match rule.pulls() {
+                    1 => gossip_epoch_shard::<1>,
+                    2 => gossip_epoch_shard::<2>,
+                    _ => gossip_epoch_shard::<MAX_PULLS>,
+                };
+                run_shards(color_shards, &sizes, self.workers, move |lo, colors| {
+                    shard(
+                        rule,
+                        topo,
+                        snap,
+                        snap_counts,
+                        epoch_seed,
+                        lambda,
+                        lo,
+                        colors,
+                    )
                 })
             }
             (ShardedProtocol::Rapid(_), Some(soa)) => {
@@ -644,11 +658,11 @@ fn clique_snapshot_pull(
 }
 
 /// One gossip shard's epoch: every pull reads the frozen snapshot, own
-/// colors evolve live (mirrors
-/// [`crate::asynchronous::AsyncGossipSim`]'s per-tick rules). On
+/// colors evolve live under the kernel's [`GossipRule::decide`]. On
 /// complete graphs pulls are answered by [`clique_snapshot_pull`].
+/// `PULLS` is `rule.pulls()`.
 #[allow(clippy::too_many_arguments)]
-fn gossip_epoch_shard(
+fn gossip_epoch_shard<const PULLS: usize>(
     rule: GossipRule,
     topology: &(dyn Topology + Send + Sync),
     snap_colors: &[Color],
@@ -672,46 +686,24 @@ fn gossip_epoch_shard(
         let self_snap = snap_colors[g].index();
         for _ in 0..activations {
             delta.steps += 1;
-            let pull = |rng: &mut SimRng, delta: &mut EpochDelta| match clique {
-                Some(n) => {
-                    delta.clique_pulls += 1;
-                    clique_snapshot_pull(snap_counts, self_snap, n, rng)
-                }
-                None => snap_colors[topology.sample_neighbor(u, rng).index()],
-            };
-            let new = match rule {
-                GossipRule::Voter => pull(&mut rng, &mut delta),
-                GossipRule::TwoChoices => {
-                    let a = pull(&mut rng, &mut delta);
-                    let b = pull(&mut rng, &mut delta);
-                    if a == b {
-                        a
-                    } else {
-                        *slot
+            let mut pulled = [*slot; PULLS];
+            resolve_all(&mut pulled, || {
+                Some(match clique {
+                    Some(n) => {
+                        delta.clique_pulls += 1;
+                        clique_snapshot_pull(snap_counts, self_snap, n, &mut rng)
                     }
-                }
-                GossipRule::ThreeMajority => {
-                    let a = pull(&mut rng, &mut delta);
-                    let b = pull(&mut rng, &mut delta);
-                    let c = pull(&mut rng, &mut delta);
-                    if a == b || a == c {
-                        a
-                    } else if b == c {
-                        b
-                    } else {
-                        a
-                    }
-                }
-            };
-            delta.recolor(slot, new);
+                    None => snap_colors[topology.sample_neighbor(u, &mut rng).index()],
+                })
+            });
+            delta.recolor(slot, rule.decide(*slot, &pulled));
         }
     }
     delta
 }
 
-/// One full-protocol shard's epoch (mirrors
-/// [`crate::asynchronous::RapidSim::tick`] with pulls resolved against
-/// the snapshot).
+/// One full-protocol shard's epoch: the kernel's Rapid transition with
+/// every pull resolved against the frozen snapshot.
 #[allow(clippy::too_many_arguments)]
 fn rapid_epoch_shard(
     schedule: &Schedule,
@@ -721,7 +713,7 @@ fn rapid_epoch_shard(
     lambda: f64,
     k: usize,
     lo: usize,
-    st: RapidShard<'_>,
+    mut st: RapidShard<'_>,
 ) -> EpochDelta {
     let mut delta = EpochDelta::new(k);
     for local in 0..st.colors.len() {
@@ -729,84 +721,34 @@ fn rapid_epoch_shard(
         let u = NodeId::new(g);
         let mut rng = epoch_node_rng(epoch_seed, g as u64);
         let activations = sample_poisson(&mut rng, lambda);
+        if activations == 0 {
+            continue;
+        }
+        let (color, mut node) = st.node(local);
         for _ in 0..activations {
             delta.steps += 1;
-            if st.halted[local] {
-                st.real_time[local] += 1;
+            let Step::Apply { action, pulls } = node.begin(schedule) else {
                 continue;
+            };
+            let mut pulled = [Peer::default(); MAX_PULLS];
+            let pulled = &mut pulled[..pulls];
+            resolve_all(pulled, || {
+                let v = topology.sample_neighbor(u, &mut rng).index();
+                Some(Peer {
+                    color: snap.colors[v],
+                    bit: snap.bit[v],
+                    real_time: snap.real_time[v],
+                })
+            });
+            let effect = node.finish(schedule, action, Some(pulled));
+            if let Some(c) = effect.recolor {
+                delta.recolor(color, c);
             }
-            let action = schedule.action_at(st.working_time[local]);
-            let mut jumped = false;
-            match action {
-                Action::Wait => {}
-                Action::TwoChoicesSample => {
-                    // reset_phase_state
-                    st.intermediate[local] = NO_COLOR;
-                    st.bit[local] = false;
-                    st.samples[local].clear();
-                    let v = topology.sample_neighbor(u, &mut rng);
-                    let w = topology.sample_neighbor(u, &mut rng);
-                    let cv = snap.colors[v.index()];
-                    if cv == snap.colors[w.index()] {
-                        st.intermediate[local] = cv.index() as u32;
-                    }
-                }
-                Action::Commit => {
-                    if st.intermediate[local] != NO_COLOR {
-                        let c = Color::new(st.intermediate[local] as usize);
-                        st.intermediate[local] = NO_COLOR;
-                        delta.recolor(&mut st.colors[local], c);
-                        st.bit[local] = true;
-                    } else {
-                        st.bit[local] = false;
-                    }
-                }
-                Action::BitPropagation => {
-                    if !st.bit[local] {
-                        let v = topology.sample_neighbor(u, &mut rng);
-                        if snap.bit[v.index()] {
-                            delta.recolor(&mut st.colors[local], snap.colors[v.index()]);
-                            st.bit[local] = true;
-                        }
-                    }
-                }
-                Action::SyncSample => {
-                    let v = topology.sample_neighbor(u, &mut rng);
-                    st.samples[local].push((snap.real_time[v.index()], st.real_time[local]));
-                }
-                Action::Jump => {
-                    let phase = schedule.phase_of(st.working_time[local]);
-                    if st.last_jump_phase[local] != phase {
-                        if let Some(target) =
-                            median_estimate(&st.samples[local], st.real_time[local])
-                        {
-                            let from = st.working_time[local];
-                            st.working_time[local] = target;
-                            st.last_jump_phase[local] = phase;
-                            delta.jumps += 1;
-                            delta.max_jump_displacement =
-                                delta.max_jump_displacement.max(from.abs_diff(target));
-                            jumped = true;
-                        }
-                    }
-                }
-                Action::Endgame => {
-                    let v = topology.sample_neighbor(u, &mut rng);
-                    let w = topology.sample_neighbor(u, &mut rng);
-                    let cv = snap.colors[v.index()];
-                    if cv == snap.colors[w.index()] {
-                        delta.recolor(&mut st.colors[local], cv);
-                    }
-                }
-                Action::Halt => {
-                    st.halted[local] = true;
-                    delta.newly_halted += 1;
-                }
+            if let Some(displacement) = effect.jump {
+                delta.jumps += 1;
+                delta.max_jump_displacement = delta.max_jump_displacement.max(displacement);
             }
-            if !jumped {
-                st.working_time[local] += 1;
-            }
-            st.real_time[local] += 1;
+            delta.newly_halted += usize::from(effect.halted);
         }
     }
     delta

@@ -75,7 +75,8 @@ use rapid_sim::scheduler::{
 };
 use rapid_sim::time::SimTime;
 
-use crate::asynchronous::gossip::{AsyncGossipSim, GossipRule};
+use crate::asynchronous::gossip::AsyncGossipSim;
+use crate::asynchronous::kernel::GossipRule;
 use crate::asynchronous::params::Params;
 use crate::asynchronous::rapid::{RapidOutcome, RapidSim, WorkingTimeStats};
 use crate::asynchronous::schedule::Schedule;

@@ -2,14 +2,33 @@
 //!
 //! The mechanics of the fault layer (loss draws, churn transitions,
 //! strike scheduling) live in [`rapid_sim::fault`]; this module supplies
-//! the one piece that needs to see opinions: turning an adversary strike
-//! into a concrete corruption of the [`Configuration`].
+//! the pieces that need to see the engines: the pull with its crash/loss
+//! veto, and turning an adversary strike into a concrete corruption of
+//! the [`Configuration`].
 
+use rapid_graph::topology::Topology;
 use rapid_sim::fault::{AdversaryKind, FaultState};
 use rapid_sim::node::NodeId;
+use rapid_sim::rng::SimRng;
 use rapid_sim::time::SimTime;
 
 use crate::opinion::{Color, Configuration};
+
+/// The sequential engines' pull resolver: samples one neighbor of `u`
+/// from the main stream (so fault-free runs are bit-identical to the
+/// pre-fault implementation), then the fault layer may void the response
+/// — the contacted node is down, or the message is lost.
+#[inline]
+pub(crate) fn pull<G: Topology + ?Sized>(
+    topology: &G,
+    u: NodeId,
+    rng: &mut SimRng,
+    faults: Option<&mut FaultState>,
+) -> Option<NodeId> {
+    let v = topology.sample_neighbor(u, rng);
+    let voided = faults.is_some_and(|f| f.is_down(v) || f.message_lost());
+    (!voided).then_some(v)
+}
 
 /// Advances the fault layer to `now` and applies any adversary strikes
 /// that came due, returning how many were applied. Called by the engines

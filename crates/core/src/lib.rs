@@ -82,7 +82,8 @@ pub use sync::{OneExtraBit, OneExtraBitParams, SyncProtocol, ThreeMajority, TwoC
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
-    pub use crate::asynchronous::gossip::{AsyncGossipSim, GossipRule};
+    pub use crate::asynchronous::gossip::AsyncGossipSim;
+    pub use crate::asynchronous::kernel::GossipRule;
     pub use crate::asynchronous::params::Params;
     pub use crate::asynchronous::rapid::{RapidOutcome, RapidSim};
     pub use crate::asynchronous::schedule::{Action, Schedule};

@@ -4,6 +4,7 @@ use rapid_graph::topology::Topology;
 use rapid_sim::node::NodeId;
 use rapid_sim::rng::SimRng;
 
+use crate::asynchronous::kernel::{resolve_all, GossipRule, MAX_PULLS};
 use crate::convergence::{ConvergenceError, SyncOutcome};
 use crate::opinion::{Color, Configuration};
 
@@ -32,8 +33,7 @@ pub trait SyncProtocol {
 /// next color from the *snapshot* of current colors, then all updates land
 /// at once.
 ///
-/// This is the shared skeleton of [`crate::sync::TwoChoices`],
-/// [`crate::sync::Voter`] and [`crate::sync::ThreeMajority`].
+/// This is the skeleton of the gossip rules' rounds.
 pub fn simultaneous_color_update(
     g: &dyn Topology,
     config: &mut Configuration,
@@ -46,6 +46,26 @@ pub fn simultaneous_color_update(
         *slot = rule(NodeId::new(i), &snapshot, g, rng);
     }
     config.replace_all(&next);
+}
+
+/// One synchronous round of a gossip rule: every node pulls from the
+/// round-start snapshot and updates under the kernel's
+/// [`GossipRule::decide`] — the shared `round` of
+/// [`crate::sync::TwoChoices`], [`crate::sync::Voter`] and
+/// [`crate::sync::ThreeMajority`].
+pub(crate) fn gossip_round(
+    rule: GossipRule,
+    g: &dyn Topology,
+    config: &mut Configuration,
+    rng: &mut SimRng,
+) {
+    simultaneous_color_update(g, config, rng, |u, snapshot, g, rng| {
+        let own = snapshot[u.index()];
+        let mut pulled = [own; MAX_PULLS];
+        let pulled = &mut pulled[..rule.pulls()];
+        resolve_all(pulled, || Some(snapshot[g.sample_neighbor(u, rng).index()]));
+        rule.decide(own, pulled)
+    });
 }
 
 /// Per-round measurements collected by [`run_sync_traced`] (and, through

@@ -3,8 +3,9 @@
 use rapid_graph::topology::Topology;
 use rapid_sim::rng::SimRng;
 
+use crate::asynchronous::kernel::GossipRule;
 use crate::opinion::Configuration;
-use crate::sync::engine::{simultaneous_color_update, SyncProtocol};
+use crate::sync::engine::{gossip_round, SyncProtocol};
 
 /// 3-Majority: each node samples three neighbors (with replacement) and
 /// adopts the majority color among them; if all three differ, it adopts
@@ -45,18 +46,7 @@ impl ThreeMajority {
 
 impl SyncProtocol for ThreeMajority {
     fn round(&mut self, g: &dyn Topology, config: &mut Configuration, rng: &mut SimRng) {
-        simultaneous_color_update(g, config, rng, |u, snapshot, g, rng| {
-            let a = snapshot[g.sample_neighbor(u, rng).index()];
-            let b = snapshot[g.sample_neighbor(u, rng).index()];
-            let c = snapshot[g.sample_neighbor(u, rng).index()];
-            if a == b || a == c {
-                a
-            } else if b == c {
-                b
-            } else {
-                a // all distinct → take the first sample
-            }
-        });
+        gossip_round(GossipRule::ThreeMajority, g, config, rng);
     }
 
     fn name(&self) -> &'static str {

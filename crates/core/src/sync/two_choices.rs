@@ -3,8 +3,9 @@
 use rapid_graph::topology::Topology;
 use rapid_sim::rng::SimRng;
 
+use crate::asynchronous::kernel::GossipRule;
 use crate::opinion::Configuration;
-use crate::sync::engine::{simultaneous_color_update, SyncProtocol};
+use crate::sync::engine::{gossip_round, SyncProtocol};
 
 /// Two-Choices (Cooper, Elsässer & Radzik, ICALP'14): in every round each
 /// node samples two neighbors uniformly at random, **with replacement**,
@@ -45,16 +46,7 @@ impl TwoChoices {
 
 impl SyncProtocol for TwoChoices {
     fn round(&mut self, g: &dyn Topology, config: &mut Configuration, rng: &mut SimRng) {
-        simultaneous_color_update(g, config, rng, |u, snapshot, g, rng| {
-            let v = g.sample_neighbor(u, rng);
-            let w = g.sample_neighbor(u, rng);
-            let cv = snapshot[v.index()];
-            if cv == snapshot[w.index()] {
-                cv
-            } else {
-                snapshot[u.index()]
-            }
-        });
+        gossip_round(GossipRule::TwoChoices, g, config, rng);
     }
 
     fn name(&self) -> &'static str {

@@ -3,8 +3,9 @@
 use rapid_graph::topology::Topology;
 use rapid_sim::rng::SimRng;
 
+use crate::asynchronous::kernel::GossipRule;
 use crate::opinion::Configuration;
-use crate::sync::engine::{simultaneous_color_update, SyncProtocol};
+use crate::sync::engine::{gossip_round, SyncProtocol};
 
 /// Voter model: each node samples one neighbor and adopts its color
 /// unconditionally.
@@ -45,9 +46,7 @@ impl Voter {
 
 impl SyncProtocol for Voter {
     fn round(&mut self, g: &dyn Topology, config: &mut Configuration, rng: &mut SimRng) {
-        simultaneous_color_update(g, config, rng, |u, snapshot, g, rng| {
-            snapshot[g.sample_neighbor(u, rng).index()]
-        });
+        gossip_round(GossipRule::Voter, g, config, rng);
     }
 
     fn name(&self) -> &'static str {

@@ -356,4 +356,27 @@ fn faulty_runs_are_seed_deterministic() {
             .run()
     };
     assert_eq!(rapid_run(23), rapid_run(23));
+
+    // Golden pins (winner, steps, consensus-time bits): the loss, churn
+    // and adversary paths must not only repeat, they must repeat what
+    // they computed when these values were recorded.
+    for (label, out, steps, time_bits) in [
+        ("gossip seed 21", run(21), 519, 0x4020_9223_2aa3_dae5),
+        ("gossip seed 22", run(22), 616, 0x4023_b934_9e18_44ee),
+        (
+            "rapid seed 23",
+            rapid_run(23),
+            41_177,
+            0x4074_1f27_de31_253a,
+        ),
+    ] {
+        assert_eq!(out.stop, StopReason::Unanimity, "{label}");
+        assert_eq!(out.winner, Some(Color::new(0)), "{label}: winner");
+        assert_eq!(out.steps, steps, "{label}: steps");
+        assert_eq!(
+            out.time.map(|t| t.as_secs().to_bits()),
+            Some(time_bits),
+            "{label}: consensus time"
+        );
+    }
 }

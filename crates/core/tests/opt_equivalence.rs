@@ -8,7 +8,8 @@
 //! the exact bit pattern of the consensus time — were captured from the
 //! pre-optimization code, and every path (sequential and event-queue
 //! clocks, halt budgets, the full Rapid protocol) must still reproduce
-//! them exactly.
+//! them exactly. The synchronous rules are pinned the same way, by their
+//! whole per-round trace.
 
 use rapid_core::facade::{Clock, Sim, StopCondition};
 use rapid_core::prelude::*;
@@ -130,6 +131,82 @@ fn rapid_on_event_queue_matches_golden() {
     assert_eq!(out.steps, 295_105);
     assert_eq!(out.time.as_secs().to_bits(), 0x4071_ff64_354a_a829);
     assert!(out.before_first_halt);
+}
+
+/// A synchronous rule on `K_n`: winner, rounds and an FNV-1a hash of the
+/// per-round `(c1, c2, support)` trace.
+struct SyncGolden {
+    name: &'static str,
+    counts: &'static [u64],
+    seed: u64,
+    winner: usize,
+    rounds: u64,
+    trace_hash: u64,
+}
+
+const SYNC_GOLDENS: &[SyncGolden] = &[
+    SyncGolden {
+        name: "voter",
+        counts: &[60, 40],
+        seed: 11,
+        winner: 0,
+        rounds: 31,
+        trace_hash: 0xad1a_b2ec_8d0d_8986,
+    },
+    SyncGolden {
+        name: "two-choices",
+        counts: &[300, 200, 100],
+        seed: 12,
+        winner: 0,
+        rounds: 9,
+        trace_hash: 0x41c7_5c72_84e2_85e8,
+    },
+    SyncGolden {
+        name: "3-majority",
+        counts: &[300, 200, 100],
+        seed: 13,
+        winner: 0,
+        rounds: 8,
+        trace_hash: 0x0889_aadf_53fa_4e33,
+    },
+];
+
+#[test]
+fn sync_rule_traces_match_goldens() {
+    for g in SYNC_GOLDENS {
+        let mut proto: Box<dyn SyncProtocol> = match g.name {
+            "voter" => Box::new(Voter::new()),
+            "two-choices" => Box::new(TwoChoices::new()),
+            _ => Box::new(ThreeMajority::new()),
+        };
+        let topology = Complete::new(g.counts.iter().sum::<u64>() as usize);
+        let mut config = Configuration::from_counts(g.counts).expect("valid");
+        let mut rng = SimRng::from_seed_value(Seed::new(g.seed));
+        let mut trace = RoundTrace::default();
+        let (out, _) = run_sync_traced(
+            proto.as_mut(),
+            &topology,
+            &mut config,
+            &mut rng,
+            1_000_000,
+            Some(&mut trace),
+        )
+        .expect("converges");
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let words = trace.c1.iter().chain(&trace.c2).copied();
+        for v in words.chain(trace.support.iter().map(|&s| s as u64)) {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(out.winner.index(), g.winner, "{}: winner", g.name);
+        assert_eq!(out.rounds, g.rounds, "{}: rounds", g.name);
+        assert_eq!(
+            h, g.trace_hash,
+            "{}: per-round trace (got {h:#018x})",
+            g.name
+        );
+    }
 }
 
 /// The O(1) unanimity check must agree with the full O(k) scan at every

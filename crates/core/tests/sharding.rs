@@ -7,8 +7,9 @@
 //! throughput knob. These tests pin that guarantee three ways:
 //!
 //! * 1, 2, 4 and 8 shards produce identical final states at
-//!   n ∈ {2¹⁰, 2¹⁴} for both a gossip rule and the full Rapid protocol,
-//!   on both the clique fast path and the general (Erdős–Rényi) path;
+//!   n ∈ {2⁹, 2¹⁰, 2¹⁴} for every gossip rule and the full Rapid
+//!   protocol, on both the clique fast path and the general
+//!   (Erdős–Rényi) path;
 //! * the final state's FNV-1a hash matches a **golden pin**, so an
 //!   engine change that silently alters outcomes (not just their
 //!   invariance) fails loudly and must update the pin deliberately;
@@ -62,14 +63,16 @@ fn topology(topo: &Topo, n: usize) -> Box<dyn Topology + Send + Sync> {
     }
 }
 
-fn engine(topo: &Topo, rapid: bool, n: usize, workers: usize) -> ShardedSim {
+/// A gossip rule, or `None` for the full Rapid protocol.
+type Proto = Option<GossipRule>;
+
+fn engine(topo: &Topo, proto: Proto, n: usize, workers: usize) -> ShardedSim {
     let counts = [3 * n as u64 / 5, n as u64 - 3 * n as u64 / 5];
     // lint: allow(panic-hygiene): fixed test inputs make the configuration valid by construction
     let config = Configuration::from_counts(&counts).expect("valid");
-    let proto = if rapid {
-        ShardedProtocol::Rapid(Schedule::new(Params::for_network(n, 2)))
-    } else {
-        ShardedProtocol::Gossip(GossipRule::TwoChoices)
+    let proto = match proto {
+        None => ShardedProtocol::Rapid(Schedule::new(Params::for_network(n, 2))),
+        Some(rule) => ShardedProtocol::Gossip(rule),
     };
     ShardedSim::new(
         topology(topo, n),
@@ -83,8 +86,8 @@ fn engine(topo: &Topo, rapid: bool, n: usize, workers: usize) -> ShardedSim {
 
 /// Runs to consensus (or the epoch cap) and hashes everything the run
 /// decided: winner, epochs, steps, per-node colors, halt/jump counters.
-fn run_hash(topo: &Topo, rapid: bool, n: usize, workers: usize) -> u64 {
-    let mut sim = engine(topo, rapid, n, workers);
+fn run_hash(topo: &Topo, proto: Proto, n: usize, workers: usize) -> u64 {
+    let mut sim = engine(topo, proto, n, workers);
     let winner = sim.run_until_consensus(1_000_000);
     let mut h = Fnv::new();
     h.push_u64(winner.map_or(u64::MAX, |c| c.index() as u64));
@@ -108,11 +111,45 @@ fn run_hash(topo: &Topo, rapid: bool, n: usize, workers: usize) -> u64 {
 /// Regenerate deliberately (print `run_hash(..)` at one worker) whenever
 /// the engine's stream layout changes; every entry is also asserted
 /// identical across 1, 2, 4 and 8 shards.
-const GOLDEN: &[(&str, bool, usize, u64)] = &[
-    ("gossip-er", false, 1 << 10, 0x5fc3_79bb_db51_690a),
-    ("gossip-clique", false, 1 << 14, 0x8fce_1527_afbe_235e),
-    ("rapid-clique", true, 1 << 10, 0x9921_e3ff_7d02_4d82),
-    ("rapid-er", true, 1 << 14, 0xcc73_dd49_07e0_cfe3),
+const GOLDEN: &[(&str, Proto, usize, u64)] = &[
+    (
+        "gossip-er",
+        Some(GossipRule::TwoChoices),
+        1 << 10,
+        0x5fc3_79bb_db51_690a,
+    ),
+    (
+        "gossip-clique",
+        Some(GossipRule::TwoChoices),
+        1 << 14,
+        0x8fce_1527_afbe_235e,
+    ),
+    (
+        "voter-er",
+        Some(GossipRule::Voter),
+        1 << 8,
+        0x54f0_2ba8_1e56_b440,
+    ),
+    (
+        "voter-clique",
+        Some(GossipRule::Voter),
+        1 << 8,
+        0x612c_8bab_4568_9931,
+    ),
+    (
+        "3-majority-er",
+        Some(GossipRule::ThreeMajority),
+        1 << 10,
+        0x5785_9088_9eea_0c97,
+    ),
+    (
+        "3-majority-clique",
+        Some(GossipRule::ThreeMajority),
+        1 << 14,
+        0xba73_37a4_9f99_1f0f,
+    ),
+    ("rapid-clique", None, 1 << 10, 0x9921_e3ff_7d02_4d82),
+    ("rapid-er", None, 1 << 14, 0xcc73_dd49_07e0_cfe3),
 ];
 
 fn topo_of(label: &str) -> Topo {
@@ -125,10 +162,10 @@ fn topo_of(label: &str) -> Topo {
 
 #[test]
 fn shard_counts_one_two_four_eight_are_bit_identical() {
-    for &(label, rapid, n, _) in GOLDEN {
-        let baseline = run_hash(&topo_of(label), rapid, n, 1);
+    for &(label, proto, n, _) in GOLDEN {
+        let baseline = run_hash(&topo_of(label), proto, n, 1);
         for workers in [2, 4, 8] {
-            let h = run_hash(&topo_of(label), rapid, n, workers);
+            let h = run_hash(&topo_of(label), proto, n, workers);
             assert_eq!(
                 h, baseline,
                 "{label} n={n}: {workers} shards diverged from 1 shard"
@@ -139,8 +176,8 @@ fn shard_counts_one_two_four_eight_are_bit_identical() {
 
 #[test]
 fn final_states_match_the_golden_pins() {
-    for &(label, rapid, n, golden) in GOLDEN {
-        let h = run_hash(&topo_of(label), rapid, n, 4);
+    for &(label, proto, n, golden) in GOLDEN {
+        let h = run_hash(&topo_of(label), proto, n, 4);
         assert_eq!(
             h, golden,
             "{label} n={n}: outcome drifted from pin (got {h:#018x}); \
@@ -183,12 +220,12 @@ fn non_dividing_shard_counts_are_still_identical() {
     // 1000 % 7 != 0 and 1000 % 8 == 0 with unequal heads: both partitions
     // must reproduce the single-shard run exactly.
     let baseline = {
-        let mut sim = engine(&Topo::Clique, false, 1000, 1);
+        let mut sim = engine(&Topo::Clique, Some(GossipRule::TwoChoices), 1000, 1);
         sim.run_until_consensus(1_000_000);
         sim.config().colors().to_vec()
     };
     for workers in [3, 7, 8] {
-        let mut sim = engine(&Topo::Clique, false, 1000, workers);
+        let mut sim = engine(&Topo::Clique, Some(GossipRule::TwoChoices), 1000, workers);
         sim.run_until_consensus(1_000_000);
         assert_eq!(
             sim.config().colors(),

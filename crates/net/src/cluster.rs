@@ -358,8 +358,8 @@ impl Cluster {
                 obs.recvs.inc();
                 obs.bytes_in.add(frame.len() as u64);
             }
-            match Envelope::decode(frame) {
-                Ok((env, _)) => {
+            match Envelope::decode_for(frame, self.counts.len()) {
+                Ok(env) => {
                     if (env.dst as usize) < self.machines.len() {
                         self.dispatch(env.dst as usize, |m, out| m.on_message(&env, out));
                         self.route();
@@ -560,6 +560,7 @@ impl Cluster {
                     halted: &halted,
                     dropped: &dropped,
                     decode_errors: &decode_errors,
+                    k: self.counts.len(),
                     live_dropped: &live_dropped[w],
                     live_pending: &live_pending[w],
                     obs: obs.clone(),
@@ -654,6 +655,9 @@ struct WorkerCtx<'a> {
     halted: &'a AtomicUsize,
     dropped: &'a AtomicU64,
     decode_errors: &'a AtomicU64,
+    /// The run's number of opinions: frames naming another color are
+    /// decode errors.
+    k: usize,
     live_dropped: &'a AtomicU64,
     live_pending: &'a AtomicU64,
     obs: Option<NetObs>,
@@ -710,8 +714,8 @@ fn udp_worker(machines: &mut [NodeMachine], mut transport: UdpTransport, ctx: Wo
                 obs.recvs.inc();
                 obs.bytes_in.add(frame.len() as u64);
             }
-            match Envelope::decode(frame) {
-                Ok((env, _)) => {
+            match Envelope::decode_for(frame, ctx.k) {
+                Ok(env) => {
                     let li = env.dst as usize;
                     if let Some(m) = li
                         .checked_sub(machines[0].id() as usize)
@@ -763,4 +767,50 @@ fn udp_worker(machines: &mut [NodeMachine], mut transport: UdpTransport, ctx: Wo
     }
     ctx.dropped
         .fetch_add(transport.dropped(), Ordering::Relaxed);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::Payload;
+    use rapid_core::asynchronous::GossipRule;
+    use rapid_core::facade::Sim;
+    use rapid_graph::complete::Complete;
+    use rapid_sim::rng::Seed;
+
+    #[test]
+    fn a_reply_with_an_out_of_range_color_is_a_decode_error() {
+        let counts = [5, 3];
+        let mut cluster = Cluster::from_builder(
+            Sim::builder()
+                .topology(Complete::new(8))
+                .counts(&counts)
+                .gossip(GossipRule::Voter)
+                .engine(EngineKind::Net)
+                .seed(Seed::new(3)),
+        )
+        .expect("valid net assembly");
+        // Node 0 pulls one peer; the reply that comes back names color k.
+        cluster.dispatch(0, NodeMachine::on_tick);
+        let request = cluster
+            .outbox
+            .pop()
+            .expect("a voter tick sends one request");
+        let forged = Envelope {
+            src: request.dst,
+            dst: request.src,
+            seq: request.seq,
+            payload: Payload::PullReply {
+                color: counts.len() as u32,
+                bit: false,
+                beacon: false,
+                real_time: 0,
+            },
+        };
+        cluster.transport.send(forged.dst, &forged.encode());
+        cluster.pump_to_quiescence();
+        assert_eq!(cluster.decode_errors, 1);
+        assert!(cluster.machines[0].color().index() < counts.len());
+        assert_eq!(cluster.counts().iter().sum::<u64>(), 8);
+    }
 }

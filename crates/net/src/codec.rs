@@ -112,6 +112,13 @@ pub enum CodecError {
         /// Extra bytes after the payload.
         extra: usize,
     },
+    /// The frame carries a color that names none of the run's opinions.
+    ColorOutOfRange {
+        /// The color on the wire.
+        color: u32,
+        /// The run's number of opinions.
+        k: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -127,6 +134,9 @@ impl fmt::Display for CodecError {
             }
             CodecError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after the payload")
+            }
+            CodecError::ColorOutOfRange { color, k } => {
+                write!(f, "color {color} is not one of the run's {k} opinions")
             }
         }
     }
@@ -294,6 +304,27 @@ impl Envelope {
             total,
         ))
     }
+
+    /// Decodes one frame of a run with `k` opinions: [`Envelope::decode`],
+    /// plus a check that a color the frame carries is one of them. Both
+    /// cluster drivers admit frames through here, so no machine adopts a
+    /// color the population histogram cannot count.
+    ///
+    /// # Errors
+    ///
+    /// Any error of [`Envelope::decode`], or
+    /// [`CodecError::ColorOutOfRange`].
+    pub fn decode_for(input: &[u8], k: usize) -> Result<Envelope, CodecError> {
+        let (env, _) = Envelope::decode(input)?;
+        match env.payload {
+            Payload::PullReply { color, .. } | Payload::Opinion { color, .. }
+                if color as usize >= k =>
+            {
+                Err(CodecError::ColorOutOfRange { color, k })
+            }
+            _ => Ok(env),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -402,5 +433,29 @@ mod tests {
             Envelope::decode(&bytes),
             Err(CodecError::TrailingBytes { extra: 1 })
         );
+    }
+
+    #[test]
+    fn colors_outside_the_run_are_rejected() {
+        // `sample()` carries color 2.
+        let bytes = sample().encode();
+        assert_eq!(Envelope::decode_for(&bytes, 3), Ok(sample()));
+        assert_eq!(
+            Envelope::decode_for(&bytes, 2),
+            Err(CodecError::ColorOutOfRange { color: 2, k: 2 })
+        );
+        let opinion = Envelope {
+            payload: Payload::Opinion {
+                color: 5,
+                beacon: true,
+            },
+            ..sample()
+        };
+        assert!(Envelope::decode_for(&opinion.encode(), 5).is_err());
+        let request = Envelope {
+            payload: Payload::PullRequest { beacon: false },
+            ..sample()
+        };
+        assert_eq!(Envelope::decode_for(&request.encode(), 1), Ok(request));
     }
 }

@@ -19,9 +19,11 @@
 //! **Interaction semantics match the micro engine**: a query applies
 //! only when *every* pulled response has arrived (a dropped reply aborts
 //! the interaction, exactly like the simulator's message-loss fault),
-//! and the rapid schedule — sample, commit, bit-propagation, sync
-//! gadget, endgame, halt — is decoded from the same working-time
-//! [`Schedule`] the simulator uses.
+//! and both protocols run the simulators' own per-node rules from
+//! [`rapid_core::asynchronous::kernel`]. A rapid tick runs the kernel's
+//! first half and advances the clocks; the replies, when they arrive,
+//! are applied with
+//! [`RapidView::apply`](rapid_core::asynchronous::kernel::RapidView::apply).
 //!
 //! # Termination beacon
 //!
@@ -37,6 +39,7 @@
 
 use std::sync::Arc;
 
+use rapid_core::asynchronous::kernel::{GossipRule, Peer, Step, MAX_PULLS};
 use rapid_core::asynchronous::node::NodeState;
 use rapid_core::asynchronous::schedule::{Action, Schedule};
 use rapid_core::facade::MacroProtocol;
@@ -55,43 +58,18 @@ const BEACON_FANOUT: usize = 2;
 /// (a query whose replies were lost would otherwise leak forever).
 const PENDING_CAP: usize = 32;
 
-/// Most pulls one query makes (3-Majority).
-const MAX_PULLS: usize = 3;
-
 /// The default number of consecutive all-agreeing interactions before a
 /// gossip node raises its termination beacon.
 pub fn default_beacon_threshold(n: usize) -> u32 {
     ((3.0 * (n.max(2) as f64).ln()).ceil() as u32).max(8)
 }
 
-/// What a pending query is waiting to decide.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum QueryKind {
-    /// A plain gossip interaction (Voter / Two-Choices / 3-Majority).
-    Gossip,
-    /// Rapid: the Two-Choices sample feeding the next commit.
-    TcSample,
-    /// Rapid: a Bit-Propagation pull by a node without the bit.
-    BitProp,
-    /// Rapid: a Sync-Gadget real-time sample.
-    SyncSample,
-    /// Rapid: an endgame Two-Choices interaction.
-    Endgame,
-}
-
-/// One reply to a pending query.
-#[derive(Clone, Copy, Debug)]
-struct Reply {
-    color: Color,
-    bit: bool,
-    real_time: u64,
-}
-
 /// A query in flight: `want` requests tagged with one sequence number.
 #[derive(Debug)]
 struct Pending {
     seq: u64,
-    kind: QueryKind,
+    /// The rapid action the replies complete (unread by gossip machines).
+    action: Action,
     want: usize,
     /// The peer each request went to; a peer sampled twice holds two
     /// slots.
@@ -100,7 +78,7 @@ struct Pending {
     answered: u8,
     /// Replies in arrival order: the first `answered.count_ones()` are
     /// filled.
-    replies: [Reply; MAX_PULLS],
+    replies: [Peer; MAX_PULLS],
     /// The node's real time when the query was issued (Sync Gadget).
     issued_rt: u64,
 }
@@ -110,7 +88,7 @@ impl Pending {
     /// this query, and returns whether the query is now complete. A reply
     /// from a peer the query never asked, or a second copy of one already
     /// counted, is ignored.
-    fn accept(&mut self, src: u32, reply: Reply) -> bool {
+    fn accept(&mut self, src: u32, reply: Peer) -> bool {
         let Some(slot) =
             (0..self.want).find(|&j| self.peers[j] == src && self.answered & (1 << j) == 0)
         else {
@@ -125,7 +103,7 @@ impl Pending {
 /// Protocol-specific state.
 #[derive(Debug)]
 enum Proto {
-    Gossip(rapid_core::asynchronous::GossipRule),
+    Gossip(GossipRule),
     Rapid {
         schedule: Schedule,
         state: NodeState,
@@ -243,7 +221,7 @@ impl NodeMachine {
 
     /// Issues a `want`-pull query: one request frame per sampled peer,
     /// all tagged with the same fresh sequence number.
-    fn issue(&mut self, kind: QueryKind, want: usize, issued_rt: u64, out: &mut Vec<Envelope>) {
+    fn issue(&mut self, action: Action, want: usize, issued_rt: u64, out: &mut Vec<Envelope>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.pending.len() >= PENDING_CAP {
@@ -261,19 +239,14 @@ impl NodeMachine {
                 },
             });
         }
-        // Unanswered slots are never read; any reply value fills them.
-        let blank = Reply {
-            color: self.color,
-            bit: false,
-            real_time: 0,
-        };
         self.pending.push(Pending {
             seq,
-            kind,
+            action,
             want,
             peers,
             answered: 0,
-            replies: [blank; MAX_PULLS],
+            // Unanswered slots are never read.
+            replies: [Peer::default(); MAX_PULLS],
             issued_rt,
         });
     }
@@ -317,106 +290,37 @@ impl NodeMachine {
         }
     }
 
-    /// The rapid node state, for rapid machines only.
-    fn rapid_state(&mut self) -> &mut NodeState {
-        match &mut self.proto {
-            Proto::Rapid { state, .. } => state,
-            // lint: allow(panic-hygiene): internal dispatch invariant — callers match on the protocol before calling
-            Proto::Gossip(_) => unreachable!("rapid_state on a gossip machine"),
-        }
-    }
-
     /// One local Poisson-clock activation. Appends the frames it sends
     /// (pull requests, beacon pushes) to `out`.
     pub fn on_tick(&mut self, out: &mut Vec<Envelope>) {
         self.ticks += 1;
-        // Decide what this tick does under a short read-only borrow,
-        // then act with the borrow released.
-        enum Step {
-            Gossip(usize),
-            HaltedTick,
-            Rapid(Action),
-        }
-        let step = match &self.proto {
-            Proto::Gossip(rule) => Step::Gossip(match rule {
-                rapid_core::asynchronous::GossipRule::Voter => 1,
-                rapid_core::asynchronous::GossipRule::TwoChoices => 2,
-                rapid_core::asynchronous::GossipRule::ThreeMajority => 3,
-            }),
+        let (action, pulls, issued_rt) = match &mut self.proto {
+            Proto::Gossip(rule) => (Action::Wait, rule.pulls(), 0),
             Proto::Rapid { schedule, state } => {
-                if state.halted {
-                    Step::HaltedTick
-                } else {
-                    Step::Rapid(schedule.action_at(state.working_time))
-                }
-            }
-        };
-        match step {
-            Step::Gossip(want) => self.issue(QueryKind::Gossip, want, 0, out),
-            Step::HaltedTick => self.rapid_state().real_time += 1,
-            Step::Rapid(action) => self.rapid_tick(action, out),
-        }
-    }
-
-    /// One activation of the rapid schedule — the same per-action
-    /// semantics as the micro engine's `RapidSim::tick`, with pulls
-    /// turned into queries.
-    fn rapid_tick(&mut self, action: Action, out: &mut Vec<Envelope>) {
-        let mut jumped = false;
-        match action {
-            Action::Wait => {}
-            Action::TwoChoicesSample => {
-                self.rapid_state().reset_phase_state();
-                // Queries from the previous phase are stale now.
-                self.pending.clear();
-                self.issue(QueryKind::TcSample, 2, 0, out);
-            }
-            Action::Commit => {
-                let state = self.rapid_state();
-                let committed = state.intermediate.take();
-                state.bit = committed.is_some();
-                if let Some(c) = committed {
+                let issued_rt = state.real_time;
+                let mut node = state.view();
+                let Step::Apply { action, pulls } = node.begin(schedule) else {
+                    return;
+                };
+                // The clocks advance now; the pulls resolve when their
+                // replies arrive (see `complete`).
+                let effect = node.finish(schedule, action, (pulls == 0).then_some(&[]));
+                if let Some(c) = effect.recolor {
                     self.color = c;
                 }
-            }
-            Action::BitPropagation => {
-                if !self.rapid_state().bit {
-                    self.issue(QueryKind::BitProp, 1, 0, out);
+                if effect.halted {
+                    self.raise_beacon(out);
                 }
-            }
-            Action::SyncSample => {
-                let rt = self.rapid_state().real_time;
-                self.issue(QueryKind::SyncSample, 1, rt, out);
-            }
-            Action::Jump => {
-                if let Proto::Rapid { schedule, state } = &mut self.proto {
-                    let phase = schedule.phase_of(state.working_time);
-                    if !state.jumped_in(phase) {
-                        if let Some(target) = state.median_time_estimate() {
-                            state.working_time = target;
-                            state.mark_jumped(phase);
-                            jumped = true;
-                        }
-                    }
+                if action == Action::TwoChoicesSample {
+                    // Queries from the previous phase are stale now.
+                    self.pending.clear();
                 }
+                (action, pulls, issued_rt)
             }
-            Action::Endgame => {
-                self.issue(QueryKind::Endgame, 2, 0, out);
-            }
-            Action::Halt => {
-                let state = self.rapid_state();
-                state.halted = true;
-                state.working_time += 1;
-                state.real_time += 1;
-                self.raise_beacon(out);
-                return;
-            }
+        };
+        if pulls > 0 {
+            self.issue(action, pulls, issued_rt, out);
         }
-        let state = self.rapid_state();
-        if !jumped {
-            state.working_time += 1;
-        }
-        state.real_time += 1;
     }
 
     /// Handles one inbound frame addressed to this node. Appends the
@@ -452,7 +356,7 @@ impl NodeMachine {
             } => {
                 let color = Color::new(color as usize);
                 self.observe_beacon(color, beacon);
-                let reply = Reply {
+                let reply = Peer {
                     color,
                     bit,
                     real_time,
@@ -474,58 +378,18 @@ impl NodeMachine {
     fn complete(&mut self, query: Pending, out: &mut Vec<Envelope>) {
         let replies = &query.replies[..query.want];
         let old = self.color;
-        match query.kind {
-            QueryKind::Gossip => {
-                let rule = match &self.proto {
-                    Proto::Gossip(rule) => *rule,
-                    Proto::Rapid { .. } => return,
-                };
-                match rule {
-                    rapid_core::asynchronous::GossipRule::Voter => {
-                        self.color = replies[0].color;
-                    }
-                    rapid_core::asynchronous::GossipRule::TwoChoices => {
-                        if replies[0].color == replies[1].color {
-                            self.color = replies[0].color;
-                        }
-                    }
-                    rapid_core::asynchronous::GossipRule::ThreeMajority => {
-                        let (a, b, c) = (replies[0].color, replies[1].color, replies[2].color);
-                        self.color = if a == b || a == c {
-                            a
-                        } else if b == c {
-                            b
-                        } else {
-                            a
-                        };
-                    }
-                }
+        match &mut self.proto {
+            Proto::Gossip(rule) => {
+                let colors = query.replies.map(|r| r.color);
+                self.color = rule.decide(old, &colors[..query.want]);
             }
-            QueryKind::TcSample => {
-                if matches!(self.proto, Proto::Rapid { .. }) && replies[0].color == replies[1].color
-                {
-                    self.rapid_state().intermediate = Some(replies[0].color);
-                }
-            }
-            QueryKind::BitProp => {
-                if matches!(self.proto, Proto::Rapid { .. }) {
-                    let state = self.rapid_state();
-                    if !state.bit && replies[0].bit {
-                        state.bit = true;
-                        self.color = replies[0].color;
-                    }
-                }
-            }
-            QueryKind::SyncSample => {
-                if matches!(self.proto, Proto::Rapid { .. }) {
-                    self.rapid_state()
-                        .samples
-                        .push((replies[0].real_time, query.issued_rt));
-                }
-            }
-            QueryKind::Endgame => {
-                if replies[0].color == replies[1].color {
-                    self.color = replies[0].color;
+            Proto::Rapid { schedule, state } => {
+                let effect =
+                    state
+                        .view()
+                        .apply(schedule, query.action, Some(replies), query.issued_rt);
+                if let Some(c) = effect.recolor {
+                    self.color = c;
                 }
             }
         }

@@ -3,11 +3,9 @@
 //! A counting global allocator wraps the system one. This binary holds a
 //! single test, so no other test thread adds to the count while it runs.
 //!
-//! The pin covers a Two-Choices deployment. Rapid still allocates one
-//! scratch `Vec` per Sync-Gadget jump, in
-//! `rapid_core::asynchronous::node::NodeState::median_time_estimate`; that
-//! code is shared with the sequential engine and is not part of the
-//! channel path this test guards.
+//! The pin covers a Two-Choices deployment and a Rapid one; the Rapid
+//! warm-up crosses two phases, so Sync-Gadget jumps (an in-place median)
+//! fall inside the counted steps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,32 +55,45 @@ static GLOBAL: Counting = Counting;
 
 const N: usize = 1 << 10;
 
-#[test]
-fn channel_steps_do_not_allocate_once_warm() {
+/// Allocations over 2·10⁴ channel steps after `warmup` steps.
+fn warm_allocations(builder: SimBuilder, warmup: u64) -> u64 {
     let counts = [3 * N as u64 / 5, N as u64 - 3 * N as u64 / 5];
     let mut cluster = Cluster::from_builder(
-        Sim::builder()
+        builder
             .topology(Complete::new(N))
             .counts(&counts)
-            .gossip(GossipRule::TwoChoices)
             .engine(EngineKind::Net)
             .seed(Seed::new(0xA11C)),
     )
     .expect("valid net assembly");
+    for _ in 0..warmup {
+        cluster.step_channel();
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..20_000 {
+        cluster.step_channel();
+    }
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn channel_steps_do_not_allocate_once_warm() {
     // Warm-up: every node has ticked (and sized its pending-query list)
     // with overwhelming probability, and the wire has seen its largest
     // cascade.
-    for _ in 0..10 * N {
-        cluster.step_channel();
-    }
-    let steps = 20_000;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..steps {
-        cluster.step_channel();
-    }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let gossip = warm_allocations(Sim::builder().gossip(GossipRule::TwoChoices), 10 * N as u64);
     assert!(
-        allocations < 20,
-        "{allocations} allocations over {steps} warm channel steps"
+        gossip < 20,
+        "Two-Choices: {gossip} allocations over 2·10⁴ warm steps"
+    );
+
+    // Rapid: two phases of warm-up also size every node's Sync-Gadget
+    // sample buffer.
+    let params = Params::for_network(N, 2);
+    let warmup = 2 * N as u64 * params.phase_len();
+    let rapid = warm_allocations(Sim::builder().rapid(params), warmup);
+    assert!(
+        rapid < 20,
+        "Rapid: {rapid} allocations over 2·10⁴ warm steps"
     );
 }

@@ -35,26 +35,28 @@ impl Fnv {
 
 const N: usize = 1 << 10;
 
-fn cluster(rapid: bool, seed: u64) -> Cluster {
+/// A gossip rule, or `None` for the full Rapid protocol.
+type Proto = Option<GossipRule>;
+
+fn cluster(proto: Proto, seed: u64) -> Cluster {
     let counts = [3 * N as u64 / 5, N as u64 - 3 * N as u64 / 5];
     let builder = Sim::builder()
         .topology(Complete::new(N))
         .counts(&counts)
         .engine(EngineKind::Net)
         .seed(Seed::new(seed));
-    let builder = if rapid {
-        builder.rapid(Params::for_network_with_eps(N, 2, 0.5))
-    } else {
-        builder.gossip(GossipRule::TwoChoices)
+    let builder = match proto {
+        None => builder.rapid(Params::for_network_with_eps(N, 2, 0.5)),
+        Some(rule) => builder.gossip(rule),
     };
     Cluster::from_builder(builder).expect("valid net assembly")
 }
 
 /// Runs one deployment to termination and hashes its outcome and its
 /// wire totals.
-fn run_hash(rapid: bool, seed: u64) -> u64 {
+fn run_hash(proto: Proto, seed: u64) -> u64 {
     let obs = Obs::new();
-    let mut c = cluster(rapid, seed);
+    let mut c = cluster(proto, seed);
     c.attach_obs(Arc::clone(&obs));
     let run = c.run_channel();
     let snap = obs.registry.snapshot();
@@ -75,20 +77,37 @@ fn run_hash(rapid: bool, seed: u64) -> u64 {
     h.0
 }
 
-/// The golden pins: (label, rapid, seed) → FNV-1a of the run. Regenerate
-/// deliberately (print `run_hash(..)`) only when a change is meant to
-/// alter what a deployment computes or sends.
-const GOLDEN: &[(&str, bool, u64, u64)] = &[
-    ("two-choices", false, 0x60D5, 0x3e23_25de_9cc7_1c94),
-    ("rapid", true, 0x7A9D, 0xc628_9065_ddb9_91f6),
+/// The golden pins: (label, protocol, seed) → FNV-1a of the run.
+/// Regenerate deliberately (print `run_hash(..)`) only when a change is
+/// meant to alter what a deployment computes or sends.
+const GOLDEN: &[(&str, Proto, u64, u64)] = &[
+    (
+        "two-choices",
+        Some(GossipRule::TwoChoices),
+        0x60D5,
+        0x3e23_25de_9cc7_1c94,
+    ),
+    (
+        "voter",
+        Some(GossipRule::Voter),
+        0x70E5,
+        0x5141_de04_839c_825e,
+    ),
+    (
+        "3-majority",
+        Some(GossipRule::ThreeMajority),
+        0x3A70,
+        0x4e2f_cd64_61a1_2123,
+    ),
+    ("rapid", None, 0x7A9D, 0xc628_9065_ddb9_91f6),
 ];
 
 #[test]
 fn channel_deployments_match_the_golden_pins() {
     let drifted: Vec<String> = GOLDEN
         .iter()
-        .filter_map(|&(label, rapid, seed, golden)| {
-            let h = run_hash(rapid, seed);
+        .filter_map(|&(label, proto, seed, golden)| {
+            let h = run_hash(proto, seed);
             (h != golden).then(|| format!("{label} seed={seed:#x}: got {h:#018x}"))
         })
         .collect();
