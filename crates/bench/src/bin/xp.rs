@@ -1,32 +1,9 @@
-//! `xp` — the single multiplexed experiment-and-benchmark driver.
-//!
-//! `xp list` enumerates the experiment registry; `xp run <id> [--quick]
-//! [--set k=v]` runs any experiment with per-parameter overrides; `xp all`
-//! sweeps the whole registry; `xp bench …` drives the benchmark registry and the
-//! `BENCH_*.json` performance trajectory; `xp sweep …` runs a cached parameter
-//! grid and `xp serve` exposes sweeps plus the benchmark trajectory over HTTP;
-//! `xp net run …` boots a real message-passing deployment (channel or UDP
-//! loopback); `xp lint` runs the determinism & hygiene static-analysis pass
-//! over the workspace's own source. All behaviour lives in
-//! `rapid_experiments::cli`, `rapid_bench::cli`, `rapid_sweep::cli`,
-//! `rapid_net::cli` and `rapid_lint::cli` so it is unit tested; this binary
-//! only dispatches the first word, injects the benchmark-trajectory provider
-//! into `serve`, and adapts the exit code.
+//! `xp` — the one binary for experiments, benchmarks, sweeps,
+//! deployments and lint. Every command, flag and help page lives in
+//! [`rapid_bench::cli`]; this binary only hands it argv and exits with
+//! the code it returns.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("bench") => rapid_bench::cli::run(&args[1..]),
-        Some("net") => rapid_net::cli::run(&args[1..]),
-        Some("lint") => rapid_lint::cli::run(&args[1..]),
-        Some("sweep") => rapid_sweep::cli::sweep(&args[1..]),
-        Some("serve") => rapid_sweep::cli::serve(
-            &args[1..],
-            Some(rapid_bench::trajectory::provider(
-                rapid_bench::trajectory::default_dir(),
-            )),
-        ),
-        _ => rapid_experiments::cli::run(&args),
-    };
-    std::process::exit(code);
+    std::process::exit(rapid_bench::cli::main(&args));
 }

@@ -11,17 +11,13 @@
 //!   topology/urn/RNG primitives, stats accumulators, full consensus runs;
 //! * [`report`] — the `BENCH_<unix-ms>.json` trajectory document with
 //!   host/commit provenance, and the noise-aware regression gate;
-//! * [`cli`] — the `xp bench` subcommand (`list` / `run` / `all`,
-//!   `--budget-ms`, `--baseline`, `--gate`);
 //! * [`harness`] — the `cargo bench` adapter, which drives the *same*
 //!   registry so the two entry points cannot disagree;
-//! * [`trajectory`] — the flat, queryable view over a directory of
-//!   `BENCH_*.json` documents, served by `xp serve`'s `GET /bench`.
+//! * [`cli`] — the `xp` front end: one table-driven argument layer for
+//!   every subcommand (experiments, `bench`, `sweep`, `net`, `lint`),
+//!   with `xp bench`'s `list` / `run` / `all` implemented here.
 //!
-//! The single `xp` binary (`src/bin/xp.rs`) multiplexes: `xp bench …`
-//! lands here, `xp sweep` / `xp serve` go to `rapid_sweep::cli` (with
-//! the [`trajectory`] provider injected), everything else is the
-//! experiment CLI.
+//! The single `xp` binary (`src/bin/xp.rs`) hands argv to [`cli::main`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -31,7 +27,6 @@ pub mod harness;
 pub mod registry;
 pub mod report;
 pub mod sample;
-pub mod trajectory;
 
 pub use registry::bench_registry;
 pub use report::{gate, BenchReport, GateVerdict};

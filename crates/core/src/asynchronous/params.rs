@@ -13,10 +13,9 @@
 //!   into `n`-scale dominance after `log₂(ln n / ln(1+ε))` squarings;
 //! * endgame: `Θ(log n)` ticks of plain Two-Choices.
 //!
-//! The hidden constants were chosen empirically (see EXPERIMENTS.md) and
-//! are all overridable — the ablation experiment E8 flips
-//! [`Params::gadget_enabled`], and the scaling experiments sweep `n` with
-//! everything else derived.
+//! The hidden constants were chosen empirically and are all overridable
+//! — the ablation experiment E8 flips [`Params::gadget_enabled`], and the
+//! scaling experiments sweep `n` with everything else derived.
 
 /// Concrete parameters for the asynchronous rapid-consensus protocol.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

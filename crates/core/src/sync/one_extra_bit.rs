@@ -5,8 +5,8 @@
 //! 1. **Two-Choices round** — every node samples two nodes (with
 //!    replacement); if the samples' colors coincide the node adopts that
 //!    color and sets its bit. The bit is set **iff the two samples
-//!    coincided** (see DESIGN.md: this is the reading under which the
-//!    paper's `E[#{bit-set, C_j}] = c_j²/n` concentration holds).
+//!    coincided** (this is the reading under which the paper's
+//!    `E[#{bit-set, C_j}] = c_j²/n` concentration holds).
 //! 2. **Bit-Propagation rounds** — a node whose bit is unset samples one
 //!    node per round; upon hitting a bit-set node it copies that node's
 //!    color and sets its own bit. Bit-set nodes keep answering.

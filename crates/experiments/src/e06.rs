@@ -46,7 +46,7 @@ impl Default for Config {
     fn default() -> Self {
         // Theorem 1.3 is asymptotic: the multiplicative gap ε·n/k must beat
         // the per-phase sampling noise, which needs k/√n ≪ ε. With k = 8
-        // and ε = 0.3 that holds from n = 2^12 upward (see EXPERIMENTS.md).
+        // and ε = 0.3 that holds from n = 2^12 upward.
         Config {
             ns: vec![1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16],
             k: 8,

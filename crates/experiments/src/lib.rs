@@ -4,8 +4,9 @@
 //! The paper is a brief announcement with no empirical section, so the
 //! "tables and figures" regenerated here are the paper's *claims*:
 //! theorems 1.1–1.3 and the quantitative statements in the prose. The
-//! mapping from experiment id to claim lives in DESIGN.md; EXPERIMENTS.md
-//! records predicted-versus-measured shape for each.
+//! table below maps each experiment to its claim (`xp list` prints the
+//! same map from the registry); each report records the predicted
+//! versus the measured shape.
 //!
 //! | Module | Claim |
 //! |--------|-------|
@@ -34,10 +35,11 @@
 //! | [`e23`] | rapid-net: the channel deployment agrees with the micro engine |
 //! | [`e24`] | rapid-net: a UDP loopback deployment converges end to end |
 //! | [`e25`] | sharded micro engine: per-node runs to n = 10^7 across topologies |
+//! | [`e26`] | §2/§3.1: per-phase amplification read back from the obs trace |
 //!
 //! Each module exposes a `Config` (with [`Default`] = paper scale and a
 //! `quick()` preset for CI), a `run(&Config) -> Report`, and a zero-sized
-//! registry entry (`E01` … `E22`) implementing the [`Experiment`] trait.
+//! registry entry (`E01` … `E26`) implementing the [`Experiment`] trait.
 //! The [`registry::registry`] collects every entry; the `xp`
 //! binary in `rapid-bench` multiplexes them behind one CLI:
 //!

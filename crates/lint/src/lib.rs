@@ -8,8 +8,8 @@
 //! outcome, the build needs nothing outside the repository. This crate
 //! makes those invariants *machine-checked*: a small comment- and
 //! string-stripping lexer ([`lexer`]) feeds a rule engine ([`rules`])
-//! over every member crate, driven by `xp lint` ([`cli`]) and a blocking
-//! CI job.
+//! over every member crate, driven by `xp lint` (argv handling in
+//! `rapid-bench`) and a blocking CI job.
 //!
 //! The rules:
 //!
@@ -55,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod cli;
 pub mod findings;
 pub mod json;
 pub mod lexer;

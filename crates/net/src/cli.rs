@@ -1,17 +1,11 @@
-//! The `xp net` subcommand: boot a real deployment from the command
-//! line and print the engine-shaped outcome.
+//! The typed entry point behind `xp net run`: boot a deployment from
+//! plain options and return its engine-shaped outcome.
 //!
-//! ```text
-//! xp net run [--n N] [--k K] [--eps F] [--protocol P] [--transport T]
-//!            [--seed S] [--parallelism SPEC]
-//! ```
-//!
-//! `--transport channel` (default) is the deterministic in-process
-//! fast path; `--transport udp` boots the real loopback deployment.
-//! `--parallelism` shares the workspace-wide worker grammar (a count or
-//! `auto`; the first axis of a `TRIALSxSHARDS` pair): for UDP runs it
-//! sizes the socket worker pool. `--workers W` stays as the historical
-//! alias.
+//! `TransportKind::Channel` is the deterministic in-process fast path;
+//! `TransportKind::Udp` boots the real loopback deployment, with the
+//! first [`Parallelism`] axis sizing its socket worker pool. Argument
+//! parsing lives in `rapid-bench`'s `cli` module; e24 and the UDP
+//! integration test call [`execute`] directly.
 
 use rapid_core::asynchronous::{GossipRule, Params};
 use rapid_core::facade::{EngineKind, MacroProtocol, Sim};
@@ -20,24 +14,6 @@ use rapid_sim::parallelism::{Parallelism, Workers};
 use rapid_sim::rng::Seed;
 
 use crate::cluster::{Cluster, NetRun, UdpOpts};
-
-/// Usage text for `xp net`.
-pub const USAGE: &str = "\
-usage: xp net run [options]
-       xp net help
-
-options:
-  --n N            population size            (default 256)
-  --k K            number of opinions        (default 2)
-  --eps F          plurality bias            (default 0.5)
-  --protocol P     two-choices | voter | 3-majority | rapid
-                                             (default two-choices)
-  --transport T    channel | udp             (default channel)
-  --seed S         master seed               (default 7)
-  --parallelism P  udp worker threads: a count or `auto`
-                                             (default: one per core)
-  --workers W      alias for --parallelism W (0 = auto)
-";
 
 /// Which transport to drive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,7 +24,7 @@ pub enum TransportKind {
     Udp,
 }
 
-/// A parsed `xp net run` invocation.
+/// The options of one deployment run (`xp net run`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunOpts {
     /// Population size.
@@ -78,82 +54,6 @@ impl Default for RunOpts {
             seed: 7,
             parallelism: Parallelism::default(),
         }
-    }
-}
-
-/// Parses `xp net ...` arguments (without the leading `net`).
-///
-/// # Errors
-///
-/// Returns a human-readable message for unknown commands, unknown
-/// flags, or malformed values.
-pub fn parse(args: &[String]) -> Result<Option<RunOpts>, String> {
-    match args.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(None),
-        Some("run") => {
-            let mut opts = RunOpts::default();
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .map(String::as_str)
-                        .ok_or_else(|| format!("{name} needs a value"))
-                };
-                match flag.as_str() {
-                    "--n" => {
-                        opts.n = value("--n")?
-                            .parse()
-                            .map_err(|_| "--n expects an integer".to_string())?
-                    }
-                    "--k" => {
-                        opts.k = value("--k")?
-                            .parse()
-                            .map_err(|_| "--k expects an integer".to_string())?
-                    }
-                    "--eps" => {
-                        opts.eps = value("--eps")?
-                            .parse()
-                            .map_err(|_| "--eps expects a number".to_string())?
-                    }
-                    "--seed" => {
-                        opts.seed = value("--seed")?
-                            .parse()
-                            .map_err(|_| "--seed expects an integer".to_string())?
-                    }
-                    "--parallelism" => {
-                        opts.parallelism =
-                            Parallelism::parse(value("--parallelism")?).map_err(|_| {
-                                "--parallelism expects a count, COUNTxCOUNT or auto".to_string()
-                            })?
-                    }
-                    "--workers" => {
-                        // Historical alias; 0 keeps its means-auto contract.
-                        let w: usize = value("--workers")?
-                            .parse()
-                            .map_err(|_| "--workers expects an integer".to_string())?;
-                        opts.parallelism = Parallelism {
-                            trial_workers: Workers::fixed(w),
-                            ..Parallelism::default()
-                        };
-                    }
-                    "--protocol" => opts.protocol = value("--protocol")?.to_string(),
-                    "--transport" => {
-                        opts.transport = match value("--transport")? {
-                            "channel" => TransportKind::Channel,
-                            "udp" => TransportKind::Udp,
-                            other => return Err(format!("unknown transport '{other}'")),
-                        }
-                    }
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            if opts.n < 2 || opts.k < 2 {
-                return Err("need --n >= 2 and --k >= 2".to_string());
-            }
-            protocol_of(&opts)?;
-            Ok(Some(opts))
-        }
-        Some(other) => Err(format!("unknown net command '{other}'")),
     }
 }
 
@@ -205,115 +105,9 @@ pub fn execute(opts: &RunOpts) -> Result<NetRun, String> {
     }
 }
 
-/// Entry point for `xp net ...` (arguments exclude the leading `net`).
-/// Returns the process exit code.
-pub fn run(args: &[String]) -> i32 {
-    match parse(args) {
-        Ok(None) => {
-            print!("{USAGE}");
-            0
-        }
-        Ok(Some(opts)) => match execute(&opts) {
-            Ok(run) => {
-                println!("{}", run.outcome.to_json());
-                eprintln!(
-                    "net: {} nodes, {} activations total, {} dropped frames, \
-                     {} decode errors, {:.1} ms",
-                    opts.n, run.total_steps, run.dropped_frames, run.decode_errors, run.wall_ms
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                1
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            2
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p(args: &[&str]) -> Result<Option<RunOpts>, String> {
-        parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn help_variants_print_usage() {
-        assert_eq!(p(&[]), Ok(None));
-        assert_eq!(p(&["help"]), Ok(None));
-        assert_eq!(p(&["--help"]), Ok(None));
-    }
-
-    #[test]
-    fn run_defaults_parse() {
-        let opts = p(&["run"]).expect("parses").expect("run command");
-        assert_eq!(opts, RunOpts::default());
-    }
-
-    #[test]
-    fn run_flags_override_defaults() {
-        let opts = p(&[
-            "run",
-            "--n",
-            "64",
-            "--k",
-            "3",
-            "--eps",
-            "0.4",
-            "--protocol",
-            "voter",
-            "--transport",
-            "udp",
-            "--seed",
-            "11",
-            "--workers",
-            "2",
-        ])
-        .expect("parses")
-        .expect("run command");
-        assert_eq!(opts.n, 64);
-        assert_eq!(opts.k, 3);
-        assert_eq!(opts.eps, 0.4);
-        assert_eq!(opts.protocol, "voter");
-        assert_eq!(opts.transport, TransportKind::Udp);
-        assert_eq!(opts.seed, 11);
-        assert_eq!(opts.parallelism.trial_workers, Workers::fixed(2));
-    }
-
-    #[test]
-    fn parallelism_flag_and_workers_alias_agree() {
-        let via_alias = p(&["run", "--workers", "3"]).expect("parses").expect("run");
-        let via_spec = p(&["run", "--parallelism", "3"])
-            .expect("parses")
-            .expect("run");
-        assert_eq!(via_alias, via_spec);
-        // 0 and `auto` both mean one worker per core.
-        let zero = p(&["run", "--workers", "0"]).expect("parses").expect("run");
-        let auto = p(&["run", "--parallelism", "auto"])
-            .expect("parses")
-            .expect("run");
-        assert_eq!(zero.parallelism.trial_workers, Workers::Auto);
-        assert_eq!(auto.parallelism.trial_workers, Workers::Auto);
-        assert!(p(&["run", "--parallelism", "fast"]).is_err());
-        assert!(p(&["run", "--parallelism", "0"]).is_err());
-    }
-
-    #[test]
-    fn bad_inputs_are_rejected() {
-        assert!(p(&["frobnicate"]).is_err());
-        assert!(p(&["run", "--n"]).is_err());
-        assert!(p(&["run", "--n", "zero"]).is_err());
-        assert!(p(&["run", "--n", "1"]).is_err());
-        assert!(p(&["run", "--transport", "carrier-pigeon"]).is_err());
-        assert!(p(&["run", "--protocol", "nope"]).is_err());
-        assert!(p(&["run", "--frobnicate", "1"]).is_err());
-    }
 
     #[test]
     fn channel_smoke_run_converges() {

@@ -5,17 +5,16 @@
 //!
 //! The paper's central claim is structural: rapid consensus moves through
 //! O(log log_α k) *phases* of bias amplification, and everything worth
-//! debugging — shard balance, τ-leap batching, UDP drops, cache
-//! behaviour — is a trajectory, not a final number. This crate provides
+//! debugging — shard balance, τ-leap batching, UDP drops — is a
+//! trajectory, not a final number. This crate provides
 //! the two primitives every engine shares:
 //!
 //! * a [`registry::Registry`] of named counters, gauges and log₂-scaled
 //!   histograms behind atomic cells, snapshottable at any instant into a
-//!   sorted key-value document ([`registry::Snapshot::to_text`] backs
-//!   `GET /metrics`);
+//!   sorted [`registry::Snapshot`];
 //! * a bounded ring-buffer [`trace::TraceBuffer`] of typed structured
 //!   [`trace::TraceEvent`]s with per-stream sequence numbers and JSONL
-//!   export (backing `xp trace` and `GET /trace/<job>`).
+//!   export (backing `xp trace`).
 //!
 //! **The disabled path is one branch.** Engines hold an
 //! `Option<Arc<Obs>>`; when it is `None` every emission site is a single

@@ -9,8 +9,8 @@
 //! [`Registry::snapshot`] holds the registration lock while it reads
 //! every cell, so the set of names is a consistent point-in-time view
 //! and each value is a single atomic load. Names are kept in a
-//! `BTreeMap`, so snapshots (and the `/metrics` text document) are
-//! always sorted — byte-stable output for tests and diffs.
+//! `BTreeMap`, so snapshots are always sorted — stable output for tests
+//! and diffs.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -260,36 +260,6 @@ impl Snapshot {
             _ => None,
         }
     }
-
-    /// Renders the plain-text key-value document served at `/metrics`:
-    /// one `name value` line per counter/gauge; histograms expand to
-    /// `name.count`, `name.sum` and one `name.le_2p<b>` line per
-    /// non-empty bucket. Sorted, newline-terminated, byte-stable for a
-    /// given set of values.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.entries {
-            match value {
-                Value::Counter(v) | Value::Gauge(v) => {
-                    out.push_str(name);
-                    out.push(' ');
-                    out.push_str(&v.to_string());
-                    out.push('\n');
-                }
-                Value::Histogram {
-                    count,
-                    sum,
-                    buckets,
-                } => {
-                    out.push_str(&format!("{name}.count {count}\n{name}.sum {sum}\n"));
-                    for (b, n) in buckets {
-                        out.push_str(&format!("{name}.le_2p{b} {n}\n"));
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -351,16 +321,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_and_text_is_stable() {
+    fn snapshot_is_sorted_by_name() {
         let r = Registry::new();
         r.counter("z.last").add(2);
         r.gauge("a.first").set(1);
         r.histogram("m.mid").record(8);
-        let text = r.snapshot().to_text();
-        assert_eq!(
-            text,
-            "a.first 1\nm.mid.count 1\nm.mid.sum 8\nm.mid.le_2p4 1\nz.last 2\n"
-        );
+        let snap = r.snapshot();
+        let names: Vec<&str> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a.first", "m.mid", "z.last"]);
     }
 
     #[test]

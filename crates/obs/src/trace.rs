@@ -68,13 +68,6 @@ pub enum TraceEvent {
         /// Frames still pending for that node after the drop.
         pending: u64,
     },
-    /// One result-cache lookup.
-    CacheProbe {
-        /// Whether the lookup hit.
-        hit: bool,
-        /// The content-address probed (FNV-1a 64).
-        key: u64,
-    },
     /// A node raised the gossiped termination beacon.
     BeaconRaise {
         /// Raising node id.
@@ -117,7 +110,6 @@ impl TraceEvent {
             TraceEvent::OccupancySample { .. } => EventKind::OccupancySample,
             TraceEvent::EpochMerge { .. } => EventKind::EpochMerge,
             TraceEvent::FrameDrop { .. } => EventKind::FrameDrop,
-            TraceEvent::CacheProbe { .. } => EventKind::CacheProbe,
             TraceEvent::BeaconRaise { .. } => EventKind::BeaconRaise,
             TraceEvent::BeaconRevoke { .. } => EventKind::BeaconRevoke,
             TraceEvent::TauLeap { .. } => EventKind::TauLeap,
@@ -140,8 +132,6 @@ pub enum EventKind {
     EpochMerge,
     /// [`TraceEvent::FrameDrop`].
     FrameDrop,
-    /// [`TraceEvent::CacheProbe`].
-    CacheProbe,
     /// [`TraceEvent::BeaconRaise`].
     BeaconRaise,
     /// [`TraceEvent::BeaconRevoke`].
@@ -162,7 +152,6 @@ impl EventKind {
         EventKind::OccupancySample,
         EventKind::EpochMerge,
         EventKind::FrameDrop,
-        EventKind::CacheProbe,
         EventKind::BeaconRaise,
         EventKind::BeaconRevoke,
         EventKind::TauLeap,
@@ -178,7 +167,6 @@ impl EventKind {
             EventKind::OccupancySample => "occupancy_sample",
             EventKind::EpochMerge => "epoch_merge",
             EventKind::FrameDrop => "frame_drop",
-            EventKind::CacheProbe => "cache_probe",
             EventKind::BeaconRaise => "beacon_raise",
             EventKind::BeaconRevoke => "beacon_revoke",
             EventKind::TauLeap => "tau_leap",
@@ -262,11 +250,6 @@ impl TraceRecord {
             TraceEvent::FrameDrop { node, pending } => {
                 push_u64(&mut out, "node", *node);
                 push_u64(&mut out, "pending", *pending);
-            }
-            TraceEvent::CacheProbe { hit, key } => {
-                out.push_str(",\"hit\":");
-                out.push_str(if *hit { "true" } else { "false" });
-                push_u64(&mut out, "key", *key);
             }
             TraceEvent::BeaconRaise { node } | TraceEvent::BeaconRevoke { node } => {
                 push_u64(&mut out, "node", *node);
@@ -416,7 +399,7 @@ impl TraceBuffer {
     }
 
     /// Renders the retained records as newline-terminated JSONL, oldest
-    /// first — the `xp trace` and `GET /trace/<job>` document.
+    /// first — the `xp trace` document.
     pub fn to_jsonl(&self) -> String {
         let inner = self.lock();
         let mut out = String::new();
@@ -508,12 +491,18 @@ mod tests {
                 total: 100,
             },
         );
-        t.emit("engine", TraceEvent::CacheProbe { hit: true, key: 7 });
+        t.emit(
+            "engine",
+            TraceEvent::FrameDrop {
+                node: 3,
+                pending: 7,
+            },
+        );
         assert_eq!(
             t.to_jsonl(),
             "{\"stream\":\"engine\",\"seq\":0,\"kind\":\"bias_sample\",\"time\":1.5,\
              \"leader\":0,\"support\":60,\"runner_up\":1,\"total\":100}\n\
-             {\"stream\":\"engine\",\"seq\":1,\"kind\":\"cache_probe\",\"hit\":true,\"key\":7}\n"
+             {\"stream\":\"engine\",\"seq\":1,\"kind\":\"frame_drop\",\"node\":3,\"pending\":7}\n"
         );
     }
 

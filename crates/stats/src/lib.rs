@@ -1,7 +1,7 @@
 //! Statistics toolkit for the experiment harness.
 //!
 //! Everything the reproduction needs to turn raw trial outputs into the
-//! tables of EXPERIMENTS.md lives here:
+//! experiments' report tables (`xp run`) lives here:
 //!
 //! * [`online`] — Welford single-pass moments ([`OnlineStats`]), mergeable
 //!   across threads.

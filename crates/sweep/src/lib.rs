@@ -1,8 +1,7 @@
 //! Sweep orchestration: many parameter-grid runs, one scheduler.
 //!
-//! The ROADMAP's serving goal is *many concurrent parameter sweeps*, not
-//! one big run. This crate turns the experiment registry into a traffic-
-//! shaped surface:
+//! This crate turns the experiment registry into grids of cacheable
+//! trials:
 //!
 //! * [`spec::SweepSpec`] declares a parameter grid over any registered
 //!   experiment and expands it into trial-granular [`spec::WorkItem`]s —
@@ -17,40 +16,26 @@
 //! * [`cache`] is a content-addressed result store keyed on FNV-1a of
 //!   (experiment id, canonical params, seed, backend, commit), held as
 //!   append-only JSONL under `out/cache/`, with hit/miss/eviction
-//!   counters — a repeated sweep is served without recomputing a trial;
-//! * [`serve`] is a std-only HTTP/1.1 front end over `TcpListener`
-//!   (`POST /run`, `GET /status/<job>`, `GET /result/<job>`,
-//!   `GET /bench`) built on the [`http`] request parser;
-//! * [`cli`] provides `xp sweep` and `xp serve`.
+//!   counters — a repeated sweep is served without recomputing a trial.
 //!
-//! Everything is std-only, like the rest of the workspace.
+//! `xp sweep` (argv handling in `rapid-bench`'s `cli` module) drives
+//! [`run_sweep`]. Everything is std-only, like the rest of the workspace.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cache;
-pub mod cli;
-pub mod http;
 pub mod queue;
 pub mod scheduler;
-pub mod serve;
 pub mod spec;
 
 pub use cache::{cache_key, CacheCounters, CacheKey, CacheRecord, ResultCache};
-pub use scheduler::{
-    run_sweep, run_sweep_observed, run_sweep_with, run_sweep_with_observed, SweepObs, SweepOutcome,
-    TrialRecord, TrialStatus,
-};
-pub use serve::{BenchProvider, ServeConfig, Server};
+pub use scheduler::{run_sweep, run_sweep_with, SweepOutcome, TrialRecord, TrialStatus};
 pub use spec::{SweepError, SweepSpec, WorkItem};
 
 /// Convenient glob-import of the sweep surface.
 pub mod prelude {
     pub use crate::cache::{cache_key, CacheCounters, CacheKey, CacheRecord, ResultCache};
-    pub use crate::scheduler::{
-        run_sweep, run_sweep_observed, run_sweep_with, run_sweep_with_observed, SweepObs,
-        SweepOutcome, TrialRecord, TrialStatus,
-    };
-    pub use crate::serve::{BenchProvider, ServeConfig, Server};
+    pub use crate::scheduler::{run_sweep, run_sweep_with, SweepOutcome, TrialRecord, TrialStatus};
     pub use crate::spec::{SweepError, SweepSpec, WorkItem};
 }

@@ -23,74 +23,15 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::Arc;
 
 use rapid_experiments::json::{self, JsonValue};
 use rapid_experiments::report::Report;
-use rapid_obs::{Counter, Gauge, Obs, TraceEvent};
 use rapid_sim::parallelism::{Parallelism, Workers};
 use rapid_sim::rng::Seed;
 
 use crate::cache::{cache_key, CacheCounters, CacheKey, CacheRecord, ResultCache};
 use crate::queue::StealQueue;
 use crate::spec::{SweepError, SweepSpec, WorkItem};
-
-/// Pre-registered observability cells for one observed sweep. The
-/// coordinator re-homes the cache's hit/miss accounting onto the shared
-/// registry (`sweep.cache.*`), mirrors the steal queue's live depth and
-/// the number of trials in flight into gauges, and emits one
-/// [`TraceEvent::CacheProbe`] per phase-1 lookup on the sweep's own
-/// trace stream (the job id under `xp serve`).
-pub struct SweepObs {
-    obs: Arc<Obs>,
-    stream: String,
-    hits: Counter,
-    misses: Counter,
-    insertions: Counter,
-    computed: Counter,
-    failed: Counter,
-    queue_depth: Gauge,
-    in_flight: Gauge,
-}
-
-impl SweepObs {
-    /// Resolves the `sweep.*` cells on `obs`; trace events go to
-    /// `stream`.
-    pub fn new(obs: Arc<Obs>, stream: &str) -> Self {
-        SweepObs {
-            hits: obs.registry.counter("sweep.cache.hits"),
-            misses: obs.registry.counter("sweep.cache.misses"),
-            insertions: obs.registry.counter("sweep.cache.insertions"),
-            computed: obs.registry.counter("sweep.trials.computed"),
-            failed: obs.registry.counter("sweep.trials.failed"),
-            queue_depth: obs.registry.gauge("sweep.queue.depth"),
-            in_flight: obs.registry.gauge("sweep.trials.in_flight"),
-            stream: stream.to_string(),
-            obs,
-        }
-    }
-
-    /// The underlying handle (for snapshots alongside a running sweep).
-    pub fn obs(&self) -> &Arc<Obs> {
-        &self.obs
-    }
-
-    /// The trace stream this sweep emits on.
-    pub fn stream(&self) -> &str {
-        &self.stream
-    }
-
-    fn probe(&self, hit: bool, key: CacheKey) {
-        if hit {
-            self.hits.inc();
-        } else {
-            self.misses.inc();
-        }
-        self.obs
-            .trace
-            .emit(&self.stream, TraceEvent::CacheProbe { hit, key: key.0 });
-    }
-}
 
 /// How one trial's record came to be.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -209,41 +150,14 @@ pub fn run_sweep(
     commit: Option<&str>,
     on_record: impl FnMut(&TrialRecord),
 ) -> Result<SweepOutcome, SweepError> {
-    run_sweep_observed(spec, parallelism, cache, commit, None, on_record)
-}
-
-/// [`run_sweep`] with an optional observability attachment: live queue
-/// and cache instrumentation lands on the [`SweepObs`]'s registry and
-/// trace stream. Instrumentation runs on the coordinator only and is
-/// invisible to trial RNG, so results are byte-identical with or
-/// without it.
-///
-/// # Errors
-///
-/// [`SweepError`] from expansion, or [`SweepError::Cache`] when the
-/// cache rejects an insert.
-pub fn run_sweep_observed(
-    spec: &SweepSpec,
-    parallelism: Parallelism,
-    cache: Option<&mut ResultCache>,
-    commit: Option<&str>,
-    obs: Option<&SweepObs>,
-    on_record: impl FnMut(&TrialRecord),
-) -> Result<SweepOutcome, SweepError> {
     let exp = spec.experiment_entry()?;
     let inner = Parallelism {
         trial_workers: Workers::Fixed(1),
         shard_workers: Workers::Fixed(1),
     };
-    run_sweep_with_observed(
-        spec,
-        parallelism,
-        cache,
-        commit,
-        obs,
-        on_record,
-        move |item| exp.run(&item.params, Seed::new(item.seed), inner),
-    )
+    run_sweep_with(spec, parallelism, cache, commit, on_record, move |item| {
+        exp.run(&item.params, Seed::new(item.seed), inner)
+    })
 }
 
 /// [`run_sweep`] with an injected runner — the seam the concurrency
@@ -257,27 +171,8 @@ pub fn run_sweep_observed(
 pub fn run_sweep_with(
     spec: &SweepSpec,
     parallelism: Parallelism,
-    cache: Option<&mut ResultCache>,
-    commit: Option<&str>,
-    on_record: impl FnMut(&TrialRecord),
-    runner: impl Fn(&WorkItem) -> Report + Sync,
-) -> Result<SweepOutcome, SweepError> {
-    run_sweep_with_observed(spec, parallelism, cache, commit, None, on_record, runner)
-}
-
-/// [`run_sweep_with`] plus the observability seam of
-/// [`run_sweep_observed`] — the fully general entry point.
-///
-/// # Errors
-///
-/// [`SweepError`] from expansion, or [`SweepError::Cache`] when the
-/// cache rejects an insert.
-pub fn run_sweep_with_observed(
-    spec: &SweepSpec,
-    parallelism: Parallelism,
     mut cache: Option<&mut ResultCache>,
     commit: Option<&str>,
-    obs: Option<&SweepObs>,
     mut on_record: impl FnMut(&TrialRecord),
     runner: impl Fn(&WorkItem) -> Report + Sync,
 ) -> Result<SweepOutcome, SweepError> {
@@ -301,9 +196,6 @@ pub fn run_sweep_with_observed(
             .as_deref_mut()
             .and_then(|c| c.lookup(key))
             .map(|rec| rec.report_json.clone());
-        if let (Some(o), true) = (obs, cache.is_some()) {
-            o.probe(hit.is_some(), key);
-        }
         match hit {
             Some(report_json) => {
                 let record = TrialRecord {
@@ -329,10 +221,6 @@ pub fn run_sweep_with_observed(
         let workers = parallelism.trial_workers.resolve(misses.len());
         let expected = misses.len();
         let queue = StealQueue::new(workers, misses);
-        if let Some(o) = obs {
-            o.queue_depth.set(queue.len() as u64);
-            o.in_flight.set(0);
-        }
         let (tx, rx) = mpsc::channel::<(WorkItem, CacheKey, Result<Report, String>)>();
         std::thread::scope(|scope| {
             for w in 0..workers {
@@ -350,19 +238,10 @@ pub fn run_sweep_with_observed(
                 });
             }
             drop(tx);
-            for done in 0..expected {
+            for _ in 0..expected {
                 let Ok((item, key, out)) = rx.recv() else {
                     break;
                 };
-                if let Some(o) = obs {
-                    // Live load picture: unclaimed work still queued, and
-                    // everything neither queued nor finished is on a
-                    // worker right now.
-                    let queued = queue.len();
-                    o.queue_depth.set(queued as u64);
-                    o.in_flight
-                        .set((expected - done - 1).saturating_sub(queued) as u64);
-                }
                 let params_json = item.params.to_json_value().to_compact();
                 let record = match out {
                     Ok(report) => {
@@ -378,12 +257,7 @@ pub fn run_sweep_with_observed(
                             };
                             if let Err(e) = cache.insert(key, stored) {
                                 cache_error.get_or_insert(e.to_string());
-                            } else if let Some(o) = obs {
-                                o.insertions.inc();
                             }
-                        }
-                        if let Some(o) = obs {
-                            o.computed.inc();
                         }
                         TrialRecord {
                             index: item.index,
@@ -395,29 +269,20 @@ pub fn run_sweep_with_observed(
                             status: TrialStatus::Computed,
                         }
                     }
-                    Err(message) => {
-                        if let Some(o) = obs {
-                            o.failed.inc();
-                        }
-                        TrialRecord {
-                            index: item.index,
-                            experiment: item.experiment,
-                            seed: item.seed,
-                            params_json,
-                            report_json: None,
-                            key,
-                            status: TrialStatus::Failed(message),
-                        }
-                    }
+                    Err(message) => TrialRecord {
+                        index: item.index,
+                        experiment: item.experiment,
+                        seed: item.seed,
+                        params_json,
+                        report_json: None,
+                        key,
+                        status: TrialStatus::Failed(message),
+                    },
                 };
                 on_record(&record);
                 records.push(record);
             }
         });
-        if let Some(o) = obs {
-            o.queue_depth.set(0);
-            o.in_flight.set(0);
-        }
     }
     if let Some(message) = cache_error {
         return Err(SweepError::Cache(message));

@@ -17,8 +17,8 @@
 //!   with the simulator as its correctness oracle (`rapid-net`).
 //! * [`lint`] — the in-repo determinism & hygiene static-analysis pass
 //!   behind `xp lint` (`rapid-lint`).
-//! * [`sweep`] — the sweep scheduler, content-addressed result cache
-//!   and the `xp serve` HTTP front end (`rapid-sweep`).
+//! * [`sweep`] — the sweep scheduler and content-addressed result
+//!   cache behind `xp sweep` (`rapid-sweep`).
 //!
 //! # Quickstart
 //!
