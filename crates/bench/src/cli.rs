@@ -482,7 +482,7 @@ const SET: Flag = flag(
     "KEY=VALUE",
     "override one parameter (repeatable; lists are comma-separated)",
 );
-const SEED: Flag = flag("--seed", "N", "override the master seed");
+const SEED: Flag = flag("--seed", "N", "master seed: same as --set seed=N");
 const PARALLELISM: Flag = flag(
     "--parallelism",
     "SPEC",

@@ -38,7 +38,7 @@ pub use sample::{Bench, BenchSample, BudgetCfg};
 ///
 /// Panics if the workload is infeasible (population too small for `k`).
 pub fn bench_counts(n: u64, k: usize, eps: f64) -> Vec<u64> {
-    rapid_experiments::InitialDistribution::multiplicative_bias(k, eps)
+    rapid_core::InitialDistribution::multiplicative_bias(k, eps)
         .counts(n)
         // lint: allow(panic-hygiene): benchmark workloads are hard-coded and feasible by construction
         .expect("benchmark workload must be feasible")

@@ -1,6 +1,7 @@
 //! The `xp` binary end to end: every command the dispatcher accepts has
-//! a help page listed by `xp help`, and a closed stdout ends any command
-//! quietly instead of panicking.
+//! a help page listed by `xp help`, a closed stdout ends any command
+//! quietly instead of panicking, and an out-of-range parameter is a
+//! usage error (exit 2), not a crash.
 
 use std::process::{Command, Stdio};
 
@@ -80,4 +81,26 @@ fn a_closed_stdout_ends_every_command_quietly() {
         assert!(!stderr.contains("panicked"), "xp {args:?}: {stderr}");
     }
     std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn out_of_range_values_exit_2_before_any_run() {
+    for args in [
+        &["run", "e06", "--quick", "--set", "trials=0"][..],
+        &["all", "--quick", "--set", "trials=0"],
+        &[
+            "sweep",
+            "e06",
+            "--quick",
+            "--grid",
+            "eps=0.5,11",
+            "--no-cache",
+        ],
+    ] {
+        let run = xp().args(args).output().expect("xp spawns");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "xp {args:?}: {stderr}");
+        assert!(stderr.contains("is outside"), "xp {args:?}: {stderr}");
+        assert!(run.stdout.is_empty(), "xp {args:?} ran something");
+    }
 }

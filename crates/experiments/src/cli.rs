@@ -12,7 +12,6 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use rapid_obs::{EventKind, Obs};
-use rapid_sim::rng::Seed;
 
 use crate::experiment::Experiment;
 use crate::json::JsonValue;
@@ -40,7 +39,8 @@ pub struct RunOpts {
     pub preset: Preset,
     /// `--set key=value` overrides, applied in order.
     pub sets: Vec<(String, String)>,
-    /// `--seed N` overrides every experiment's master seed.
+    /// `--seed N` overrides every experiment's master seed: it means
+    /// `--set seed=N`, applied after the other `--set`s.
     pub seed: Option<u64>,
     /// `--parallelism SPEC` sets trial (and, as `TRIALSxSHARDS`, shard)
     /// workers; `--threads N` is the back-compat alias for the trial
@@ -56,12 +56,13 @@ pub struct RunOpts {
 pub struct Job {
     /// The registry experiment.
     pub exp: &'static dyn Experiment,
-    /// Its preset with every `--set` applied.
+    /// Its preset with every `--set` (and `--seed`) applied.
     pub map: ParamMap,
 }
 
 impl Job {
-    /// Resolves `exp`'s preset under `opts` and applies every `--set`.
+    /// Resolves `exp`'s preset under `opts` and applies every `--set`,
+    /// then `--seed`.
     ///
     /// # Errors
     ///
@@ -70,6 +71,9 @@ impl Job {
         let mut map = exp.preset(opts.preset);
         for (key, value) in &opts.sets {
             map.set(key, value)?;
+        }
+        if let Some(seed) = opts.seed {
+            map.set_value("seed", seed.into())?;
         }
         Ok(Job { exp, map })
     }
@@ -165,7 +169,7 @@ pub fn emit(
 /// Propagates write errors on `w`.
 pub fn run_jobs(w: &mut dyn Write, jobs: &[Job], opts: &RunOpts, out: &Path) -> io::Result<()> {
     for job in jobs {
-        let report = job.exp.run_map(&job.map, opts.seed, opts.parallelism);
+        let report = job.exp.run(&job.map, opts.parallelism);
         emit(w, &report, opts.format, out)?;
         save_params(job, &report, out);
     }
@@ -173,9 +177,8 @@ pub fn run_jobs(w: &mut dyn Write, jobs: &[Job], opts: &RunOpts, out: &Path) -> 
 }
 
 /// Saves `<out>/<id>.params.json` — the exact parameter assignment and
-/// resolved master seed that produced the sibling report, so any run
-/// (presets, `--set` overrides, `--seed`) can be reproduced later. The
-/// report JSON itself stays byte-identical to the legacy `Config` path.
+/// master seed that produced the sibling report, so any run (presets,
+/// `--set` overrides, `--seed`) can be reproduced later.
 fn save_params(job: &Job, report: &Report, out: &Path) {
     let doc = JsonValue::object([
         ("id", JsonValue::String(job.exp.id().to_string())),
@@ -212,11 +215,7 @@ pub fn run_trace(
     if !events.is_empty() {
         obs.trace.set_filter(Some(events));
     }
-    let seed = opts.seed.unwrap_or_else(|| job.map.u64("seed"));
-    let Some(report) = job
-        .exp
-        .run_traced(&job.map, Seed::new(seed), opts.parallelism, &obs)
-    else {
+    let Some(report) = job.exp.run_traced(&job.map, opts.parallelism, &obs) else {
         return Ok(false);
     };
     render(w, &report, opts.format)?;
@@ -314,6 +313,7 @@ mod tests {
         assert_eq!(v.get("id").and_then(JsonValue::as_str), Some("e09"));
         assert_eq!(v.get("seed").and_then(JsonValue::as_u64), Some(99));
         let params = v.get("params").expect("params recorded");
+        assert_eq!(params.get("seed").and_then(JsonValue::as_u64), Some(99));
         assert_eq!(
             params.get("ns").and_then(JsonValue::as_array),
             Some(&[JsonValue::U64(64)][..])

@@ -7,12 +7,12 @@
 //! Shape check: the column `rounds / (n/c₁·ln n)` should be roughly
 //! constant across the whole `(n, k)` grid, and the success rate ≈ 1.
 
+use rapid_core::distributions::theorem_11_gap;
 use rapid_core::prelude::*;
 use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::{theorem_11_gap, InitialDistribution};
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::predictions;
@@ -23,46 +23,17 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Theorem 1.1 upper bound: Two-Choices rounds = O(n/c1 * ln n)";
 
-/// Configuration for E01.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes to sweep.
-    pub ns: Vec<u64>,
-    /// Opinion counts to sweep.
-    pub ks: Vec<usize>,
-    /// Gap multiplier `z` in `z·√(n ln n)`.
-    pub z: f64,
-    /// Trials per cell.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            ns: vec![1 << 10, 1 << 12, 1 << 14, 1 << 16],
-            ks: vec![2, 8, 32],
-            z: 1.0,
-            trials: 30,
-            seed: 0xE01,
-        }
-    }
+/// E01's typed view of a validated [`ParamMap`].
+struct Config {
+    ns: Vec<u64>,
+    ks: Vec<usize>,
+    z: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            ns: vec![1 << 9, 1 << 11],
-            ks: vec![2, 8],
-            trials: 5,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns: p.u64_list("ns"),
             ks: p.usize_list("ks"),
@@ -73,17 +44,22 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
-    let as_u64 = |ks: &[usize]| ks.iter().map(|&k| k as u64).collect::<Vec<_>>();
     ParamSchema::new(vec![
-        ParamSpec::u64_list("ns", "population sizes to sweep", &d.ns).quick(q.ns),
-        ParamSpec::u64_list("ks", "opinion counts to sweep", &as_u64(&d.ks)).quick(as_u64(&q.ks)),
-        ParamSpec::f64("z", "gap multiplier in z*sqrt(n ln n)", d.z).quick(q.z),
-        ParamSpec::u64("trials", "trials per cell", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64_list(
+            "ns",
+            "population sizes to sweep",
+            &[1 << 10, 1 << 12, 1 << 14, 1 << 16],
+        )
+        .quick(vec![1 << 9, 1 << 11]),
+        ParamSpec::u64_list("ks", "opinion counts to sweep", &[2, 8, 32]).quick(vec![2, 8]),
+        ParamSpec::f64("z", "gap multiplier in z*sqrt(n ln n)", 1.0),
+        ParamSpec::u64("trials", "trials per cell", 30)
+            .quick(5)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE01),
     ])
 }
 
@@ -103,20 +79,13 @@ impl Experiment for E01 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
-/// Runs E01 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E01", TITLE, cfg.seed);
     let mut table = Table::new(
         "Sync Two-Choices with gap z*sqrt(n ln n)",
@@ -185,10 +154,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn quick_run_produces_constant_ratio_and_high_success() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E01);
         let table = &report.tables[0];
         assert!(!table.is_empty());
         let ratios = table.column_f64("ratio");

@@ -8,12 +8,12 @@
 //! `rounds/k` column stabilises; a least-squares line on `(k, rounds)` has
 //! strongly positive slope and high R²).
 
+use rapid_core::distributions::theorem_11_gap;
 use rapid_core::prelude::*;
 use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 use rapid_stats::{fit_line, OnlineStats};
 
-use crate::distributions::{theorem_11_gap, InitialDistribution};
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -23,46 +23,17 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Theorem 1.1 lower bound: Omega(k) rounds when c1 = Theta(n/k)";
 
-/// Configuration for E02.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Fixed population size.
-    pub n: u64,
-    /// Opinion counts to sweep.
-    pub ks: Vec<usize>,
-    /// Gap multiplier `z`.
-    pub z: f64,
-    /// Trials per k.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 1 << 14,
-            ks: vec![2, 4, 8, 16, 32, 64],
-            z: 1.0,
-            trials: 20,
-            seed: 0xE02,
-        }
-    }
+/// E02's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    ks: Vec<usize>,
+    z: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 1 << 11,
-            ks: vec![2, 4, 8, 16],
-            trials: 5,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             ks: p.usize_list("ks"),
@@ -73,17 +44,18 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
-    let as_u64 = |ks: &[usize]| ks.iter().map(|&k| k as u64).collect::<Vec<_>>();
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "fixed population size", d.n).quick(q.n),
-        ParamSpec::u64_list("ks", "opinion counts to sweep", &as_u64(&d.ks)).quick(as_u64(&q.ks)),
-        ParamSpec::f64("z", "gap multiplier", d.z).quick(q.z),
-        ParamSpec::u64("trials", "trials per k", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64("n", "fixed population size", 1 << 14).quick(1 << 11),
+        ParamSpec::u64_list("ks", "opinion counts to sweep", &[2, 4, 8, 16, 32, 64])
+            .quick(vec![2, 4, 8, 16]),
+        ParamSpec::f64("z", "gap multiplier", 1.0),
+        ParamSpec::u64("trials", "trials per k", 20)
+            .quick(5)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE02),
     ])
 }
 
@@ -103,20 +75,13 @@ impl Experiment for E02 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
-/// Runs E02 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E02", TITLE, cfg.seed);
     let mut table = Table::new(
         format!("Sync Two-Choices at n = {}, gap z*sqrt(n ln n)", cfg.n),
@@ -197,10 +162,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn rounds_grow_with_k() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E02);
         let table = &report.tables[0];
         let rounds = table.column_f64("rounds");
         assert!(rounds.len() >= 3);

@@ -7,11 +7,11 @@
 //! Shape check: the `C2 wins` column is bounded away from 0 for gaps
 //! `{0, 0.5√n, √n, 2√n}` and collapses to ≈ 0 at `√(n ln n)`.
 
+use rapid_core::distributions::theorem_11_gap;
 use rapid_core::prelude::*;
 use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 
-use crate::distributions::{theorem_11_gap, InitialDistribution};
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -21,45 +21,17 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Theorem 1.1: gap O(sqrt n) lets C2 win with constant probability";
 
-/// Configuration for E03.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population size.
-    pub n: u64,
-    /// Number of opinions.
-    pub k: usize,
-    /// Gap values in units of `√n` (the `O(√n)` regime).
-    pub sqrt_n_multipliers: Vec<f64>,
-    /// Trials per gap.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 1 << 14,
-            k: 2,
-            sqrt_n_multipliers: vec![0.0, 0.5, 1.0, 2.0],
-            trials: 200,
-            seed: 0xE03,
-        }
-    }
+/// E03's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    k: usize,
+    sqrt_n_multipliers: Vec<f64>,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 1 << 11,
-            trials: 40,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             k: p.usize("k"),
@@ -70,21 +42,21 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "population size", d.n).quick(q.n),
-        ParamSpec::u64("k", "number of opinions", d.k as u64).quick(q.k as u64),
+        ParamSpec::u64("n", "population size", 1 << 14).quick(1 << 11),
+        ParamSpec::u64("k", "number of opinions", 2),
         ParamSpec::f64_list(
             "gaps",
             "gap values in units of sqrt(n)",
-            &d.sqrt_n_multipliers,
-        )
-        .quick(q.sqrt_n_multipliers),
-        ParamSpec::u64("trials", "trials per gap", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+            &[0.0, 0.5, 1.0, 2.0],
+        ),
+        ParamSpec::u64("trials", "trials per gap", 200)
+            .quick(40)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE03),
     ])
 }
 
@@ -104,20 +76,13 @@ impl Experiment for E03 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
-/// Runs E03 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E03", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -194,10 +159,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn small_gaps_let_c2_win_but_theorem_gap_does_not() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E03);
         let table = &report.tables[0];
         let c2 = table.column_f64("C2 wins");
         assert!(c2.len() >= 4);

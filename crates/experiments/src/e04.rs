@@ -21,12 +21,12 @@
 //! `c_1²/n ≥ log³ n`). Workloads below that floor make OneExtraBit lose
 //! its bias in phase 0 no matter how large `k` is.
 
+use rapid_core::distributions::{theorem_11_gap, theorem_12_gap};
 use rapid_core::prelude::*;
 use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::{theorem_11_gap, theorem_12_gap, InitialDistribution};
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::predictions;
@@ -37,54 +37,19 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Theorem 1.2: OneExtraBit converges in polylog rounds";
 
-/// Configuration for E04.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes for sub-table (a), the literal Theorem 1.2 bound.
-    pub ns_bound: Vec<u64>,
-    /// Opinion counts for sub-table (a).
-    pub ks_bound: Vec<usize>,
-    /// Population sizes for sub-table (b), the Two-Choices comparison.
-    pub ns_compare: Vec<u64>,
-    /// Opinion counts for sub-table (b).
-    pub ks_compare: Vec<usize>,
-    /// Gap multiplier `z`.
-    pub z: f64,
-    /// Trials per cell.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            ns_bound: vec![1 << 12, 1 << 14, 1 << 16],
-            ks_bound: vec![4, 16, 64],
-            ns_compare: vec![1 << 12, 1 << 14, 1 << 16, 1 << 18],
-            ks_compare: vec![16, 64],
-            z: 1.0,
-            trials: 10,
-            seed: 0xE04,
-        }
-    }
+/// E04's typed view of a validated [`ParamMap`].
+struct Config {
+    ns_bound: Vec<u64>,
+    ks_bound: Vec<usize>,
+    ns_compare: Vec<u64>,
+    ks_compare: Vec<usize>,
+    z: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            ns_bound: vec![1 << 11],
-            ks_bound: vec![4, 16],
-            ns_compare: vec![1 << 12, 1 << 14],
-            ks_compare: vec![32],
-            trials: 5,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns_bound: p.u64_list("ns_bound"),
             ks_bound: p.usize_list("ks_bound"),
@@ -97,39 +62,31 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
-    let as_u64 = |ks: &[usize]| ks.iter().map(|&k| k as u64).collect::<Vec<_>>();
     ParamSchema::new(vec![
         ParamSpec::u64_list(
             "ns_bound",
             "population sizes for sub-table (a)",
-            &d.ns_bound,
+            &[1 << 12, 1 << 14, 1 << 16],
         )
-        .quick(q.ns_bound),
-        ParamSpec::u64_list(
-            "ks_bound",
-            "opinion counts for sub-table (a)",
-            &as_u64(&d.ks_bound),
-        )
-        .quick(as_u64(&q.ks_bound)),
+        .quick(vec![1 << 11]),
+        ParamSpec::u64_list("ks_bound", "opinion counts for sub-table (a)", &[4, 16, 64])
+            .quick(vec![4, 16]),
         ParamSpec::u64_list(
             "ns_compare",
             "population sizes for sub-table (b)",
-            &d.ns_compare,
+            &[1 << 12, 1 << 14, 1 << 16, 1 << 18],
         )
-        .quick(q.ns_compare),
-        ParamSpec::u64_list(
-            "ks_compare",
-            "opinion counts for sub-table (b)",
-            &as_u64(&d.ks_compare),
-        )
-        .quick(as_u64(&q.ks_compare)),
-        ParamSpec::f64("z", "gap multiplier", d.z).quick(q.z),
-        ParamSpec::u64("trials", "trials per cell", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        .quick(vec![1 << 12, 1 << 14]),
+        ParamSpec::u64_list("ks_compare", "opinion counts for sub-table (b)", &[16, 64])
+            .quick(vec![32]),
+        ParamSpec::f64("z", "gap multiplier", 1.0).above(0.0),
+        ParamSpec::u64("trials", "trials per cell", 10)
+            .quick(5)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE04),
     ])
 }
 
@@ -149,10 +106,8 @@ impl Experiment for E04 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -179,13 +134,8 @@ fn run_sync(
     }
 }
 
-/// Runs E04 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E04", TITLE, cfg.seed);
 
     // ---- (a) the literal bound -------------------------------------
@@ -296,11 +246,20 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
+    use crate::testkit::quick_report;
+
+    /// Both tests read the same quick run.
+    fn report() -> &'static Report {
+        static REPORT: OnceLock<Report> = OnceLock::new();
+        REPORT.get_or_init(|| quick_report(&E04))
+    }
 
     #[test]
     fn bound_table_shows_polylog_rounds_with_high_success() {
-        let report = run(&Config::quick());
+        let report = report();
         let bound = &report.tables[0];
         assert!(!bound.is_empty());
         let success = bound.column_f64("success");
@@ -313,7 +272,7 @@ mod tests {
 
     #[test]
     fn two_choices_grows_faster_than_one_extra_bit_along_the_sweep() {
-        let report = run(&Config::quick());
+        let report = report();
         let compare = &report.tables[1];
         assert!(compare.len() >= 2);
         let tc = compare.column_f64("tc_rounds");

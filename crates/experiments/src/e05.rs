@@ -12,7 +12,6 @@ use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -22,50 +21,18 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Quadratic amplification: c1'/c2' ~ (c1/c2)^2 per OneExtraBit phase";
 
-/// Configuration for E05.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population size.
-    pub n: u64,
-    /// Opinion counts to test.
-    pub ks: Vec<usize>,
-    /// Initial multiplicative lead of the plurality.
-    pub eps: f64,
-    /// Maximum phases to trace.
-    pub max_phases: u32,
-    /// Trials.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 1 << 16,
-            ks: vec![8, 32],
-            eps: 0.3,
-            max_phases: 6,
-            trials: 10,
-            seed: 0xE05,
-        }
-    }
+/// E05's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    ks: Vec<usize>,
+    eps: f64,
+    max_phases: u32,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 1 << 13,
-            ks: vec![8],
-            trials: 4,
-            max_phases: 4,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             ks: p.usize_list("ks"),
@@ -77,19 +44,22 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
-    let as_u64 = |ks: &[usize]| ks.iter().map(|&k| k as u64).collect::<Vec<_>>();
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "population size", d.n).quick(q.n),
-        ParamSpec::u64_list("ks", "opinion counts to test", &as_u64(&d.ks)).quick(as_u64(&q.ks)),
-        ParamSpec::f64("eps", "initial multiplicative lead", d.eps).quick(q.eps),
-        ParamSpec::u32("max_phases", "maximum phases to trace", d.max_phases)
-            .quick(u64::from(q.max_phases)),
-        ParamSpec::u64("trials", "trials", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64("n", "population size", 1 << 16)
+            .quick(1 << 13)
+            .at_least(2),
+        ParamSpec::u64_list("ks", "opinion counts to test", &[8, 32])
+            .quick(vec![8])
+            .at_least(2),
+        ParamSpec::f64("eps", "initial multiplicative lead", 0.3)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::u32("max_phases", "maximum phases to trace", 6).quick(4),
+        ParamSpec::u64("trials", "trials", 10).quick(4).at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE05),
     ])
 }
 
@@ -109,10 +79,8 @@ impl Experiment for E05 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -126,7 +94,7 @@ fn trace_ratios(n: u64, k: usize, eps: f64, max_phases: u32, seed: Seed) -> Vec<
         .protocol(proto)
         .seed(seed)
         .build()
-        // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error
+        // lint: allow(panic-hygiene): run_on skips every opinion count the population cannot seat
         .expect("valid workload");
     let mut ratios = vec![sim.config().counts().top_two().ratio()];
     for _ in 0..max_phases {
@@ -142,16 +110,18 @@ fn trace_ratios(n: u64, k: usize, eps: f64, max_phases: u32, seed: Seed) -> Vec<
     ratios
 }
 
-/// Runs E05 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E05", TITLE, cfg.seed);
 
     for &k in &cfg.ks {
+        // A population too small to seat every opinion has no table.
+        if InitialDistribution::multiplicative_bias(k, cfg.eps)
+            .counts(cfg.n)
+            .is_err()
+        {
+            continue;
+        }
         let mut table = Table::new(
             format!(
                 "Per-phase c1/c2 ratio at n = {}, k = {k}, eps = {}",
@@ -211,10 +181,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn amplification_is_near_quadratic_in_early_phases() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E05);
         let table = &report.tables[0];
         assert!(!table.is_empty());
         let rel = table.column_f64("measured/pred");

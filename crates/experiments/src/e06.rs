@@ -17,7 +17,6 @@ use rapid_obs::Obs;
 use rapid_sim::prelude::*;
 use rapid_stats::{fit_line, OnlineStats};
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -27,49 +26,17 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Theorem 1.3: asynchronous consensus in Theta(log n) time";
 
-/// Configuration for E06.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes.
-    pub ns: Vec<u64>,
-    /// Number of opinions.
-    pub k: usize,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Trials per n.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        // Theorem 1.3 is asymptotic: the multiplicative gap ε·n/k must beat
-        // the per-phase sampling noise, which needs k/√n ≪ ε. With k = 8
-        // and ε = 0.3 that holds from n = 2^12 upward.
-        Config {
-            ns: vec![1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16],
-            k: 8,
-            eps: 0.3,
-            trials: 10,
-            seed: 0xE06,
-        }
-    }
+/// E06's typed view of a validated [`ParamMap`].
+struct Config {
+    ns: Vec<u64>,
+    k: usize,
+    eps: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            ns: vec![1 << 12, 1 << 13],
-            eps: 0.5,
-            trials: 4,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns: p.u64_list("ns"),
             k: p.usize("k"),
@@ -80,17 +47,29 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`] (defaults = paper scale,
-/// quick = CI scale).
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
+    // Theorem 1.3 is asymptotic: the multiplicative gap ε·n/k must beat
+    // the per-phase sampling noise, which needs k/√n ≪ ε. With k = 8
+    // and ε = 0.3 that holds from n = 2^12 upward.
     ParamSchema::new(vec![
-        ParamSpec::u64_list("ns", "population sizes", &d.ns).quick(q.ns),
-        ParamSpec::u64("k", "number of opinions", d.k as u64).quick(q.k as u64),
-        ParamSpec::f64("eps", "multiplicative lead of the plurality", d.eps).quick(q.eps),
-        ParamSpec::u64("trials", "trials per n", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64_list(
+            "ns",
+            "population sizes",
+            &[1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16],
+        )
+        .quick(vec![1 << 12, 1 << 13])
+        .at_least(4),
+        ParamSpec::u64("k", "number of opinions", 8).at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead of the plurality", 0.3)
+            .quick(0.5)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::u64("trials", "trials per n", 10)
+            .quick(4)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE06),
     ])
 }
 
@@ -110,31 +89,21 @@ impl Experiment for E06 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
     fn run_traced(
         &self,
         params: &ParamMap,
-        seed: Seed,
         _parallelism: Parallelism,
         obs: &Arc<Obs>,
     ) -> Option<Report> {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        Some(run_traced_on(&cfg, obs))
+        Some(run_traced_on(&Config::from_params(params), obs))
     }
 }
 
-/// Runs E06 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E06", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -220,7 +189,7 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 /// [`ObsObserver`] attached, each on its own trace stream `e06/n=<n>`.
 /// The observer reads progress snapshots only, so the traced outcome is
 /// the same one the untraced trial would produce.
-pub fn run_traced_on(cfg: &Config, obs: &Arc<Obs>) -> Report {
+fn run_traced_on(cfg: &Config, obs: &Arc<Obs>) -> Report {
     let mut report = Report::new("E06", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -274,10 +243,11 @@ pub fn run_traced_on(cfg: &Config, obs: &Arc<Obs>) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn time_scales_logarithmically_with_high_success() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E06);
         let table = &report.tables[0];
         let success = table.column_f64("success");
         assert!(success.iter().all(|&s| s >= 0.5), "success {success:?}");

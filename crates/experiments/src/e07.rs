@@ -13,7 +13,6 @@ use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::predictions;
@@ -24,50 +23,17 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Theorem 1.3: k-sweep up to exp(log n / log log n) opinions";
 
-/// Configuration for E07.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Fixed population size.
-    pub n: u64,
-    /// Opinion counts to sweep.
-    pub ks: Vec<usize>,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Trials per k.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        // k = 128 deliberately overshoots the paper's frontier
-        // exp(ln n/ln ln n) ≈ 71 at n = 2^14: the success column should
-        // visibly degrade there, tracing where the theorem stops applying.
-        Config {
-            n: 1 << 14,
-            ks: vec![2, 4, 8, 16, 32, 64, 128],
-            eps: 0.4,
-            trials: 10,
-            seed: 0xE07,
-        }
-    }
+/// E07's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    ks: Vec<usize>,
+    eps: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 1 << 13,
-            ks: vec![2, 8, 16],
-            eps: 0.5,
-            trials: 3,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             ks: p.usize_list("ks"),
@@ -78,17 +44,27 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
-    let as_u64 = |ks: &[usize]| ks.iter().map(|&k| k as u64).collect::<Vec<_>>();
+    // k = 128 deliberately overshoots the paper's frontier
+    // exp(ln n/ln ln n) ≈ 71 at n = 2^14: the success column should
+    // visibly degrade there, tracing where the theorem stops applying.
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "fixed population size", d.n).quick(q.n),
-        ParamSpec::u64_list("ks", "opinion counts to sweep", &as_u64(&d.ks)).quick(as_u64(&q.ks)),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
-        ParamSpec::u64("trials", "trials per k", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64("n", "fixed population size", 1 << 14)
+            .quick(1 << 13)
+            .at_least(4),
+        ParamSpec::u64_list("ks", "opinion counts to sweep", &[2, 4, 8, 16, 32, 64, 128])
+            .quick(vec![2, 8, 16])
+            .at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.4)
+            .quick(0.5)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::u64("trials", "trials per k", 10)
+            .quick(3)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE07),
     ])
 }
 
@@ -108,20 +84,13 @@ impl Experiment for E07 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
-/// Runs E07 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E07", TITLE, cfg.seed);
     let mut table = Table::new(
         format!("RapidSim at n = {}, eps = {}", cfg.n, cfg.eps),
@@ -186,10 +155,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn success_holds_across_the_k_sweep() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E07);
         let table = &report.tables[0];
         let success = table.column_f64("success");
         assert!(success.len() >= 3);

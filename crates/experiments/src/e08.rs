@@ -14,7 +14,6 @@ use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 use rapid_stats::{welch_t_test, OnlineStats};
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -24,45 +23,17 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Weak synchronicity: Sync Gadget keeps working times within Delta";
 
-/// Configuration for E08.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes.
-    pub ns: Vec<u64>,
-    /// Number of opinions (the gadget is opinion-agnostic; 2 keeps it cheap).
-    pub k: usize,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Trials per cell.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            ns: vec![1 << 12, 1 << 14, 1 << 16],
-            k: 2,
-            eps: 0.3,
-            trials: 5,
-            seed: 0xE08,
-        }
-    }
+/// E08's typed view of a validated [`ParamMap`].
+struct Config {
+    ns: Vec<u64>,
+    k: usize,
+    eps: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            ns: vec![1 << 10],
-            trials: 3,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns: p.u64_list("ns"),
             k: p.usize("k"),
@@ -73,16 +44,22 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64_list("ns", "population sizes", &d.ns).quick(q.ns),
-        ParamSpec::u64("k", "number of opinions", d.k as u64).quick(q.k as u64),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
-        ParamSpec::u64("trials", "trials per cell", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64_list("ns", "population sizes", &[1 << 12, 1 << 14, 1 << 16])
+            .quick(vec![1 << 10])
+            .at_least(4),
+        // The gadget is opinion-agnostic; two opinions keep it cheap.
+        ParamSpec::u64("k", "number of opinions", 2).at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.3)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::u64("trials", "trials per cell", 5)
+            .quick(3)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE08),
     ])
 }
 
@@ -102,10 +79,8 @@ impl Experiment for E08 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -121,7 +96,7 @@ fn measure(n: u64, k: usize, eps: f64, gadget: bool, seed: Seed) -> Vec<(f64, u6
         .rapid(params)
         .seed(seed)
         .build()
-        // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error
+        // lint: allow(panic-hygiene): run_on skips every population the workload cannot seat
         .expect("valid workload");
     let per_phase = n * params.phase_len();
     let tolerance = 2 * params.delta as u64;
@@ -137,13 +112,8 @@ fn measure(n: u64, k: usize, eps: f64, gadget: bool, seed: Seed) -> Vec<(f64, u6
     out
 }
 
-/// Runs E08 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E08", TITLE, cfg.seed);
     let mut table = Table::new(
         "Working-time concentration at phase boundaries (tolerance 2*Delta)",
@@ -159,6 +129,13 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     );
 
     for &n in &cfg.ns {
+        // A population too small to seat every opinion has no row.
+        if InitialDistribution::multiplicative_bias(cfg.k, cfg.eps)
+            .counts(n)
+            .is_err()
+        {
+            continue;
+        }
         let mut per_phase_poorly: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
         for gadget in [true, false] {
             let params = Params::for_network_with_eps(n as usize, cfg.k, cfg.eps);
@@ -215,10 +192,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn gadget_reduces_spread_and_poorly_synced_fraction() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E08);
         let table = &report.tables[0];
         assert_eq!(table.len(), 2, "one on-row and one off-row");
         let poorly = table.column_f64("mean poorly-synced");

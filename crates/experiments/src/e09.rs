@@ -23,42 +23,16 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Tick concentration and the Omega(log n) asynchronous barrier";
 
-/// Configuration for E09.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes.
-    pub ns: Vec<u64>,
-    /// Horizon in multiples of `ln n`.
-    pub horizon_ln_multiple: f64,
-    /// Trials per n.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            ns: vec![1 << 10, 1 << 14, 1 << 18, 1 << 20],
-            horizon_ln_multiple: 4.0,
-            trials: 10,
-            seed: 0xE09,
-        }
-    }
+/// E09's typed view of a validated [`ParamMap`].
+struct Config {
+    ns: Vec<u64>,
+    horizon_ln_multiple: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            ns: vec![1 << 8, 1 << 12],
-            trials: 4,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns: p.u64_list("ns"),
             horizon_ln_multiple: p.f64("horizon"),
@@ -68,20 +42,22 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64_list("ns", "population sizes", &d.ns).quick(q.ns),
-        ParamSpec::f64(
-            "horizon",
-            "horizon in multiples of ln n",
-            d.horizon_ln_multiple,
+        ParamSpec::u64_list(
+            "ns",
+            "population sizes",
+            &[1 << 10, 1 << 14, 1 << 18, 1 << 20],
         )
-        .quick(q.horizon_ln_multiple),
-        ParamSpec::u64("trials", "trials per n", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        .quick(vec![1 << 8, 1 << 12])
+        .at_least(1),
+        ParamSpec::f64("horizon", "horizon in multiples of ln n", 4.0).at_least(0.0),
+        ParamSpec::u64("trials", "trials per n", 10)
+            .quick(4)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE09),
     ])
 }
 
@@ -101,20 +77,13 @@ impl Experiment for E09 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
-/// Runs E09 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E09", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -174,10 +143,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn normalized_columns_are_stable_across_n() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E09);
         let table = &report.tables[0];
         let cov = table.column_f64("coverage/ln(n)");
         let dev = table.column_f64("max_dev/scale");

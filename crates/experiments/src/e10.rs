@@ -17,7 +17,6 @@ use rapid_sim::prelude::*;
 use rapid_stats::{ks_two_sample, OnlineStats};
 use rapid_urn::spread_by_copying;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -27,46 +26,17 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Bit-Propagation behaves as a Polya urn (martingale composition)";
 
-/// Configuration for E10.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population size.
-    pub n: u64,
-    /// Opinion counts to test.
-    pub ks: Vec<usize>,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Trials per k.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 1 << 14,
-            ks: vec![4, 16],
-            eps: 0.3,
-            trials: 40,
-            seed: 0xE10,
-        }
-    }
+/// E10's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    ks: Vec<usize>,
+    eps: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 1 << 11,
-            ks: vec![4],
-            trials: 15,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             ks: p.usize_list("ks"),
@@ -77,17 +47,23 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
-    let as_u64 = |ks: &[usize]| ks.iter().map(|&k| k as u64).collect::<Vec<_>>();
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "population size", d.n).quick(q.n),
-        ParamSpec::u64_list("ks", "opinion counts to test", &as_u64(&d.ks)).quick(as_u64(&q.ks)),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
-        ParamSpec::u64("trials", "trials per k", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64("n", "population size", 1 << 14)
+            .quick(1 << 11)
+            .at_least(4),
+        ParamSpec::u64_list("ks", "opinion counts to test", &[4, 16])
+            .quick(vec![4])
+            .at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.3)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::u64("trials", "trials per k", 40)
+            .quick(15)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE10),
     ])
 }
 
@@ -107,10 +83,8 @@ impl Experiment for E10 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -168,13 +142,8 @@ fn trial(n: u64, k: usize, eps: f64, seed: Seed) -> Option<(f64, f64, f64)> {
     Some((f0, f1, f_urn))
 }
 
-/// Runs E10 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E10", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -229,10 +198,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn composition_is_a_martingale_and_matches_the_urn() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E10);
         let table = &report.tables[0];
         assert!(!table.is_empty());
         let drift = table.column_f64("drift");

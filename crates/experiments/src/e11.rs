@@ -21,46 +21,17 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Endgame: async Two-Choices finishes before the first node halts";
 
-/// Configuration for E11.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes.
-    pub ns: Vec<u64>,
-    /// Minority fractions `ε` (the endgame starts at `c_1 = (1−ε)n`).
-    pub eps: Vec<f64>,
-    /// Halt budget in multiples of `ln n` ticks.
-    pub halt_ln_multiple: f64,
-    /// Trials per cell.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            ns: vec![1 << 12, 1 << 14, 1 << 16],
-            eps: vec![0.05, 0.1, 0.2],
-            halt_ln_multiple: 8.0,
-            trials: 20,
-            seed: 0xE11,
-        }
-    }
+/// E11's typed view of a validated [`ParamMap`].
+struct Config {
+    ns: Vec<u64>,
+    eps: Vec<f64>,
+    halt_ln_multiple: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            ns: vec![1 << 10],
-            eps: vec![0.1, 0.2],
-            trials: 6,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns: p.u64_list("ns"),
             eps: p.f64_list("eps"),
@@ -71,22 +42,26 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64_list("ns", "population sizes", &d.ns).quick(q.ns),
-        ParamSpec::f64_list("eps", "minority fractions (endgame at c1=(1-eps)n)", &d.eps)
-            .quick(q.eps),
-        ParamSpec::f64(
-            "halt",
-            "halt budget in multiples of ln n ticks",
-            d.halt_ln_multiple,
+        ParamSpec::u64_list("ns", "population sizes", &[1 << 12, 1 << 14, 1 << 16])
+            .quick(vec![1 << 10])
+            .at_least(2),
+        ParamSpec::f64_list(
+            "eps",
+            "minority fractions (endgame at c1=(1-eps)n)",
+            &[0.05, 0.1, 0.2],
         )
-        .quick(q.halt_ln_multiple),
-        ParamSpec::u64("trials", "trials per cell", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        .quick(vec![0.1, 0.2])
+        .at_least(0.0)
+        .at_most(1.0),
+        ParamSpec::f64("halt", "halt budget in multiples of ln n ticks", 8.0).above(0.0),
+        ParamSpec::u64("trials", "trials per cell", 20)
+            .quick(6)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE11),
     ])
 }
 
@@ -106,20 +81,13 @@ impl Experiment for E11 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
-/// Runs E11 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E11", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -191,10 +159,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn endgame_succeeds_whp_from_dominant_configurations() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E11);
         let table = &report.tables[0];
         let success = table.column_f64("success");
         assert!(success.len() >= 2);

@@ -17,7 +17,6 @@ use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -27,49 +26,18 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Discussion extension: exponential response delays keep the O(log n) shape";
 
-/// Configuration for E12.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes.
-    pub ns: Vec<u64>,
-    /// Number of opinions.
-    pub k: usize,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Delay rates μ to test (`None` encoded as 0 = instant responses).
-    pub delay_rates: Vec<f64>,
-    /// Trials per cell.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            ns: vec![1 << 12, 1 << 14],
-            k: 4,
-            eps: 0.3,
-            delay_rates: vec![0.0, 4.0, 2.0, 1.0],
-            trials: 8,
-            seed: 0xE12,
-        }
-    }
+/// E12's typed view of a validated [`ParamMap`].
+struct Config {
+    ns: Vec<u64>,
+    k: usize,
+    eps: f64,
+    delay_rates: Vec<f64>,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            ns: vec![1 << 10],
-            delay_rates: vec![0.0, 2.0],
-            trials: 3,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns: p.u64_list("ns"),
             k: p.usize("k"),
@@ -81,22 +49,27 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64_list("ns", "population sizes", &d.ns).quick(q.ns),
-        ParamSpec::u64("k", "number of opinions", d.k as u64).quick(q.k as u64),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
+        ParamSpec::u64_list("ns", "population sizes", &[1 << 12, 1 << 14])
+            .quick(vec![1 << 10])
+            .at_least(4),
+        ParamSpec::u64("k", "number of opinions", 4).at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.3)
+            .above(0.0)
+            .at_most(10.0),
         ParamSpec::f64_list(
             "rates",
             "delay rates mu (0 = instant responses)",
-            &d.delay_rates,
+            &[0.0, 4.0, 2.0, 1.0],
         )
-        .quick(q.delay_rates),
-        ParamSpec::u64("trials", "trials per cell", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        .quick(vec![0.0, 2.0]),
+        ParamSpec::u64("trials", "trials per cell", 8)
+            .quick(3)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE12),
     ])
 }
 
@@ -116,10 +89,8 @@ impl Experiment for E12 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -145,13 +116,8 @@ fn run_one(n: u64, k: usize, eps: f64, rate: f64, seed: Seed) -> Option<(f64, bo
     ))
 }
 
-/// Runs E12 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E12", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -208,10 +174,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn delays_degrade_gracefully() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E12);
         let table = &report.tables[0];
         assert!(table.len() >= 2);
         let success = table.column_f64("success");

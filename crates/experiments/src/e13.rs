@@ -16,7 +16,6 @@ use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -26,51 +25,18 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Protocol comparison: who wins as the opinion count grows";
 
-/// Configuration for E13.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population size.
-    pub n: u64,
-    /// Opinion counts to sweep.
-    pub ks: Vec<usize>,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Include the (slow) Voter baseline.
-    pub include_voter: bool,
-    /// Trials per cell.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 1 << 13,
-            ks: vec![2, 4, 8, 16, 32, 64],
-            eps: 0.3,
-            include_voter: true,
-            trials: 8,
-            seed: 0xE13,
-        }
-    }
+/// E13's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    ks: Vec<usize>,
+    eps: f64,
+    include_voter: bool,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 1 << 12,
-            ks: vec![2, 8, 16],
-            eps: 0.5,
-            trials: 3,
-            include_voter: false,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             ks: p.usize_list("ks"),
@@ -82,23 +48,25 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
-    let as_u64 = |ks: &[usize]| ks.iter().map(|&k| k as u64).collect::<Vec<_>>();
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "population size", d.n).quick(q.n),
-        ParamSpec::u64_list("ks", "opinion counts to sweep", &as_u64(&d.ks)).quick(as_u64(&q.ks)),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
-        ParamSpec::bool(
-            "voter",
-            "include the (slow) Voter baseline",
-            d.include_voter,
-        )
-        .quick(q.include_voter),
-        ParamSpec::u64("trials", "trials per cell", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64("n", "population size", 1 << 13)
+            .quick(1 << 12)
+            .at_least(4),
+        ParamSpec::u64_list("ks", "opinion counts to sweep", &[2, 4, 8, 16, 32, 64])
+            .quick(vec![2, 8, 16])
+            .at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.3)
+            .quick(0.5)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::bool("voter", "include the (slow) Voter baseline", true).quick(false),
+        ParamSpec::u64("trials", "trials per cell", 8)
+            .quick(3)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE13),
     ])
 }
 
@@ -118,10 +86,8 @@ impl Experiment for E13 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -203,13 +169,8 @@ fn run_entrant(
     }
 }
 
-/// Runs E13 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E13", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -280,6 +241,7 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     fn protocol_series(table: &Table, protocol: &str) -> Vec<(u64, f64, f64)> {
         table
@@ -298,7 +260,7 @@ mod tests {
 
     #[test]
     fn two_choices_cost_grows_with_k_while_rapid_stays_flat() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E13);
         let table = &report.tables[0];
         assert!(!table.is_empty());
 

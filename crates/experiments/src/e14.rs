@@ -24,7 +24,6 @@ use rapid_graph::{ErdosRenyi, RandomRegular, Torus2d};
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -34,45 +33,17 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Extension (discussion §4): the protocols beyond the complete graph";
 
-/// Configuration for E14.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population size (tori round down to a square side).
-    pub n: u64,
-    /// Number of opinions.
-    pub k: usize,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Trials per cell.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 1 << 13,
-            k: 4,
-            eps: 0.5,
-            trials: 10,
-            seed: 0xE14,
-        }
-    }
+/// E14's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    k: usize,
+    eps: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 1 << 10,
-            trials: 4,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             k: p.usize("k"),
@@ -83,21 +54,25 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
         ParamSpec::u64(
             "n",
             "population size (tori round down to a square side)",
-            d.n,
+            1 << 13,
         )
-        .quick(q.n),
-        ParamSpec::u64("k", "number of opinions", d.k as u64).quick(q.k as u64),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
-        ParamSpec::u64("trials", "trials per cell", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        .quick(1 << 10)
+        .at_least(4),
+        ParamSpec::u64("k", "number of opinions", 4).at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.5)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::u64("trials", "trials per cell", 10)
+            .quick(4)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE14),
     ])
 }
 
@@ -117,10 +92,8 @@ impl Experiment for E14 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -160,6 +133,12 @@ fn run_cell(
         .counts(n as u64)
         .ok()?;
     let d = ((n as f64).ln().ceil() as usize) | 1; // odd degree is fine for even n
+
+    // A topology that cannot exist at this size has no cell: a regular
+    // graph with an odd stub count n·d, or a torus side below three.
+    if (topo == Topo::Regular && n * d.min(n - 1) % 2 == 1) || (topo == Topo::Torus && side < 3) {
+        return None;
+    }
     let eps = cfg.eps;
     let k = cfg.k;
     let trials = cfg.trials;
@@ -173,7 +152,7 @@ fn run_cell(
             // so graph structure and protocol randomness stay independent.
             Topo::Regular => Box::new(
                 // lint: allow(rng-stream-registry): experiment-local topology-sampling stream, disjoint from the registry by construction
-                // lint: allow(panic-hygiene): n and d are drawn from the experiment grid, which only contains even stub counts
+                // lint: allow(panic-hygiene): cells with an odd stub count n·d are skipped above
                 RandomRegular::sample(n, d.min(n - 1), seed.child(20)).expect("even stub count"),
             ),
             Topo::ErdosRenyi => {
@@ -224,13 +203,8 @@ fn run_cell(
     Some((time, success))
 }
 
-/// Runs E14 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E14", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -276,10 +250,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn expanders_behave_clique_like() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E14);
         let table = &report.tables[0];
         assert!(table.len() >= 6);
         // Success per (topology, protocol) row, keyed by the first column.

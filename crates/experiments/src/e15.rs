@@ -21,7 +21,6 @@ use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -31,49 +30,18 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Extension (discussion §4): robustness to heterogeneous clock rates";
 
-/// Configuration for E15.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population size.
-    pub n: u64,
-    /// Number of opinions.
-    pub k: usize,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Clock skews δ to test (rates uniform in `[1−δ, 1+δ]`).
-    pub skews: Vec<f64>,
-    /// Trials per skew.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 1 << 13,
-            k: 4,
-            eps: 0.5,
-            skews: vec![0.0, 0.1, 0.2, 0.4, 0.6],
-            trials: 10,
-            seed: 0xE15,
-        }
-    }
+/// E15's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    k: usize,
+    eps: f64,
+    skews: Vec<f64>,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 1 << 10,
-            skews: vec![0.0, 0.2],
-            trials: 4,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             k: p.usize("k"),
@@ -85,22 +53,27 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "population size", d.n).quick(q.n),
-        ParamSpec::u64("k", "number of opinions", d.k as u64).quick(q.k as u64),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
+        ParamSpec::u64("n", "population size", 1 << 13)
+            .quick(1 << 10)
+            .at_least(4),
+        ParamSpec::u64("k", "number of opinions", 4).at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.5)
+            .above(0.0)
+            .at_most(10.0),
         ParamSpec::f64_list(
             "skews",
             "clock skews d (rates uniform in [1-d, 1+d])",
-            &d.skews,
+            &[0.0, 0.1, 0.2, 0.4, 0.6],
         )
-        .quick(q.skews),
-        ParamSpec::u64("trials", "trials per skew", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        .quick(vec![0.0, 0.2]),
+        ParamSpec::u64("trials", "trials per skew", 10)
+            .quick(4)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE15),
     ])
 }
 
@@ -120,63 +93,37 @@ impl Experiment for E15 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
 fn run_one(n: u64, k: usize, eps: f64, skew: f64, seed: Seed) -> Option<(f64, bool, f64)> {
     let params = Params::for_network_with_eps(n as usize, k, eps);
-    let mut sim = Sim::builder()
+    let mut trace = SpreadTrace::new(2 * params.delta as u64);
+    let outcome = Sim::builder()
         .topology(Complete::new(n as usize))
         .distribution(InitialDistribution::multiplicative_bias(k, eps))
         .rapid(params)
         .clock(Clock::UniformSkew { skew })
         .seed(seed)
         .build()
-        .ok()?;
-    let budget = sim.default_budget();
-    let spread_probe = params.part1_len() / 2;
-    // Probe the working-time spread mid-run (after ~half of part 1).
-    let mut spread = f64::NAN;
-    let mut outcome = None;
-    while sim.steps() < budget {
-        sim.step();
-        // lint: allow(panic-hygiene): this experiment always assembles the rapid engine, which provides working-time metrics
-        if spread.is_nan() && sim.median_working_time().expect("rapid engine") >= spread_probe {
-            let stats = sim
-                .working_time_stats(2 * params.delta as u64)
-                // lint: allow(panic-hygiene): this experiment always assembles the rapid engine, which provides working-time metrics
-                .expect("rapid");
-            spread = stats.poorly_synced;
-        }
-        if let Some(winner) = sim.config().unanimous() {
-            // lint: allow(panic-hygiene): asynchronous engines always carry virtual time
-            outcome = Some((sim.now().expect("async engine"), winner));
-            break;
-        }
-        if sim.halted_count() == Some(n as usize) {
-            break;
-        }
-    }
-    let (time, winner) = outcome?;
-    let ok = winner == Color::new(0)
-        && match sim.first_halt() {
-            None => true,
-            Some(t) => time < t,
-        };
-    Some((time.as_secs(), ok, spread))
+        .ok()?
+        .run_observed(&mut trace);
+    let out = outcome.as_rapid()?;
+    // The working-time spread mid-run: the first snapshot (one per time
+    // unit) whose median has passed half of part 1.
+    let spread = trace
+        .snapshots
+        .iter()
+        .find(|s| s.median >= params.part1_len() / 2)
+        .map_or(f64::NAN, |s| s.poorly_synced);
+    let ok = out.winner == Color::new(0) && out.before_first_halt;
+    Some((out.time.as_secs(), ok, spread))
 }
 
-/// Runs E15 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E15", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -225,10 +172,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn moderate_skew_is_tolerated() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E15);
         let table = &report.tables[0];
         assert_eq!(table.len(), 2);
         let success = table.column_f64("success");

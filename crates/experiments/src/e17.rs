@@ -18,7 +18,6 @@ use rapid_sim::fault::FaultPlan;
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -28,49 +27,18 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Fault extension: robustness of the rapid protocol to message loss";
 
-/// Configuration for E17.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population size.
-    pub n: u64,
-    /// Number of opinions.
-    pub k: usize,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Per-message loss probabilities to test.
-    pub losses: Vec<f64>,
-    /// Trials per loss level.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 1 << 13,
-            k: 4,
-            eps: 0.5,
-            losses: vec![0.0, 0.05, 0.1, 0.2, 0.4],
-            trials: 10,
-            seed: 0xE17,
-        }
-    }
+/// E17's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    k: usize,
+    eps: f64,
+    losses: Vec<f64>,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 1 << 10,
-            losses: vec![0.0, 0.2],
-            trials: 4,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             k: p.usize("k"),
@@ -82,17 +50,27 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "population size", d.n).quick(q.n),
-        ParamSpec::u64("k", "number of opinions", d.k as u64).quick(q.k as u64),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
-        ParamSpec::f64_list("losses", "per-message loss probabilities", &d.losses).quick(q.losses),
-        ParamSpec::u64("trials", "trials per loss level", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64("n", "population size", 1 << 13)
+            .quick(1 << 10)
+            .at_least(4),
+        ParamSpec::u64("k", "number of opinions", 4).at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.5)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::f64_list(
+            "losses",
+            "per-message loss probabilities",
+            &[0.0, 0.05, 0.1, 0.2, 0.4],
+        )
+        .quick(vec![0.0, 0.2]),
+        ParamSpec::u64("trials", "trials per loss level", 10)
+            .quick(4)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE17),
     ])
 }
 
@@ -112,10 +90,8 @@ impl Experiment for E17 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -136,13 +112,8 @@ fn run_one(n: u64, k: usize, eps: f64, loss: f64, seed: Seed) -> Option<(f64, bo
     Some((outcome.time?.as_secs(), ok))
 }
 
-/// Runs E17 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E17", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -194,10 +165,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn moderate_loss_is_tolerated() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E17);
         let table = &report.tables[0];
         assert_eq!(table.len(), 2);
         let success = table.column_f64("success");

@@ -19,7 +19,6 @@ use rapid_sim::fault::{ChurnEvent, FaultPlan};
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -29,52 +28,19 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Fault extension: convergence of async Two-Choices under churn";
 
-/// Configuration for E18.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population size.
-    pub n: u64,
-    /// Multiplicative lead `ε` (two opinions).
-    pub eps: f64,
-    /// Fractions of the population crashed during the window.
-    pub crash_fracs: Vec<f64>,
-    /// When the crashed nodes go down.
-    pub down_at: f64,
-    /// When they rejoin.
-    pub up_at: f64,
-    /// Trials per fraction.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 1 << 13,
-            eps: 0.5,
-            crash_fracs: vec![0.0, 0.1, 0.25, 0.5],
-            down_at: 0.5,
-            up_at: 4.0,
-            trials: 10,
-            seed: 0xE18,
-        }
-    }
+/// E18's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    eps: f64,
+    crash_fracs: Vec<f64>,
+    down_at: f64,
+    up_at: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 1 << 10,
-            crash_fracs: vec![0.0, 0.25],
-            trials: 4,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             eps: p.f64("eps"),
@@ -87,23 +53,28 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "population size", d.n).quick(q.n),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
+        ParamSpec::u64("n", "population size", 1 << 13)
+            .quick(1 << 10)
+            .at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.5),
         ParamSpec::f64_list(
             "fracs",
             "crashed fractions of the population",
-            &d.crash_fracs,
+            &[0.0, 0.1, 0.25, 0.5],
         )
-        .quick(q.crash_fracs),
-        ParamSpec::f64("down_at", "crash time", d.down_at).quick(q.down_at),
-        ParamSpec::f64("up_at", "rejoin time", d.up_at).quick(q.up_at),
-        ParamSpec::u64("trials", "trials per fraction", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        .quick(vec![0.0, 0.25])
+        .at_least(0.0)
+        .at_most(1.0),
+        ParamSpec::f64("down_at", "crash time", 0.5).at_least(0.0),
+        ParamSpec::f64("up_at", "rejoin time", 4.0).at_least(0.0),
+        ParamSpec::u64("trials", "trials per fraction", 10)
+            .quick(4)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE18),
     ])
 }
 
@@ -123,10 +94,8 @@ impl Experiment for E18 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -161,13 +130,8 @@ fn run_one(cfg: &Config, frac: f64, seed: Seed) -> Option<(f64, bool)> {
     Some((outcome.time?.as_secs(), ok))
 }
 
-/// Runs E18 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E18", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -178,12 +142,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     );
 
     for &frac in &cfg.crash_fracs {
-        let cfg2 = cfg.clone();
         let results = run_trials_on(
             cfg.trials,
             Seed::new(cfg.seed ^ (frac * 1000.0) as u64),
             parallelism,
-            move |_, seed| run_one(&cfg2, frac, seed),
+            move |_, seed| run_one(cfg, frac, seed),
         );
         let valid: Vec<&(f64, bool)> = results.iter().flatten().collect();
         if valid.is_empty() {
@@ -212,6 +175,7 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn churn_schedule_spreads_over_the_population() {
@@ -224,7 +188,7 @@ mod tests {
 
     #[test]
     fn heavy_churn_still_converges() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E18);
         let table = &report.tables[0];
         assert_eq!(table.len(), 2);
         let success = table.column_f64("success");

@@ -21,7 +21,6 @@ use rapid_sim::fault::{AdversaryKind, AdversaryPlan, FaultPlan};
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -31,52 +30,19 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Fault extension: async Two-Choices against budgeted adversaries";
 
-/// Configuration for E19.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population size.
-    pub n: u64,
-    /// Multiplicative lead `ε` (two opinions).
-    pub eps: f64,
-    /// Adversary budgets as fractions of `n` (0 = no adversary).
-    pub budget_fracs: Vec<f64>,
-    /// Time units between corruptions.
-    pub interval: f64,
-    /// When the adversary starts (late adversary: after some progress).
-    pub start: f64,
-    /// Trials per (kind, budget) cell.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 1 << 13,
-            eps: 0.5,
-            budget_fracs: vec![0.0, 0.05, 0.1, 0.2],
-            interval: 0.02,
-            start: 1.0,
-            trials: 10,
-            seed: 0xE19,
-        }
-    }
+/// E19's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    eps: f64,
+    budget_fracs: Vec<f64>,
+    interval: f64,
+    start: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 1 << 10,
-            budget_fracs: vec![0.0, 0.1],
-            trials: 4,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             eps: p.f64("eps"),
@@ -89,23 +55,27 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "population size", d.n).quick(q.n),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
+        ParamSpec::u64("n", "population size", 1 << 13)
+            .quick(1 << 10)
+            .at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.5),
         ParamSpec::f64_list(
             "budgets",
             "adversary budgets as fractions of n",
-            &d.budget_fracs,
+            &[0.0, 0.05, 0.1, 0.2],
         )
-        .quick(q.budget_fracs),
-        ParamSpec::f64("interval", "time units between corruptions", d.interval).quick(q.interval),
-        ParamSpec::f64("start", "adversary start time", d.start).quick(q.start),
-        ParamSpec::u64("trials", "trials per (kind, budget) cell", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        .quick(vec![0.0, 0.1]),
+        ParamSpec::f64("interval", "time units between corruptions", 0.02),
+        // A late adversary: it starts after some progress.
+        ParamSpec::f64("start", "adversary start time", 1.0).at_least(0.0),
+        ParamSpec::u64("trials", "trials per (kind, budget) cell", 10)
+            .quick(4)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE19),
     ])
 }
 
@@ -125,10 +95,8 @@ impl Experiment for E19 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -155,13 +123,8 @@ fn run_one(cfg: &Config, kind: AdversaryKind, budget: u64, seed: Seed) -> Option
     Some((outcome.time?.as_secs(), ok))
 }
 
-/// Runs E19 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E19", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -182,12 +145,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     for kind in [AdversaryKind::Oblivious, AdversaryKind::Adaptive] {
         for &frac in &cfg.budget_fracs {
             let budget = (frac * cfg.n as f64).round() as u64;
-            let cfg2 = cfg.clone();
             let results = run_trials_on(
                 cfg.trials,
                 Seed::new(cfg.seed ^ (frac * 1000.0) as u64 ^ ((kind as u64) << 40)),
                 parallelism,
-                move |_, seed| run_one(&cfg2, kind, budget, seed),
+                move |_, seed| run_one(cfg, kind, budget, seed),
             );
             let valid: Vec<&(f64, bool)> = results.iter().flatten().collect();
             if valid.is_empty() {
@@ -218,10 +180,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn small_budgets_do_not_stop_consensus() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E19);
         let table = &report.tables[0];
         // Two kinds x two budgets.
         assert_eq!(table.len(), 4);

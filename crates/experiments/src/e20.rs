@@ -12,7 +12,6 @@
 use rapid_core::facade::MacroProtocol;
 use rapid_core::prelude::*;
 use rapid_macro::crossval::{cross_validate, CrossValConfig};
-use rapid_sim::rng::Seed;
 
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
@@ -23,48 +22,18 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Macro validation: micro vs macro occupancy trajectories agree";
 
-/// Configuration for E20.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes to cross-validate at (micro must be feasible).
-    pub ns: Vec<u64>,
-    /// Number of opinions.
-    pub k: usize,
-    /// Multiplicative lead `ε` of the plurality.
-    pub eps: f64,
-    /// Whether to validate the rapid protocol as well as gossip.
-    pub rapid: bool,
-    /// Trials per engine per configuration.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            ns: vec![1 << 10, 1 << 14],
-            k: 2,
-            eps: 0.5,
-            rapid: true,
-            trials: 8,
-            seed: 0xE20,
-        }
-    }
+/// E20's typed view of a validated [`ParamMap`].
+struct Config {
+    ns: Vec<u64>,
+    k: usize,
+    eps: f64,
+    rapid: bool,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            ns: vec![1 << 10],
-            trials: 4,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns: p.u64_list("ns"),
             k: p.usize("k"),
@@ -76,17 +45,23 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64_list("ns", "population sizes", &d.ns).quick(q.ns),
-        ParamSpec::u64("k", "number of opinions", d.k as u64).quick(q.k as u64),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
-        ParamSpec::bool("rapid", "also validate the rapid protocol", d.rapid).quick(q.rapid),
-        ParamSpec::u64("trials", "trials per engine", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        // The micro engine must stay feasible at every size.
+        ParamSpec::u64_list("ns", "population sizes", &[1 << 10, 1 << 14])
+            .quick(vec![1 << 10])
+            .at_least(4),
+        ParamSpec::u64("k", "number of opinions", 2).at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.5)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::bool("rapid", "also validate the rapid protocol", true),
+        ParamSpec::u64("trials", "trials per engine", 8)
+            .quick(4)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE20),
     ])
 }
 
@@ -106,10 +81,8 @@ impl Experiment for E20 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -120,15 +93,9 @@ fn biased_counts(n: u64, k: usize, eps: f64) -> Vec<u64> {
     counts
 }
 
-/// Runs E20 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path). The
-/// cross-validation harness is deliberately single-threaded (its trial
+/// Runs the experiment. The cross-validation harness is deliberately single-threaded (its trial
 /// seeds are part of the comparison contract), so `parallelism` is unused.
-pub fn run_on(cfg: &Config, _parallelism: Parallelism) -> Report {
+fn run_on(cfg: &Config, _parallelism: Parallelism) -> Report {
     let mut report = Report::new("E20", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -178,10 +145,11 @@ pub fn run_on(cfg: &Config, _parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn quick_cross_validation_agrees() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E20);
         let table = &report.tables[0];
         assert!(!table.is_empty());
         let agree = table.column_f64("agree");

@@ -16,7 +16,6 @@ use rapid_macro::MacroSim;
 use rapid_sim::rng::Seed;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -26,51 +25,18 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Planet scale: macro-engine time-to-plurality up to n = 10^9";
 
-/// Configuration for E21.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes (macro engine: 10⁹ is fine).
-    pub ns: Vec<u64>,
-    /// Opinion counts to sweep.
-    pub ks: Vec<usize>,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Whether to run the rapid protocol alongside Two-Choices.
-    pub rapid: bool,
-    /// Trials per configuration.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            ns: vec![1_000_000, 10_000_000, 100_000_000, 1_000_000_000],
-            ks: vec![2, 8, 64],
-            eps: 0.5,
-            rapid: true,
-            trials: 3,
-            seed: 0xE21,
-        }
-    }
+/// E21's typed view of a validated [`ParamMap`].
+struct Config {
+    ns: Vec<u64>,
+    ks: Vec<usize>,
+    eps: f64,
+    rapid: bool,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset — still reaches `n = 10⁸` (the macro engine makes
-    /// that cheap; the acceptance bar is one such run under a minute).
-    pub fn quick() -> Self {
-        Config {
-            ns: vec![1_000_000, 100_000_000],
-            ks: vec![2],
-            rapid: false,
-            trials: 2,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns: p.u64_list("ns"),
             ks: p.usize_list("ks"),
@@ -82,22 +48,30 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
+    // The quick preset still reaches n = 10^8: the macro engine makes that
+    // cheap (the acceptance bar is one such run under a minute).
     ParamSchema::new(vec![
-        ParamSpec::u64_list("ns", "population sizes", &d.ns).quick(q.ns),
         ParamSpec::u64_list(
-            "ks",
-            "opinion counts",
-            &d.ks.iter().map(|&k| k as u64).collect::<Vec<_>>(),
+            "ns",
+            "population sizes",
+            &[1_000_000, 10_000_000, 100_000_000, 1_000_000_000],
         )
-        .quick(q.ks.iter().map(|&k| k as u64).collect::<Vec<_>>()),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
-        ParamSpec::bool("rapid", "also run the rapid protocol", d.rapid).quick(q.rapid),
-        ParamSpec::u64("trials", "trials per configuration", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        .quick(vec![1_000_000, 100_000_000])
+        .at_least(4),
+        ParamSpec::u64_list("ks", "opinion counts", &[2, 8, 64])
+            .quick(vec![2])
+            .at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.5)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::bool("rapid", "also run the rapid protocol", true).quick(false),
+        ParamSpec::u64("trials", "trials per configuration", 3)
+            .quick(2)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE21),
     ])
 }
 
@@ -117,10 +91,8 @@ impl Experiment for E21 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -146,13 +118,8 @@ fn run_one(n: u64, k: usize, eps: f64, rapid: bool, seed: Seed) -> Option<(f64, 
     ))
 }
 
-/// Runs E21 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E21", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -218,10 +185,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn scaling_run_reaches_1e8_and_time_grows_logarithmically() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E21);
         let table = &report.tables[0];
         assert_eq!(table.len(), 2);
         let success = table.column_f64("success");

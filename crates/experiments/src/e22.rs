@@ -26,43 +26,16 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Phase transition: initial bias vs the sqrt(n log n) threshold at large n";
 
-/// Configuration for E22.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes.
-    pub ns: Vec<u64>,
-    /// Gap multipliers `z` (gap = `z · √(n ln n)`).
-    pub zs: Vec<f64>,
-    /// Trials per (n, z).
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            ns: vec![1_000_000, 100_000_000],
-            zs: vec![0.0, 0.25, 0.5, 1.0, 2.0, 4.0],
-            trials: 24,
-            seed: 0xE22,
-        }
-    }
+/// E22's typed view of a validated [`ParamMap`].
+struct Config {
+    ns: Vec<u64>,
+    zs: Vec<f64>,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            ns: vec![1_000_000],
-            zs: vec![0.0, 1.0, 4.0],
-            trials: 8,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns: p.u64_list("ns"),
             zs: p.f64_list("zs"),
@@ -72,15 +45,23 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64_list("ns", "population sizes", &d.ns).quick(q.ns),
-        ParamSpec::f64_list("zs", "gap multipliers of sqrt(n ln n)", &d.zs).quick(q.zs),
-        ParamSpec::u64("trials", "trials per (n, z)", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64_list("ns", "population sizes", &[1_000_000, 100_000_000])
+            .quick(vec![1_000_000])
+            .at_least(2),
+        ParamSpec::f64_list(
+            "zs",
+            "gap multipliers of sqrt(n ln n)",
+            &[0.0, 0.25, 0.5, 1.0, 2.0, 4.0],
+        )
+        .quick(vec![0.0, 1.0, 4.0]),
+        ParamSpec::u64("trials", "trials per (n, z)", 24)
+            .quick(8)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE22),
     ])
 }
 
@@ -100,10 +81,8 @@ impl Experiment for E22 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -124,13 +103,8 @@ fn run_one(n: u64, z: f64, seed: Seed) -> Option<bool> {
     Some(outcome.converged() && outcome.winner == Some(Color::new(0)))
 }
 
-/// Runs E22 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path).
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+/// Runs the experiment under `parallelism`.
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E22", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -172,10 +146,11 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn transition_brackets_the_threshold() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E22);
         let table = &report.tables[0];
         assert_eq!(table.len(), 3);
         let p = table.column_f64("P(C1 wins)");

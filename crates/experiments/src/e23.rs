@@ -13,7 +13,6 @@
 use rapid_core::facade::MacroProtocol;
 use rapid_core::prelude::*;
 use rapid_net::oracle::{validate_against_micro, OracleConfig};
-use rapid_sim::rng::Seed;
 
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
@@ -24,41 +23,16 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Simulator as oracle: channel deployment agrees with the micro engine";
 
-/// Configuration for E23.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population size.
-    pub n: u64,
-    /// Trials per engine per protocol.
-    pub trials: u64,
-    /// Bootstrap resamples for the step-count CIs.
-    pub resamples: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 1 << 10,
-            trials: 8,
-            resamples: 500,
-            seed: 0xE23,
-        }
-    }
+/// E23's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    trials: u64,
+    resamples: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 256,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             trials: p.u64("trials"),
@@ -68,15 +42,16 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "population size", d.n).quick(q.n),
-        ParamSpec::u64("trials", "trials per engine per protocol", d.trials).quick(q.trials),
-        ParamSpec::u64("resamples", "bootstrap resamples per CI", d.resamples).quick(q.resamples),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64("n", "population size", 1 << 10)
+            .quick(256)
+            .at_least(4),
+        ParamSpec::u64("trials", "trials per engine per protocol", 8).at_least(1),
+        ParamSpec::u64("resamples", "bootstrap resamples per CI", 500).at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE23),
     ])
 }
 
@@ -96,10 +71,8 @@ impl Experiment for E23 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, _parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run(&cfg)
+    fn run(&self, params: &ParamMap, _parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params))
     }
 }
 
@@ -118,8 +91,8 @@ fn protocols(n: u64) -> Vec<(&'static str, MacroProtocol)> {
     ]
 }
 
-/// Runs E23 and returns its report.
-pub fn run(cfg: &Config) -> Report {
+/// Runs the experiment.
+fn run_on(cfg: &Config) -> Report {
     let mut report = Report::new("E23", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -174,10 +147,11 @@ pub fn run(cfg: &Config) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn quick_preset_agrees_on_every_protocol() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E23);
         let table = &report.tables[0];
         assert_eq!(table.len(), 3);
         for a in table.column_f64("winner agreement") {

@@ -14,7 +14,6 @@
 //! sockets is `#[ignore]`-gated.
 
 use rapid_net::cli::{execute, RunOpts, TransportKind};
-use rapid_sim::rng::Seed;
 
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
@@ -28,42 +27,16 @@ const PROTOCOLS: [&str; 2] = ["two-choices", "rapid"];
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Real deployment: UDP loopback cluster converges end to end";
 
-/// Configuration for E24.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population size.
-    pub n: u64,
-    /// Trials per protocol.
-    pub trials: u64,
-    /// Worker threads (0 = one per core).
-    pub workers: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            n: 256,
-            trials: 4,
-            workers: 0,
-            seed: 0xE24,
-        }
-    }
+/// E24's typed view of a validated [`ParamMap`].
+struct Config {
+    n: u64,
+    trials: u64,
+    workers: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            n: 128,
-            trials: 2,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             n: p.u64("n"),
             trials: p.u64("trials"),
@@ -73,15 +46,18 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64("n", "population size", d.n).quick(q.n),
-        ParamSpec::u64("trials", "trials per protocol", d.trials).quick(q.trials),
-        ParamSpec::u64("workers", "udp worker threads (0 = auto)", d.workers),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64("n", "population size", 256)
+            .quick(128)
+            .at_least(4),
+        ParamSpec::u64("trials", "trials per protocol", 4)
+            .quick(2)
+            .at_least(1),
+        ParamSpec::u64("workers", "udp worker threads (0 = auto)", 0),
+        ParamSpec::u64("seed", "master seed", 0xE24),
     ])
 }
 
@@ -101,15 +77,13 @@ impl Experiment for E24 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, _parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run(&cfg)
+    fn run(&self, params: &ParamMap, _parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params))
     }
 }
 
-/// Runs E24 and returns its report.
-pub fn run(cfg: &Config) -> Report {
+/// Runs the experiment.
+fn run_on(cfg: &Config) -> Report {
     let mut report = Report::new("E24", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -182,13 +156,7 @@ pub fn run(cfg: &Config) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_preset_has_the_expected_shape() {
-        // Socket-free shape check: config plumbing and schema round-trip.
-        let map = ParamMap::defaults(&schema());
-        assert_eq!(Config::from_params(&map), Config::default());
-    }
+    use crate::testkit::quick_report;
 
     #[test]
     fn skipped_rows_render_when_sockets_are_forbidden() {
@@ -196,12 +164,9 @@ mod tests {
         // converges; on sandboxed runners every row must still render as
         // a `skipped (...)` row rather than aborting the report. The UDP
         // obs gauges ride the same path and must not change this.
-        let report = run(&Config {
-            trials: 1,
-            ..Config::quick()
-        });
+        let report = quick_report(&E24);
         let table = &report.tables[0];
-        assert_eq!(table.len(), PROTOCOLS.len());
+        assert_eq!(table.len(), 2 * PROTOCOLS.len(), "two quick trials each");
         for c in table.column("converged") {
             assert!(
                 c == "true" || c == "false" || c.starts_with("skipped ("),
@@ -213,7 +178,7 @@ mod tests {
     #[test]
     #[ignore = "binds many loopback UDP sockets; run explicitly on hosts that allow it"]
     fn loopback_deployment_converges() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E24);
         let table = &report.tables[0];
         assert_eq!(table.len(), 4);
         for c in table.column("converged") {

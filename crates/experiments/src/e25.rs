@@ -20,7 +20,6 @@ use rapid_macro::MacroSim;
 use rapid_sim::prelude::*;
 use rapid_stats::OnlineStats;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -30,50 +29,18 @@ use crate::table::Table;
 /// Report title (also the registry's [`Experiment::title`]).
 const TITLE: &str = "Sharded scale-out: per-node runs to n = 10^7 across topologies";
 
-/// Configuration for E25.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes (tori round down to a square side).
-    pub ns: Vec<u64>,
-    /// Number of opinions.
-    pub k: usize,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Whether to run the full rapid protocol alongside Two-Choices.
-    pub rapid: bool,
-    /// Trials per cell (per-node runs at 10⁷ are heavyweight).
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            ns: vec![1_000_000, 10_000_000],
-            k: 2,
-            eps: 0.5,
-            rapid: true,
-            trials: 1,
-            seed: 0xE25,
-        }
-    }
+/// E25's typed view of a validated [`ParamMap`].
+struct Config {
+    ns: Vec<u64>,
+    k: usize,
+    eps: f64,
+    rapid: bool,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset: gossip only, one small size, still covering a
-    /// random and the complete topology (the latter carries the
-    /// micro-vs-macro cross-check).
-    pub fn quick() -> Self {
-        Config {
-            ns: vec![1 << 14],
-            rapid: false,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns: p.u64_list("ns"),
             k: p.usize("k"),
@@ -85,22 +52,28 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
+    // Per-node runs at 10^7 are heavyweight, hence one trial per cell. The
+    // quick preset runs gossip only at one small size, still covering a
+    // random and the complete topology (the latter carries the
+    // micro-vs-macro cross-check).
     ParamSchema::new(vec![
         ParamSpec::u64_list(
             "ns",
             "population sizes (tori round down to a square side)",
-            &d.ns,
+            &[1_000_000, 10_000_000],
         )
-        .quick(q.ns),
-        ParamSpec::u64("k", "number of opinions", d.k as u64).quick(q.k as u64),
-        ParamSpec::f64("eps", "multiplicative lead", d.eps).quick(q.eps),
-        ParamSpec::bool("rapid", "also run the rapid protocol", d.rapid).quick(q.rapid),
-        ParamSpec::u64("trials", "trials per cell", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        .quick(vec![1 << 14])
+        .at_least(4),
+        ParamSpec::u64("k", "number of opinions", 2).at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead", 0.5)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::bool("rapid", "also run the rapid protocol", true).quick(false),
+        ParamSpec::u64("trials", "trials per cell", 1).at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE25),
     ])
 }
 
@@ -120,10 +93,8 @@ impl Experiment for E25 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        run_on(&cfg, parallelism)
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
+        run_on(&Config::from_params(params), parallelism)
     }
 }
 
@@ -179,11 +150,9 @@ fn run_one(
         // protocol randomness stay independent (same split as E14).
         Topo::Regular => {
             let d = ((n as f64).ln().ceil() as usize) | 1;
-            Box::new(
-                // lint: allow(rng-stream-registry): experiment-local topology-sampling stream, disjoint from the registry by construction
-                // lint: allow(panic-hygiene): n and d are drawn from the experiment grid, which only contains even stub counts
-                RandomRegular::sample(n, d.min(n - 1), seed.child(20)).expect("even stub count"),
-            )
+            // An odd stub count n·d has no regular graph: the cell is skipped.
+            // lint: allow(rng-stream-registry): experiment-local topology-sampling stream, disjoint from the registry by construction
+            Box::new(RandomRegular::sample(n, d.min(n - 1), seed.child(20)).ok()?)
         }
         Topo::ErdosRenyi => {
             let p = 2.0 * (n as f64).ln() / n as f64;
@@ -242,15 +211,9 @@ fn macro_time(
     Some(outcome.time?.as_secs())
 }
 
-/// Runs E25 and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_on(cfg, Parallelism::default())
-}
-
-/// [`run`] with an explicit worker policy (the registry path). The
-/// `shard_workers` axis is forwarded into every sharded build; the
+/// Runs the experiment under `parallelism`. The `shard_workers` axis is forwarded into every sharded build; the
 /// `trial_workers` axis spreads trials, as everywhere else.
-pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
+fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
     let mut report = Report::new("E25", TITLE, cfg.seed);
     let mut table = Table::new(
         format!(
@@ -273,6 +236,8 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
         for topo in [Topo::ErdosRenyi, Topo::Regular, Topo::Torus, Topo::Clique] {
             let side = (n as f64).sqrt() as usize;
             let actual_n = match topo {
+                // A torus needs sides of at least three.
+                Topo::Torus if side < 3 => continue,
                 Topo::Torus => side * side,
                 _ => n as usize,
             };
@@ -347,10 +312,12 @@ pub fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::Preset;
+    use crate::testkit::quick_report;
 
     #[test]
     fn quick_run_covers_all_topologies_and_macro_agrees() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E25);
         let table = &report.tables[0];
         // Four topologies, gossip only.
         assert_eq!(table.len(), 4);
@@ -379,12 +346,10 @@ mod tests {
         // The same quick cell through 1 and 4 shard workers produces the
         // identical report — the engine's bit-identity surfaced at the
         // experiment level.
-        let cfg = Config {
-            ns: vec![1 << 10],
-            ..Config::quick()
-        };
-        let one = run_on(&cfg, Parallelism::parse("1x1").expect("valid"));
-        let four = run_on(&cfg, Parallelism::parse("1x4").expect("valid"));
+        let mut map = E25.preset(Preset::Quick);
+        map.set("ns", "1024").expect("valid");
+        let one = E25.run(&map, Parallelism::parse("1x1").expect("valid"));
+        let four = E25.run(&map, Parallelism::parse("1x4").expect("valid"));
         // Everything except wall-clock must match exactly.
         for col in ["topology", "protocol", "n", "time", "steps/n", "success"] {
             assert_eq!(

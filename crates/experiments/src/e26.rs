@@ -25,7 +25,6 @@ use rapid_obs::{Obs, TraceEvent, TraceRecord};
 use rapid_sim::prelude::*;
 use rapid_stats::bootstrap_ci;
 
-use crate::distributions::InitialDistribution;
 use crate::experiment::Experiment;
 use crate::params::{ParamMap, ParamSchema, ParamSpec};
 use crate::report::Report;
@@ -42,45 +41,17 @@ const TITLE: &str = "Phase portrait: per-phase amplification matches the urn mom
 /// mixing; a few percent of absolute slack absorbs it.
 const PHASE_MIX_SLACK: f64 = 0.03;
 
-/// Configuration for E26.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Config {
-    /// Population sizes.
-    pub ns: Vec<u64>,
-    /// Number of opinions.
-    pub k: usize,
-    /// Multiplicative lead `ε`.
-    pub eps: f64,
-    /// Traced trials per n.
-    pub trials: u64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            ns: vec![1 << 14, 1 << 16],
-            k: 4,
-            eps: 0.5,
-            trials: 5,
-            seed: 0xE26,
-        }
-    }
+/// E26's typed view of a validated [`ParamMap`].
+struct Config {
+    ns: Vec<u64>,
+    k: usize,
+    eps: f64,
+    trials: u64,
+    seed: u64,
 }
 
 impl Config {
-    /// CI-scale preset.
-    pub fn quick() -> Self {
-        Config {
-            ns: vec![1 << 10, 1 << 11],
-            trials: 3,
-            ..Config::default()
-        }
-    }
-
-    /// Rebuilds a typed config from a validated [`ParamMap`].
-    pub fn from_params(p: &ParamMap) -> Config {
+    fn from_params(p: &ParamMap) -> Config {
         Config {
             ns: p.u64_list("ns"),
             k: p.usize("k"),
@@ -91,16 +62,20 @@ impl Config {
     }
 }
 
-/// Declarative schema mirroring [`Config`].
+/// Every parameter once: type, valid range, paper-scale default and
+/// `--quick` value.
 fn schema() -> ParamSchema {
-    let d = Config::default();
-    let q = Config::quick();
     ParamSchema::new(vec![
-        ParamSpec::u64_list("ns", "population sizes", &d.ns).quick(q.ns),
-        ParamSpec::u64("k", "number of opinions", d.k as u64).quick(q.k as u64),
-        ParamSpec::f64("eps", "multiplicative lead of the plurality", d.eps).quick(q.eps),
-        ParamSpec::u64("trials", "traced trials per n", d.trials).quick(q.trials),
-        ParamSpec::u64("seed", "master seed", d.seed).quick(q.seed),
+        ParamSpec::u64_list("ns", "population sizes", &[1 << 14, 1 << 16])
+            .quick(vec![1 << 10, 1 << 11]),
+        ParamSpec::u64("k", "number of opinions", 4).at_least(2),
+        ParamSpec::f64("eps", "multiplicative lead of the plurality", 0.5)
+            .above(0.0)
+            .at_most(10.0),
+        ParamSpec::u64("trials", "traced trials per n", 5)
+            .quick(3)
+            .at_least(1),
+        ParamSpec::u64("seed", "master seed", 0xE26),
     ])
 }
 
@@ -120,29 +95,19 @@ impl Experiment for E26 {
     fn params(&self) -> ParamSchema {
         schema()
     }
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report {
         // The untraced path still needs a trace buffer to read phase
         // entries back from; it is private to the run and dropped after.
-        run_portrait(&cfg, &Obs::new(), parallelism)
+        run_portrait(&Config::from_params(params), &Obs::new(), parallelism)
     }
     fn run_traced(
         &self,
         params: &ParamMap,
-        seed: Seed,
         parallelism: Parallelism,
         obs: &Arc<Obs>,
     ) -> Option<Report> {
-        let mut cfg = Config::from_params(params);
-        cfg.seed = seed.value();
-        Some(run_portrait(&cfg, obs, parallelism))
+        Some(run_portrait(&Config::from_params(params), obs, parallelism))
     }
-}
-
-/// Runs E26 with a private trace buffer and returns its report.
-pub fn run(cfg: &Config) -> Report {
-    run_portrait(cfg, &Obs::new(), Parallelism::default())
 }
 
 /// The occupancy fractions observed at entry into one phase
@@ -352,10 +317,11 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::quick_report;
 
     #[test]
     fn quick_portrait_matches_the_urn_prediction() {
-        let report = run(&Config::quick());
+        let report = quick_report(&E26);
         let table = &report.tables[0];
         let ok = table.column_f64("ok");
         assert!(ok.len() >= 2, "at least two phase rows: {table}");

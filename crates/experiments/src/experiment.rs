@@ -1,17 +1,15 @@
 //! The first-class experiment abstraction behind the `xp` CLI.
 //!
-//! Every paper experiment (`e01`–`e16`) implements [`Experiment`]: a
+//! Every paper experiment (`e01`–`e26`) implements [`Experiment`]: a
 //! stable id, a human title, the paper claim it validates, a declarative
 //! [`ParamSchema`] and a `run` that turns a validated [`ParamMap`] into a
 //! [`Report`]. The static [`crate::registry::registry`] collects them all
-//! so callers (the CLI, the integration tests, future sweep drivers) can
-//! enumerate and drive every experiment uniformly, without naming any
-//! concrete module.
+//! so callers (the CLI, the sweep scheduler, the tests) can enumerate and
+//! drive every experiment uniformly, without naming any concrete module.
 
 use std::sync::Arc;
 
 use rapid_obs::Obs;
-use rapid_sim::rng::Seed;
 
 use crate::params::{ParamMap, ParamSchema, Preset};
 use crate::report::Report;
@@ -20,9 +18,10 @@ use crate::runner::Parallelism;
 /// One reproducible experiment from the paper.
 ///
 /// Implementations are zero-sized registry entries; all state arrives
-/// through the [`ParamMap`]. The map is validated against
-/// [`Experiment::params`] before `run` is called, so `run` itself is
-/// infallible: typed getters cannot miss.
+/// through the [`ParamMap`], the master seed included (its `seed`
+/// parameter). The map is validated against [`Experiment::params`]
+/// before `run` is called, so `run` itself is infallible: typed getters
+/// cannot miss.
 pub trait Experiment: Sync {
     /// Stable lower-case id (`"e06"`), the CLI handle.
     fn id(&self) -> &'static str;
@@ -33,14 +32,14 @@ pub trait Experiment: Sync {
     /// The paper anchor (theorem / section) this experiment reproduces.
     fn claim(&self) -> &'static str;
 
-    /// The declarative parameter schema (defaults + quick presets).
+    /// The declarative parameter schema: the only declaration of the
+    /// experiment's parameters, their valid ranges and both presets.
     fn params(&self) -> ParamSchema;
 
-    /// Runs the experiment. `seed` overrides the map's `seed` parameter
-    /// as the master seed; `parallelism.trial_workers` bounds
+    /// Runs the experiment. `parallelism.trial_workers` bounds
     /// `run_trials` workers and `parallelism.shard_workers` is forwarded
     /// to sharded micro runs where the experiment uses them.
-    fn run(&self, params: &ParamMap, seed: Seed, parallelism: Parallelism) -> Report;
+    fn run(&self, params: &ParamMap, parallelism: Parallelism) -> Report;
 
     /// A parameter map initialised from `preset`.
     fn preset(&self, preset: Preset) -> ParamMap {
@@ -58,23 +57,10 @@ pub trait Experiment: Sync {
     fn run_traced(
         &self,
         params: &ParamMap,
-        seed: Seed,
         parallelism: Parallelism,
         obs: &Arc<Obs>,
     ) -> Option<Report> {
-        let _ = (params, seed, parallelism, obs);
+        let _ = (params, parallelism, obs);
         None
-    }
-
-    /// Runs with the map's own `seed` parameter unless `seed_override`
-    /// is given — the CLI's `--seed` semantics.
-    fn run_map(
-        &self,
-        params: &ParamMap,
-        seed_override: Option<u64>,
-        parallelism: Parallelism,
-    ) -> Report {
-        let seed = seed_override.unwrap_or_else(|| params.u64("seed"));
-        self.run(params, Seed::new(seed), parallelism)
     }
 }

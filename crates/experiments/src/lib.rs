@@ -37,11 +37,15 @@
 //! | [`e25`] | sharded micro engine: per-node runs to n = 10^7 across topologies |
 //! | [`e26`] | §2/§3.1: per-phase amplification read back from the obs trace |
 //!
-//! Each module exposes a `Config` (with [`Default`] = paper scale and a
-//! `quick()` preset for CI), a `run(&Config) -> Report`, and a zero-sized
-//! registry entry (`E01` … `E26`) implementing the [`Experiment`] trait.
-//! The [`registry::registry`] collects every entry; the `xp`
-//! binary in `rapid-bench` multiplexes them behind one CLI:
+//! Each module's only public item is its zero-sized registry entry
+//! (`E01` … `E26`) implementing the [`Experiment`] trait. Its `schema()`
+//! is the one declaration of the experiment's parameters: each one's
+//! type, valid range, paper-scale default and CI-scale `--quick` value.
+//! A private `Config` is the module's typed view of a validated
+//! [`ParamMap`], built only by its `from_params`, and
+//! [`Experiment::run`] is the only way to run the experiment. The
+//! [`registry::registry`] collects every entry; the `xp` binary in
+//! `rapid-bench` multiplexes them behind one CLI:
 //!
 //! ```text
 //! xp list
@@ -53,7 +57,6 @@
 #![deny(missing_docs)]
 
 pub mod cli;
-pub mod distributions;
 pub mod experiment;
 pub mod json;
 pub mod params;
@@ -62,6 +65,8 @@ pub mod registry;
 pub mod report;
 pub mod runner;
 pub mod table;
+#[cfg(test)]
+mod testkit;
 
 pub mod e01;
 pub mod e02;
@@ -90,7 +95,6 @@ pub mod e24;
 pub mod e25;
 pub mod e26;
 
-pub use distributions::InitialDistribution;
 pub use experiment::Experiment;
 pub use params::{ParamError, ParamMap, ParamSchema, ParamSpec, ParamValue, Preset};
 pub use registry::{find, registry};
@@ -100,7 +104,6 @@ pub use table::Table;
 
 /// Convenient glob-import of the harness surface.
 pub mod prelude {
-    pub use crate::distributions::InitialDistribution;
     pub use crate::experiment::Experiment;
     pub use crate::params::{ParamError, ParamMap, ParamSchema, ParamSpec, ParamValue, Preset};
     pub use crate::registry::{find, registry};

@@ -1,16 +1,18 @@
 //! Declarative experiment parameters.
 //!
 //! Every experiment advertises a [`ParamSchema`]: an ordered list of
-//! [`ParamSpec`]s, each with a name, a help string, a type, a full-scale
-//! default and an optional `--quick` preset. A [`ParamMap`] is a validated
-//! assignment for one schema: it starts from a preset and accepts string
-//! overrides (`map.set("n", "65536")`), rejecting unknown keys and
-//! malformed values with a typed [`ParamError`] instead of silently
-//! falling back to defaults. Once a map exists, the typed getters
+//! [`ParamSpec`]s, each with a name, a help string, a type, a valid
+//! range, a full-scale default and an optional `--quick` preset. A
+//! [`ParamMap`] is a validated assignment for one schema: it starts from
+//! a preset and accepts string overrides (`map.set("n", "65536")`),
+//! rejecting unknown keys, malformed values and out-of-range values with
+//! a typed [`ParamError`] instead of silently falling back to defaults
+//! or crashing the run later. Once a map exists, the typed getters
 //! ([`ParamMap::u64`], [`ParamMap::f64_list`], …) are infallible — all
 //! validation happens at assignment time.
 
 use std::collections::BTreeMap;
+use std::ops::{Bound, RangeBounds};
 
 use crate::json::JsonValue;
 
@@ -146,7 +148,7 @@ impl From<&[f64]> for ParamValue {
     }
 }
 
-/// Declaration of one parameter: name, type, help, defaults.
+/// Declaration of one parameter: name, type, help, valid range, defaults.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParamSpec {
     /// Key used with `--set name=value`.
@@ -159,6 +161,10 @@ pub struct ParamSpec {
     pub default: ParamValue,
     /// `--quick` preset; `None` means the full default also serves quick runs.
     pub quick: Option<ParamValue>,
+    /// The values a numeric parameter accepts (every item, for lists);
+    /// unbounded unless narrowed with [`ParamSpec::at_least`],
+    /// [`ParamSpec::above`] or [`ParamSpec::at_most`].
+    pub range: (Bound<f64>, Bound<f64>),
 }
 
 impl ParamSpec {
@@ -174,6 +180,7 @@ impl ParamSpec {
             kind,
             default,
             quick: None,
+            range: (Bound::Unbounded, Bound::Unbounded),
         }
     }
 
@@ -223,6 +230,55 @@ impl ParamSpec {
         self.quick = Some(value);
         self
     }
+
+    /// Rejects values below `lo`.
+    pub fn at_least(mut self, lo: impl Into<f64>) -> Self {
+        self.range.0 = Bound::Included(lo.into());
+        self
+    }
+
+    /// Rejects values at or below `lo`.
+    pub fn above(mut self, lo: impl Into<f64>) -> Self {
+        self.range.0 = Bound::Excluded(lo.into());
+        self
+    }
+
+    /// Rejects values above `hi`.
+    pub fn at_most(mut self, hi: impl Into<f64>) -> Self {
+        self.range.1 = Bound::Included(hi.into());
+        self
+    }
+
+    /// Checks `value` against the declared kind and range; the error
+    /// says what is wrong.
+    fn check(&self, value: &ParamValue) -> Result<(), String> {
+        if !value.satisfies(self.kind) {
+            return Err(format!("got a {}", value.kind().name()));
+        }
+        let items = match value {
+            ParamValue::U64(x) => vec![*x as f64],
+            ParamValue::F64(x) => vec![*x],
+            ParamValue::Bool(_) => Vec::new(),
+            ParamValue::U64List(xs) => xs.iter().map(|&x| x as f64).collect(),
+            ParamValue::F64List(xs) => xs.clone(),
+        };
+        match items.into_iter().find(|x| !self.range.contains(x)) {
+            None => Ok(()),
+            Some(x) => {
+                let lo = match self.range.0 {
+                    Bound::Included(a) => format!("[{a}"),
+                    Bound::Excluded(a) => format!("({a}"),
+                    Bound::Unbounded => "(-inf".to_string(),
+                };
+                let hi = match self.range.1 {
+                    Bound::Included(b) => format!("{b}]"),
+                    Bound::Excluded(b) => format!("{b})"),
+                    Bound::Unbounded => "inf)".to_string(),
+                };
+                Err(format!("{x} is outside {lo}, {hi}"))
+            }
+        }
+    }
 }
 
 /// Which preset a [`ParamMap`] starts from.
@@ -246,12 +302,19 @@ impl ParamSchema {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate parameter names (a programming error in the
-    /// experiment's `schema()`).
+    /// Panics on duplicate parameter names or on a preset outside its
+    /// parameter's range (programming errors in the experiment's
+    /// `schema()`).
     pub fn new(specs: Vec<ParamSpec>) -> Self {
         for (i, a) in specs.iter().enumerate() {
             for b in &specs[i + 1..] {
                 assert_ne!(a.name, b.name, "duplicate parameter {:?}", a.name);
+            }
+            for preset in std::iter::once(&a.default).chain(&a.quick) {
+                if let Err(e) = a.check(preset) {
+                    // lint: allow(panic-hygiene): documented panic — an out-of-range preset is an experiment programming error
+                    panic!("preset for {:?} is out of range: {e}", a.name);
+                }
             }
         }
         ParamSchema { specs }
@@ -283,7 +346,8 @@ pub enum ParamError {
         /// The keys the schema does declare.
         known: Vec<&'static str>,
     },
-    /// The value failed to parse as the declared type.
+    /// The value failed to parse as the declared type, or lies outside
+    /// the parameter's declared range.
     BadValue {
         /// The key being assigned.
         key: String,
@@ -367,7 +431,7 @@ impl ParamMap {
     /// [`ParamError::UnknownKey`] when the schema does not declare `key`;
     /// [`ParamError::BadValue`] when `raw` does not parse as the declared
     /// type (including out-of-range `u32`s, non-finite floats and empty
-    /// lists).
+    /// lists) or lies outside the declared range.
     pub fn set(&mut self, key: &str, raw: &str) -> Result<(), ParamError> {
         let Some(spec) = self.schema.spec(key) else {
             return Err(ParamError::UnknownKey {
@@ -375,12 +439,14 @@ impl ParamMap {
                 known: self.schema.names(),
             });
         };
-        let value = parse_value(spec.kind, raw).map_err(|detail| ParamError::BadValue {
-            key: key.to_string(),
-            value: raw.to_string(),
-            expected: spec.kind.name(),
-            detail,
-        })?;
+        let value = parse_value(spec.kind, raw)
+            .and_then(|value| spec.check(&value).map(|()| value))
+            .map_err(|detail| ParamError::BadValue {
+                key: key.to_string(),
+                value: raw.to_string(),
+                expected: spec.kind.name(),
+                detail,
+            })?;
         self.values.insert(spec.name, value);
         Ok(())
     }
@@ -398,12 +464,12 @@ impl ParamMap {
                 known: self.schema.names(),
             });
         };
-        if !value.satisfies(spec.kind) {
+        if let Err(detail) = spec.check(&value) {
             return Err(ParamError::BadValue {
                 key: key.to_string(),
                 value: value.render(),
                 expected: spec.kind.name(),
-                detail: format!("got a {}", value.kind().name()),
+                detail,
             });
         }
         self.values.insert(spec.name, value);
@@ -662,6 +728,44 @@ mod tests {
         assert!(m
             .set_value("nope", ParamValue::U64(1))
             .is_err_and(|e| matches!(e, ParamError::UnknownKey { .. })));
+    }
+
+    #[test]
+    fn values_outside_the_range_are_rejected() {
+        let s = ParamSchema::new(vec![
+            ParamSpec::u64("trials", "trials", 4).at_least(1),
+            ParamSpec::f64("eps", "bias", 0.5).above(0.0).at_most(10.0),
+            ParamSpec::u64_list("ns", "sizes", &[8, 16]).at_least(4),
+        ]);
+        let mut m = ParamMap::defaults(&s);
+        for (key, bad) in [
+            ("trials", "0"),
+            ("eps", "0"),
+            ("eps", "-1"),
+            ("eps", "10.5"),
+            ("ns", "8,2"),
+        ] {
+            let err = m.set(key, bad).expect_err(bad);
+            assert!(
+                matches!(err, ParamError::BadValue { .. }),
+                "{key}={bad}: {err:?}"
+            );
+        }
+        assert!(m
+            .set_value("ns", ParamValue::U64List(vec![3]))
+            .is_err_and(|e| matches!(e, ParamError::BadValue { .. })));
+        assert_eq!(m, ParamMap::defaults(&s), "failed sets change nothing");
+        let err = m.set("eps", "0").expect_err("open lower bound");
+        assert!(err.to_string().contains("0 is outside (0, 10]"), "{err}");
+        m.set("trials", "1").expect("inclusive lower bound");
+        m.set("eps", "10").expect("inclusive upper bound");
+        m.set("ns", "4").expect("every item in range");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_presets_are_rejected() {
+        ParamSchema::new(vec![ParamSpec::u64("trials", "t", 4).quick(0).at_least(1)]);
     }
 
     #[test]

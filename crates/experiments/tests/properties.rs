@@ -2,8 +2,8 @@
 //! and the trial runner. Driven by the deterministic
 //! [`rapid_sim::testkit`] harness.
 
-use rapid_experiments::distributions::{theorem_11_gap, theorem_12_gap};
-use rapid_experiments::{run_trials, InitialDistribution};
+use rapid_core::distributions::{theorem_11_gap, theorem_12_gap, InitialDistribution};
+use rapid_experiments::run_trials;
 use rapid_sim::prelude::*;
 use rapid_sim::testkit::cases;
 

@@ -1,96 +1,10 @@
-//! Integration tests for the `Experiment` trait, the registry and the
-//! param-map ⇄ legacy-`Config` equivalence the redesign promised: driving
-//! an experiment through `xp`'s path (registry + `ParamMap`) must produce
-//! *bit-identical* reports to the pre-redesign `Config` path.
+//! Integration tests for the `Experiment` trait and the registry: the
+//! path `xp run`, `xp all` and `xp sweep` drive every experiment
+//! through. Each experiment's quick preset itself is run and pinned by
+//! its module's unit test (`testkit::quick_report`).
 
+use rapid_experiments::cli::{Job, RunOpts};
 use rapid_experiments::prelude::*;
-use rapid_experiments::{
-    e01, e02, e03, e04, e05, e06, e07, e08, e09, e10, e11, e12, e13, e14, e15, e16, e17, e18, e19,
-    e20, e21, e22, e23, e24, e25, e26,
-};
-
-/// Every experiment's `from_params` over both presets must reproduce the
-/// legacy `Config::default()` / `Config::quick()` exactly — this pins the
-/// declarative schemas to the historical configurations field by field.
-macro_rules! check_config_equivalence {
-    ($($module:ident => $entry:expr),+ $(,)?) => {
-        $(
-            {
-                let exp: &dyn Experiment = &$entry;
-                let schema = exp.params();
-                let full = $module::Config::from_params(&ParamMap::defaults(&schema));
-                assert_eq!(full, $module::Config::default(), "{}: full preset drifted", exp.id());
-                let quick = $module::Config::from_params(&ParamMap::quick(&schema));
-                assert_eq!(quick, $module::Config::quick(), "{}: quick preset drifted", exp.id());
-            }
-        )+
-    };
-}
-
-#[test]
-fn param_presets_match_legacy_configs_for_all_experiments() {
-    check_config_equivalence!(
-        e01 => e01::E01,
-        e02 => e02::E02,
-        e03 => e03::E03,
-        e04 => e04::E04,
-        e05 => e05::E05,
-        e06 => e06::E06,
-        e07 => e07::E07,
-        e08 => e08::E08,
-        e09 => e09::E09,
-        e10 => e10::E10,
-        e11 => e11::E11,
-        e12 => e12::E12,
-        e13 => e13::E13,
-        e14 => e14::E14,
-        e15 => e15::E15,
-        e16 => e16::E16,
-        e17 => e17::E17,
-        e18 => e18::E18,
-        e19 => e19::E19,
-        e20 => e20::E20,
-        e21 => e21::E21,
-        e22 => e22::E22,
-        e23 => e23::E23,
-        e24 => e24::E24,
-        e25 => e25::E25,
-        e26 => e26::E26,
-    );
-}
-
-/// The acceptance criterion: `xp run e06 --quick` (registry path, default
-/// seed, no overrides) emits byte-identical report JSON to the legacy
-/// `e06::run(&Config::quick())` path that the deleted
-/// `exp_e06_async_scaling --quick` binary used.
-#[test]
-fn e06_registry_quick_is_bit_identical_to_legacy_path() {
-    let exp = find("e06").expect("registered");
-    let map = ParamMap::quick(&exp.params());
-    let new = exp.run_map(&map, None, Parallelism::default());
-    let old = e06::run(&e06::Config::quick());
-    assert_eq!(new, old);
-    assert_eq!(new.to_json(), old.to_json());
-}
-
-/// Spot-check the same equivalence on a sync experiment (e01) and the
-/// cheapest one (e09) so the guarantee is not e06-specific.
-#[test]
-fn more_registry_quick_runs_match_their_legacy_paths() {
-    let exp = find("e09").expect("registered");
-    let map = ParamMap::quick(&exp.params());
-    assert_eq!(
-        exp.run_map(&map, None, Parallelism::default()).to_json(),
-        e09::run(&e09::Config::quick()).to_json()
-    );
-
-    let exp = find("e01").expect("registered");
-    let map = ParamMap::quick(&exp.params());
-    assert_eq!(
-        exp.run_map(&map, None, Parallelism::default()).to_json(),
-        e01::run(&e01::Config::quick()).to_json()
-    );
-}
 
 /// `--set` overrides flow into the run: changing `trials` must change the
 /// report's table while keeping the same seed.
@@ -100,19 +14,28 @@ fn set_overrides_change_the_run() {
     let mut map = ParamMap::quick(&exp.params());
     map.set("trials", "2").expect("known key");
     map.set("ns", "128,256").expect("known key");
-    let report = exp.run_map(&map, None, Parallelism::default());
+    let report = exp.run(&map, Parallelism::default());
     let trials = report.tables[0].column_f64("trials");
     assert_eq!(trials, vec![2.0, 2.0]);
 }
 
-/// `--seed` replaces the schema's master seed verbatim.
+/// `--seed N` means `--set seed=N`: it replaces the schema's master
+/// seed verbatim, in the map itself.
 #[test]
 fn seed_override_is_respected() {
     let exp = find("e09").expect("registered");
-    let map = ParamMap::quick(&exp.params());
-    let a = exp.run_map(&map, Some(1234), Parallelism::default());
-    let b = exp.run_map(&map, Some(1234), Parallelism::default());
-    let c = exp.run_map(&map, None, Parallelism::default());
+    let opts = RunOpts {
+        preset: Preset::Quick,
+        seed: Some(1234),
+        ..RunOpts::default()
+    };
+    let job = Job::new(exp, &opts).expect("valid seed");
+    let mut map = ParamMap::quick(&exp.params());
+    let c = exp.run(&map, Parallelism::default());
+    map.set("seed", "1234").expect("known key");
+    assert_eq!(job.map, map, "--seed is --set seed");
+    let a = exp.run(&job.map, Parallelism::default());
+    let b = exp.run(&map, Parallelism::default());
     assert_eq!(a.seed, 1234);
     assert_eq!(a, b, "same seed, same report");
     assert_ne!(a, c, "default seed differs");
@@ -128,8 +51,8 @@ fn forced_thread_counts_produce_identical_reports() {
         trial_workers: Workers::fixed(n),
         ..Parallelism::default()
     };
-    let one = exp.run_map(&map, None, fixed(1));
-    let many = exp.run_map(&map, None, fixed(8));
+    let one = exp.run(&map, fixed(1));
+    let many = exp.run(&map, fixed(8));
     assert_eq!(one, many);
     assert_eq!(one.to_json(), many.to_json());
 }
@@ -191,5 +114,85 @@ fn every_schema_rejects_unknown_keys_and_bad_values() {
         );
         // Failed sets leave the map untouched.
         assert_eq!(map, ParamMap::defaults(&exp.params()), "{}", exp.id());
+    }
+}
+
+/// Every value outside `trials` that a scan of the schemas found
+/// accepted, yet crashing the run it started (a panic, or one abort):
+/// `xp run <id> --quick --set trials=1 --set <key>=<value>` over integer
+/// values {0, 1} and float values {0, -1, 1, 0.5, 11, 1e9}.
+const CRASHED_RUNS: &[(&str, &str, &[&str])] = &[
+    ("e04", "z", &["0", "-1"]),
+    ("e05", "n", &["0", "1"]),
+    ("e05", "ks", &["0", "1"]),
+    ("e05", "eps", &["0", "-1", "1e9"]),
+    ("e06", "eps", &["11"]),
+    ("e07", "eps", &["11"]),
+    ("e08", "ns", &["0", "1"]),
+    ("e08", "k", &["0", "1"]),
+    ("e08", "eps", &["0", "-1", "11", "1e9"]),
+    ("e09", "ns", &["0"]),
+    ("e09", "horizon", &["-1"]),
+    ("e10", "n", &["0", "1"]),
+    ("e10", "ks", &["0", "1"]),
+    ("e10", "eps", &["0", "-1", "11", "1e9"]),
+    ("e11", "ns", &["0", "1"]),
+    ("e11", "eps", &["11", "1e9"]),
+    ("e11", "halt", &["0", "-1"]),
+    ("e12", "ns", &["0", "1"]),
+    ("e12", "k", &["0", "1"]),
+    ("e12", "eps", &["0", "-1", "11", "1e9"]),
+    ("e13", "eps", &["11"]),
+    ("e14", "eps", &["11"]),
+    ("e15", "n", &["0", "1"]),
+    ("e15", "k", &["0", "1"]),
+    ("e15", "eps", &["0", "-1", "11", "1e9"]),
+    ("e16", "n", &["0", "1"]),
+    ("e16", "k", &["0", "1"]),
+    ("e16", "eps", &["0", "-1", "11", "1e9"]),
+    ("e17", "n", &["0", "1"]),
+    ("e17", "k", &["0", "1"]),
+    ("e17", "eps", &["0", "-1", "11", "1e9"]),
+    ("e18", "n", &["0", "1"]),
+    ("e18", "fracs", &["1e9"]),
+    ("e18", "down_at", &["-1"]),
+    ("e18", "up_at", &["-1"]),
+    ("e19", "n", &["0", "1"]),
+    ("e19", "start", &["-1"]),
+    ("e20", "ns", &["0", "1"]),
+    ("e20", "k", &["0", "1"]),
+    ("e20", "eps", &["0", "-1", "11", "1e9"]),
+    ("e21", "ns", &["0", "1"]),
+    ("e22", "ns", &["0", "1"]),
+    ("e23", "n", &["0", "1"]),
+    ("e23", "resamples", &["0"]),
+    ("e24", "n", &["0", "1"]),
+    ("e26", "eps", &["11"]),
+];
+
+/// Each parameter's declared range stops the values that crashed a run
+/// at assignment time, as a typed `BadValue` (exit 2 in `xp`), and the
+/// map is left untouched.
+#[test]
+fn schemas_reject_values_that_crashed_runs() {
+    let rejects = |id: &str, key: &str, value: &str| {
+        let exp = find(id).expect("registered");
+        let mut map = ParamMap::quick(&exp.params());
+        let err = map
+            .set(key, value)
+            .expect_err(&format!("{id} {key}={value}"));
+        assert!(
+            matches!(err, ParamError::BadValue { .. }),
+            "{id} {key}={value}: {err:?}"
+        );
+        assert_eq!(map, ParamMap::quick(&exp.params()), "{id}: map changed");
+    };
+    for exp in registry() {
+        rejects(exp.id(), "trials", "0");
+    }
+    for &(id, key, values) in CRASHED_RUNS {
+        for value in values {
+            rejects(id, key, value);
+        }
     }
 }

@@ -27,7 +27,6 @@ use std::sync::mpsc;
 use rapid_experiments::json::{self, JsonValue};
 use rapid_experiments::report::Report;
 use rapid_sim::parallelism::{Parallelism, Workers};
-use rapid_sim::rng::Seed;
 
 use crate::cache::{cache_key, CacheCounters, CacheKey, CacheRecord, ResultCache};
 use crate::queue::StealQueue;
@@ -156,7 +155,7 @@ pub fn run_sweep(
         shard_workers: Workers::Fixed(1),
     };
     run_sweep_with(spec, parallelism, cache, commit, on_record, move |item| {
-        exp.run(&item.params, Seed::new(item.seed), inner)
+        exp.run(&item.params, inner)
     })
 }
 

@@ -1,17 +1,20 @@
-//! Smoke-runs every experiment in its CI preset **through the registry**
-//! (the same path the `xp` binary uses): the full harness must produce
-//! non-empty, saveable reports. (Shape assertions live in each experiment
-//! module's own tests; this file guards the end-to-end plumbing plus the
-//! cross-experiment conventions.)
+//! Smoke-runs every experiment **through the umbrella crate's registry**
+//! (the path the `xp` binary uses), trimmed to one trial: the plumbing
+//! from `rapid_plurality::experiments` to a saved report must produce
+//! non-empty, well-formed reports. Each experiment's full quick preset
+//! runs once, in its module's unit test, which also pins the report's
+//! content and checks its shape.
 
 use rapid_plurality::experiments::prelude::*;
 use rapid_plurality::experiments::Report;
 
-fn run_quick(id: &str) -> Report {
+fn run_smoke(id: &str) -> Report {
     let exp = find(id).expect("id is registered");
     assert_eq!(exp.id(), id);
-    let map = ParamMap::quick(&exp.params());
-    exp.run_map(&map, None, Parallelism::default())
+    let mut map = ParamMap::quick(&exp.params());
+    map.set("trials", "1")
+        .expect("every experiment takes trials");
+    exp.run(&map, Parallelism::default())
 }
 
 fn check(report: &Report) {
@@ -43,7 +46,7 @@ macro_rules! quick_test {
         $(
             #[test]
             fn $name() {
-                check(&run_quick($id));
+                check(&run_smoke($id));
             }
         )+
     };
@@ -79,14 +82,14 @@ quick_test!(
 
 /// E21's quick preset deliberately reaches n = 10^8 (the macro engine
 /// makes it cheap, but not free); the plumbing smoke test trims it to
-/// n = 10^6 so the suite stays snappy while still exercising the full
-/// registry path.
+/// n = 10^6 as well.
 #[test]
 fn e21_quick_report_is_well_formed() {
     let exp = find("e21").expect("id is registered");
     let mut map = ParamMap::quick(&exp.params());
     map.set("ns", "1000000").expect("known key");
-    check(&exp.run_map(&map, None, Parallelism::default()));
+    map.set("trials", "1").expect("known key");
+    check(&exp.run(&map, Parallelism::default()));
 }
 
 #[test]
@@ -99,7 +102,7 @@ fn registry_covers_exactly_the_26_experiments() {
 
 #[test]
 fn reports_save_to_disk() {
-    let report = run_quick("e09");
+    let report = run_smoke("e09");
     let dir = std::env::temp_dir().join("rapid-experiments-it");
     let path = report.save_json(&dir).expect("writable temp dir");
     assert!(path.exists());

@@ -109,7 +109,7 @@ fn one_extra_bit_is_polylog_while_two_choices_grows() {
     // The headline Theorem 1.2 contrast, end to end: along an additive-gap
     // sweep that doubles n/c1, Two-Choices rounds grow while OneExtraBit's
     // stay nearly flat.
-    use rapid_plurality::experiments::distributions::theorem_11_gap;
+    use rapid_plurality::core::distributions::theorem_11_gap;
     let mut tc_rounds = Vec::new();
     let mut oeb_rounds = Vec::new();
     for &n in &[4096u64, 16384] {
