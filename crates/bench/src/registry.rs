@@ -482,7 +482,7 @@ fn net_codec_round_trip() -> Box<dyn FnMut()> {
 }
 
 fn net_machine_on_message() -> Box<dyn FnMut()> {
-    use rapid_core::facade::MacroProtocol;
+    use rapid_core::asynchronous::ShardedProtocol;
     use rapid_net::codec::{Envelope, Payload};
     use rapid_net::NodeMachine;
     // One node machine answering a stream of pull requests: the hot
@@ -491,7 +491,7 @@ fn net_machine_on_message() -> Box<dyn FnMut()> {
         0,
         std::sync::Arc::new(Complete::new(1024)),
         Color::new(0),
-        &MacroProtocol::Gossip(GossipRule::TwoChoices),
+        &ShardedProtocol::Gossip(GossipRule::TwoChoices),
         1.0,
         Seed::new(7),
         rapid_net::machine::default_beacon_threshold(1024),

@@ -20,7 +20,7 @@ use rapid_sim::time::SimTime;
 use crate::asynchronous::kernel::{resolve_all, GossipRule, MAX_PULLS};
 use crate::convergence::{AsyncOutcome, ConvergenceError};
 use crate::faults::pull;
-use crate::opinion::Configuration;
+use crate::opinion::{Color, Configuration};
 
 /// An asynchronous gossip simulation.
 ///
@@ -208,6 +208,38 @@ impl<G: Topology, S: ActivationSource> AsyncGossipSim<G, S> {
         a
     }
 
+    /// Ticks up to `max_ticks` times and returns right after the first
+    /// tick that leaves the configuration unanimous (with its color),
+    /// freezes a node, or reaches `now >= horizon` — the ticks at which a
+    /// run's stop conditions can first hold (see
+    /// [`RapidSim::run_batch`](crate::asynchronous::RapidSim::run_batch)).
+    /// With every node frozen already, the first tick ends the batch.
+    ///
+    /// The configuration must not be unanimous when the batch starts: it
+    /// can then only become unanimous by the ticked node adopting the
+    /// winning color, so one histogram lookup on that node's (possibly
+    /// new) color replaces the O(k) full scan.
+    pub fn run_batch(&mut self, max_ticks: u64, horizon: SimTime) -> Option<Color> {
+        let n = self.config.n();
+        let max_ticks = if self.halted_count == n {
+            max_ticks.min(1)
+        } else {
+            max_ticks
+        };
+        for _ in 0..max_ticks {
+            let halted = self.halted_count;
+            let a = self.tick();
+            let cu = self.config.color(a.node);
+            if self.config.counts().count(cu) == n as u64 {
+                return Some(cu);
+            }
+            if self.halted_count != halted || a.time >= horizon {
+                return None;
+            }
+        }
+        None
+    }
+
     /// Runs until unanimity, every node frozen, or `max_steps`.
     ///
     /// # Errors
@@ -220,27 +252,18 @@ impl<G: Topology, S: ActivationSource> AsyncGossipSim<G, S> {
         &mut self,
         max_steps: u64,
     ) -> Result<AsyncOutcome, ConvergenceError> {
+        let outcome = |sim: &Self, winner| AsyncOutcome {
+            winner,
+            time: sim.now,
+            steps: sim.steps,
+        };
         if let Some(winner) = self.config.unanimous() {
-            return Ok(AsyncOutcome {
-                winner,
-                time: self.now,
-                steps: self.steps,
-            });
+            return Ok(outcome(self, winner));
         }
-        let n = self.config.n() as u64;
-        for _ in 0..max_steps {
-            let a = self.tick();
-            // A non-unanimous configuration can only become unanimous by
-            // the ticked node adopting the winning color, so one histogram
-            // lookup on that node's (possibly new) color replaces the O(k)
-            // full scan — same outcome, same RNG stream.
-            let cu = self.config.color(a.node);
-            if self.config.counts().count(cu) == n {
-                return Ok(AsyncOutcome {
-                    winner: cu,
-                    time: self.now,
-                    steps: self.steps,
-                });
+        let end = self.steps.saturating_add(max_steps);
+        while self.steps < end {
+            if let Some(winner) = self.run_batch(end - self.steps, SimTime::MAX) {
+                return Ok(outcome(self, winner));
             }
             if self.halted_count == self.config.n() {
                 return Err(ConvergenceError::AllHaltedWithoutConsensus);
@@ -263,7 +286,6 @@ impl<G: Topology, S: ActivationSource> AsyncGossipSim<G, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opinion::Color;
     use rapid_sim::rng::Seed;
 
     /// Async gossip on `K_n` under the sequential model, built through the

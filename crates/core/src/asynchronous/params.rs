@@ -41,6 +41,12 @@ pub struct Params {
 }
 
 impl Params {
+    /// The longest protocol [`Params::check`] accepts, in ticks of
+    /// working time. A [`Schedule`](crate::asynchronous::Schedule) holds
+    /// one byte per tick, so this caps its table at 1 MiB; the longest
+    /// default, `for_network_with_eps(2⁶², 2⁶², 1e-9)`, is 16,648 ticks.
+    pub const MAX_TOTAL_LEN: u64 = 1 << 20;
+
     /// Theory-guided defaults for an `n`-node network with `k` opinions,
     /// assuming multiplicative bias at least `1 + ε` with `ε ≥ 0.1`.
     ///
@@ -146,9 +152,19 @@ impl Params {
         self.part1_len() + self.endgame_ticks as u64
     }
 
+    /// [`Params::total_len`], or `None` where it overflows `u64`.
+    fn checked_total_len(&self) -> Option<u64> {
+        let blocks = u64::from(self.tc_blocks) + u64::from(self.bp_blocks);
+        let blocks = blocks + u64::from(self.sync_blocks);
+        let phase_len = blocks.checked_mul(u64::from(self.delta))?;
+        let part1_len = phase_len.checked_mul(u64::from(self.phases))?;
+        part1_len.checked_add(u64::from(self.endgame_ticks))
+    }
+
     /// Checks internal consistency, reporting the first violated
     /// structural invariant (zero-length blocks, too few blocks for the
-    /// schedule's fixed slots, sampling longer than its sub-phase).
+    /// schedule's fixed slots, sampling longer than its sub-phase, a
+    /// protocol longer than [`Params::MAX_TOTAL_LEN`]).
     ///
     /// # Errors
     ///
@@ -178,7 +194,10 @@ impl Params {
         if self.endgame_ticks < 1 {
             return Err("endgame must be non-empty");
         }
-        Ok(())
+        match self.checked_total_len() {
+            Some(len) if len <= Self::MAX_TOTAL_LEN => Ok(()),
+            _ => Err("protocol must not exceed Params::MAX_TOTAL_LEN ticks"),
+        }
     }
 
     /// Validates internal consistency.
@@ -262,6 +281,21 @@ mod tests {
         assert!(!q.gadget_enabled);
         assert_eq!(p.delta, q.delta);
         assert_eq!(p.phases, q.phases);
+    }
+
+    #[test]
+    fn protocol_length_is_capped() {
+        let longest = Params::for_network_with_eps(1 << 62, 1 << 62, 1e-9);
+        assert_eq!(longest.total_len(), 16_648, "the longest default");
+        assert_eq!(longest.check(), Ok(()));
+        let mut p = Params::for_network(64, 2);
+        p.endgame_ticks += (Params::MAX_TOTAL_LEN - p.total_len()) as u32;
+        assert_eq!(p.check(), Ok(()), "exactly at the cap");
+        p.endgame_ticks += 1;
+        assert_eq!(
+            p.check(),
+            Err("protocol must not exceed Params::MAX_TOTAL_LEN ticks")
+        );
     }
 
     #[test]

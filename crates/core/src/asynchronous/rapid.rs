@@ -332,6 +332,42 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
         (a, action)
     }
 
+    /// Ticks up to `max_ticks` times and returns right after the first
+    /// tick that leaves the configuration unanimous (with its color),
+    /// halts a node, or reaches `now >= horizon`. Every stop condition of
+    /// a run can first hold only at such a tick, so a driver that checks
+    /// its stops between batches stops exactly where a check after every
+    /// tick would. With every node halted already, the first tick ends
+    /// the batch.
+    ///
+    /// The configuration must not be unanimous when the batch starts:
+    /// only a color-changing action or an adversary strike can then
+    /// create unanimity, which the ticked node's color count finds in
+    /// O(1) (under unanimity every node's color count is `n`, whoever
+    /// changed).
+    pub fn run_batch(&mut self, max_ticks: u64, horizon: SimTime) -> Option<Color> {
+        let n = self.config.n();
+        let max_ticks = if self.halted_count == n {
+            max_ticks.min(1)
+        } else {
+            max_ticks
+        };
+        for _ in 0..max_ticks {
+            let halted = self.halted_count;
+            let (a, action) = self.tick();
+            if action.changes_color() || self.adversary_struck {
+                let cu = self.config.color(a.node);
+                if self.config.counts().count(cu) == n as u64 {
+                    return Some(cu);
+                }
+            }
+            if self.halted_count != halted || a.time >= horizon {
+                return None;
+            }
+        }
+        None
+    }
+
     /// Runs until unanimity, all nodes halted, or `max_steps`.
     ///
     /// # Errors
@@ -344,21 +380,13 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
         &mut self,
         max_steps: u64,
     ) -> Result<RapidOutcome, ConvergenceError> {
-        let n = self.config.n() as u64;
         if let Some(winner) = self.config.unanimous() {
             return Ok(self.outcome(winner));
         }
-        for _ in 0..max_steps {
-            let (a, action) = self.tick();
-            // Only color-changing actions — or an adversary strike, which
-            // recolors outside any action — can create unanimity; check
-            // the ticked node's color in O(1) (under unanimity every
-            // node's color count is n, whoever changed).
-            if action.changes_color() || self.adversary_struck {
-                let cu = self.config.color(a.node);
-                if self.config.counts().count(cu) == n {
-                    return Ok(self.outcome(cu));
-                }
+        let end = self.steps.saturating_add(max_steps);
+        while self.steps < end {
+            if let Some(winner) = self.run_batch(end - self.steps, SimTime::MAX) {
+                return Ok(self.outcome(winner));
             }
             if self.halted_count == self.config.n() {
                 return Err(ConvergenceError::AllHaltedWithoutConsensus);

@@ -15,11 +15,20 @@
 //! The landing *buffer* block at the start of each phase absorbs the jump's
 //! sampling error so that a jumping node almost always lands in a
 //! do-nothing region (the paper's "proper waiting time").
+//!
+//! [`Schedule::new`] writes this layout once into a table of one
+//! [`Action`] byte per slot — one phase range by range, copied `phases`
+//! times, then the endgame — so decoding a tick is one indexed load.
+//! Clones share the table; [`Params::check`] bounds its length by
+//! [`Params::MAX_TOTAL_LEN`].
+
+use std::sync::Arc;
 
 use crate::asynchronous::params::Params;
 
 /// What a node does at a given working-time slot.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Action {
     /// Sample two nodes; set the intermediate color iff they agree. Also
     /// clears the bit, the intermediate color and the gadget samples (phase
@@ -64,9 +73,12 @@ impl Action {
 /// assert_eq!(schedule.action_at(0), Action::Wait);          // landing buffer
 /// assert_eq!(schedule.action_at(params.delta as u64), Action::TwoChoicesSample);
 /// ```
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Schedule {
     params: Params,
+    /// The action at every working time below `params.total_len()`;
+    /// shared by every clone.
+    actions: Arc<[Action]>,
 }
 
 impl Schedule {
@@ -77,7 +89,32 @@ impl Schedule {
     /// Panics if [`Params::validate`] fails.
     pub fn new(params: Params) -> Self {
         params.validate();
-        Schedule { params }
+        // Validated lengths fit the table's cap, hence `usize`.
+        let len = |slots: u64| slots as usize;
+        let p = &params;
+        let bp_end = len(p.tc_len() + p.bp_len());
+        let phase_len = len(p.phase_len());
+        let mut actions = Vec::with_capacity(len(p.total_len()));
+        actions.resize(len(p.tc_len()), Action::Wait);
+        actions[p.delta as usize] = Action::TwoChoicesSample;
+        // The commit opens the sub-phase's last block.
+        actions[len(p.tc_len()) - p.delta as usize] = Action::Commit;
+        actions.resize(bp_end, Action::BitPropagation);
+        if p.gadget_enabled {
+            actions.resize(bp_end + p.sync_samples as usize, Action::SyncSample);
+            actions.resize(phase_len - 1, Action::Wait);
+            actions.push(Action::Jump);
+        } else {
+            actions.resize(phase_len, Action::Wait);
+        }
+        for _ in 1..p.phases {
+            actions.extend_from_within(..phase_len);
+        }
+        actions.resize(len(p.total_len()), Action::Endgame);
+        Schedule {
+            params,
+            actions: actions.into(),
+        }
     }
 
     /// The underlying parameters.
@@ -105,44 +142,15 @@ impl Schedule {
         (w / self.params.phase_len()) as u32
     }
 
-    /// Decodes the action at working time `w`.
+    /// Decodes the action at working time `w`: its table slot, or
+    /// [`Action::Halt`] past the end of the protocol.
+    #[inline]
     pub fn action_at(&self, w: u64) -> Action {
-        let p = &self.params;
-        let part1 = p.part1_len();
-        if w >= part1 {
-            return if w - part1 < p.endgame_ticks as u64 {
-                Action::Endgame
-            } else {
-                Action::Halt
-            };
-        }
-        let o = w % p.phase_len();
-        let delta = p.delta as u64;
-        let tc_len = p.tc_len();
-        let bp_end = tc_len + p.bp_len();
-
-        if o < tc_len {
-            if o == delta {
-                Action::TwoChoicesSample
-            } else if o == self.commit_offset() {
-                Action::Commit
-            } else {
-                Action::Wait
-            }
-        } else if o < bp_end {
-            Action::BitPropagation
-        } else {
-            let so = o - bp_end;
-            if !p.gadget_enabled {
-                Action::Wait
-            } else if so < p.sync_samples as u64 {
-                Action::SyncSample
-            } else if o == p.phase_len() - 1 {
-                Action::Jump
-            } else {
-                Action::Wait
-            }
-        }
+        usize::try_from(w)
+            .ok()
+            .and_then(|w| self.actions.get(w))
+            .copied()
+            .unwrap_or(Action::Halt)
     }
 
     /// Counts how many slots of each critical action occur in one phase
@@ -168,12 +176,94 @@ impl Schedule {
     }
 }
 
+// The table is a function of the parameters, so `Debug` prints only
+// them.
+impl std::fmt::Debug for Schedule {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Schedule")
+            .field("params", &self.params)
+            .finish_non_exhaustive()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn schedule(n: usize, k: usize) -> Schedule {
         Schedule::new(Params::for_network(n, k))
+    }
+
+    /// The arithmetic decode the table replaced: the reference it must
+    /// equal on every slot.
+    fn reference_action_at(p: &Params, w: u64) -> Action {
+        let part1 = p.part1_len();
+        if w >= part1 {
+            return if w - part1 < p.endgame_ticks as u64 {
+                Action::Endgame
+            } else {
+                Action::Halt
+            };
+        }
+        let o = w % p.phase_len();
+        let delta = p.delta as u64;
+        let tc_len = p.tc_len();
+        let bp_end = tc_len + p.bp_len();
+
+        if o < tc_len {
+            if o == delta {
+                Action::TwoChoicesSample
+            } else if o == (p.tc_blocks as u64 - 1) * delta {
+                Action::Commit
+            } else {
+                Action::Wait
+            }
+        } else if o < bp_end {
+            Action::BitPropagation
+        } else {
+            let so = o - bp_end;
+            if !p.gadget_enabled {
+                Action::Wait
+            } else if so < p.sync_samples as u64 {
+                Action::SyncSample
+            } else if o == p.phase_len() - 1 {
+                Action::Jump
+            } else {
+                Action::Wait
+            }
+        }
+    }
+
+    #[test]
+    fn table_equals_the_arithmetic_decode_on_every_slot() {
+        for n in [4usize, 1 << 10, 1 << 12, 1 << 20] {
+            for k in [2usize, 8, 1024] {
+                for eps in [0.1, 0.5, 10.0] {
+                    let on = Params::for_network_with_eps(n, k, eps);
+                    for p in [on, on.without_gadget()] {
+                        let s = Schedule::new(p);
+                        for w in 0..p.total_len() + 2 {
+                            assert_eq!(
+                                s.action_at(w),
+                                reference_action_at(&p, w),
+                                "slot {w} of {p:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_one_table_and_debug_prints_the_params() {
+        let s = schedule(1 << 12, 4);
+        let t = s.clone();
+        assert!(Arc::ptr_eq(&s.actions, &t.actions));
+        assert_eq!(std::mem::size_of::<Action>(), 1, "one byte per slot");
+        assert_eq!(s.actions.len() as u64, s.params().total_len());
+        let debug = format!("{s:?}");
+        assert!(debug.starts_with("Schedule { params: Params {"), "{debug}");
     }
 
     #[test]

@@ -65,7 +65,8 @@ use crate::opinion::{Color, Configuration};
 /// which the paper's analysis discretises the Poisson clock.
 pub const DEFAULT_TAU: f64 = 1.0;
 
-/// Which protocol the epoch engine advances.
+/// Which protocol the epoch engine advances — or a rapid-net
+/// `NodeMachine`. Clones share a Rapid schedule's action table.
 #[derive(Clone, Debug)]
 pub enum ShardedProtocol {
     /// Plain asynchronous gossip under one rule.
@@ -291,7 +292,7 @@ impl ShardedSim {
         let n = config.n();
         let rapid = match &proto {
             ShardedProtocol::Gossip(_) => None,
-            ShardedProtocol::Rapid(schedule) => Some(RapidSoa::new(*schedule, n)),
+            ShardedProtocol::Rapid(schedule) => Some(RapidSoa::new(schedule.clone(), n)),
         };
         ShardedSim {
             topology,

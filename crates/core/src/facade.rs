@@ -363,8 +363,8 @@ impl Default for Clock {
     }
 }
 
-/// A composable stopping rule, checked after every engine step on top of
-/// the implicit unanimity check.
+/// A composable stopping rule: a run stops on the first engine step at
+/// which one holds, on top of the implicit unanimity check.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum StopCondition {
     /// Stop once simulation time reaches the horizon (absolute — measured
@@ -1847,51 +1847,31 @@ impl Sim {
         self.run_with(&mut observers)
     }
 
-    /// Executes one engine step and reports the unanimous color if that
-    /// step produced unanimity, using each engine's cheapest check: the
-    /// rapid protocol only tests the ticked node's (possibly new) color —
-    /// the legacy O(1) fast path — while round/tick engines scan the
-    /// histogram exactly as their legacy drivers did.
-    fn step_checked(&mut self) -> Option<Color> {
+    /// Advances the engine and reports the unanimous color if that
+    /// produced unanimity. The sequential engines tick as one batch (see
+    /// [`RapidSim::run_batch`]): up to `max_ticks` ticks, ending early
+    /// where a stop could fire. A synchronous round or an epoch is always
+    /// a batch of its own, checked by a histogram scan.
+    fn advance(&mut self, max_ticks: u64, horizon: SimTime) -> Option<Color> {
         match &mut self.engine {
-            Engine::Sync {
-                proto,
-                topology,
-                config,
-                rng,
-                rounds,
-            } => {
-                proto.round(&**topology, config, rng);
-                *rounds += 1;
-                config.unanimous()
-            }
-            Engine::Gossip(sim) => {
-                sim.tick();
-                sim.config().unanimous()
-            }
-            // Epoch granularity: the O(k) histogram scan once per epoch
-            // is far cheaper than any per-activation check.
-            Engine::Sharded(sim) => {
-                sim.run_epoch();
-                sim.config().counts().unanimous()
-            }
-            Engine::Rapid(sim) => {
-                let (a, action) = sim.tick();
-                // Only color-changing actions — or an adversary strike,
-                // which recolors outside any action — can create
-                // unanimity.
-                if action.changes_color() || sim.adversary_struck() {
-                    let cu = sim.config().color(a.node);
-                    if sim.config().counts().count(cu) == sim.config().n() as u64 {
-                        return Some(cu);
-                    }
-                }
-                None
+            Engine::Gossip(sim) => sim.run_batch(max_ticks, horizon),
+            Engine::Rapid(sim) => sim.run_batch(max_ticks, horizon),
+            Engine::Sync { .. } | Engine::Sharded(_) => {
+                self.step();
+                self.config().unanimous()
             }
         }
     }
 
     /// Runs to completion with any number of observers.
+    ///
+    /// Unanimity and the stop conditions are checked between batches of
+    /// engine steps, and each batch ends at the first step where one of
+    /// them could fire: a budget running out, an observer falling due
+    /// (with observers attached), or, inside the sequential engines, a
+    /// tick that creates unanimity, halts a node or reaches the earliest
+    /// time horizon. So a run stops on exactly the step a check after
+    /// every step would stop it on.
     pub fn run_with(&mut self, observers: &mut [&mut dyn Observer]) -> Outcome {
         let n = self.n() as u64;
         let cadence = match self.engine {
@@ -1910,6 +1890,15 @@ impl Sim {
             )
         });
         let default_budget = self.default_budget();
+        let horizon = self
+            .stops
+            .iter()
+            .filter_map(|s| match *s {
+                StopCondition::TimeHorizon(horizon) => Some(horizon),
+                _ => None,
+            })
+            .min()
+            .unwrap_or(SimTime::MAX);
         let start_steps = self.steps();
         let mut last_notified = start_steps;
 
@@ -1924,10 +1913,30 @@ impl Sim {
             if let Some(reason) = self.stop_reason(start_steps) {
                 break (reason, None);
             }
-            if !explicit && self.steps() - start_steps >= default_budget {
+            let steps_run = self.steps() - start_steps;
+            if !explicit && steps_run >= default_budget {
                 break (StopReason::DefaultBudget, None);
             }
-            let winner = self.step_checked();
+            // The steps until a budget runs out or an observer is due;
+            // every one of them is at least 1, or its stop had fired. (A
+            // synchronous round or an epoch ignores the batch size.)
+            let mut batch = if explicit {
+                u64::MAX
+            } else {
+                default_budget - steps_run
+            };
+            for stop in &self.stops {
+                let budget = match *stop {
+                    StopCondition::StepBudget(budget) => budget,
+                    StopCondition::RoundBudget(budget) => budget.saturating_mul(n),
+                    _ => continue,
+                };
+                batch = batch.min(budget - steps_run);
+            }
+            if !observers.is_empty() {
+                batch = batch.min(cadence - steps_run % cadence);
+            }
+            let winner = self.advance(batch, horizon);
             if (self.steps() - start_steps).is_multiple_of(cadence) {
                 self.notify(observers);
                 last_notified = self.steps();

@@ -1,0 +1,127 @@
+//! What the sequential engines allocate once warm.
+//!
+//! A counting global allocator wraps the system one. This binary holds a
+//! single test, so no other test thread adds to the count while it runs.
+//! Both engines run through `run_until_consensus`, the batch loop that
+//! `Sim::run` drives, and each count must come back as a step budget
+//! spent in full.
+//!
+//! * Gossip (Two-Choices on `K_4096`) allocates nothing.
+//! * Rapid on `K_4096` is not allocation-free. A Two-Choices sample
+//!   clears a node's Sync-Gadget sample buffer, so a buffer normally
+//!   holds one phase's `sync_samples` entries and keeps its capacity.
+//!   But a jump can carry a node past its next Two-Choices slot. Its
+//!   buffer then keeps the previous phase's samples, the next phase's
+//!   samples pile on top, and the buffer grows past any capacity it had.
+//!   That is a few thousand growths in a run, out of a few tens of
+//!   thousands of jumps. The count below is pinned exactly for its seed:
+//!   more allocations mean a new source, fewer mean this carry-over
+//!   changed. Whether samples should carry over a skipped phase entry is
+//!   a protocol question, not an engine one.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use rapid_core::facade::Sim;
+use rapid_core::prelude::*;
+use rapid_graph::prelude::*;
+use rapid_sim::prelude::*;
+
+/// Counts every allocation and reallocation, then defers to [`System`].
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a plain
+// atomic and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's guarantees on `layout` pass through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` was allocated by this allocator, hence by `System`,
+        // with `layout`; the caller guarantees `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const N: usize = 1 << 12;
+
+/// Steps counted after the warm-up.
+const COUNTED: u64 = 200_000;
+
+/// Rapid's allocations over [`COUNTED`] steps after three phases, for the
+/// seed below: all of them Sync-Gadget sample buffers outgrowing their
+/// capacity (see the module doc).
+const RAPID_ALLOCATIONS: u64 = 32;
+
+fn builder(distribution: InitialDistribution) -> SimBuilder {
+    Sim::builder()
+        .topology(Complete::new(N))
+        .distribution(distribution)
+        .seed(Seed::new(0xA11C))
+}
+
+/// Allocations while `run` spends its budget of [`COUNTED`] steps.
+fn counted(run: impl FnOnce(u64) -> Result<(), ConvergenceError>) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = run(COUNTED);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        result,
+        Err(ConvergenceError::BudgetExhausted { budget: COUNTED }),
+        "every counted step must run"
+    );
+    allocations
+}
+
+#[test]
+fn sequential_engines_allocate_only_where_pinned_once_warm() {
+    // 64 equal colors: Two-Choices is far from unanimity for the whole
+    // count.
+    let mut gossip = builder(InitialDistribution::Uniform { k: 64 })
+        .gossip(GossipRule::TwoChoices)
+        .build()
+        .expect("valid gossip assembly")
+        .into_gossip()
+        .expect("gossip rule was selected");
+    let _ = gossip.run_until_consensus(N as u64);
+    let allocations = counted(|budget| gossip.run_until_consensus(budget).map(drop));
+    assert_eq!(
+        allocations, 0,
+        "Two-Choices: {allocations} allocations over {COUNTED} warm steps"
+    );
+
+    let params = Params::for_network_with_eps(N, 8, 0.5);
+    let mut rapid = builder(InitialDistribution::multiplicative_bias(8, 0.5))
+        .rapid(params)
+        .build()
+        .expect("valid rapid assembly")
+        .into_rapid()
+        .expect("rapid protocol was selected");
+    let _ = rapid.run_until_consensus(3 * N as u64 * params.phase_len());
+    let allocations = counted(|budget| rapid.run_until_consensus(budget).map(drop));
+    assert_eq!(
+        allocations, RAPID_ALLOCATIONS,
+        "Rapid: {allocations} allocations over {COUNTED} warm steps"
+    );
+}

@@ -101,6 +101,25 @@ fn invalid_rapid_params_are_rejected() {
         .build()
         .expect_err("inconsistent params");
     assert!(matches!(err, BuildError::InvalidParams(_)), "got {err:?}");
+
+    // Lengths that overflow `u64`, or that no schedule table could hold.
+    let base = Params::for_network(64, 2);
+    let mut overflowing = base;
+    overflowing.delta = u32::MAX;
+    overflowing.tc_blocks = u32::MAX;
+    overflowing.bp_blocks = u32::MAX;
+    let mut overlong = base;
+    overlong.phases = u32::MAX;
+    overlong.delta = 1 << 20;
+    for params in [overflowing, overlong] {
+        let err = Sim::builder()
+            .topology(Complete::new(64))
+            .counts(&[40, 24])
+            .rapid(params)
+            .build()
+            .expect_err("protocol too long");
+        assert!(matches!(err, BuildError::InvalidParams(_)), "got {err:?}");
+    }
 }
 
 #[test]
@@ -312,6 +331,217 @@ fn stop_conditions_compose_and_report_their_reason() {
         .run();
     assert_eq!(out.stop, StopReason::FirstHalt);
     assert!(out.first_halt.is_some());
+}
+
+/// An observer folding the step counts it is notified at into an FNV-1a
+/// hash.
+struct StepLog {
+    count: u64,
+    fnv: u64,
+}
+
+impl Observer for StepLog {
+    fn observe(&mut self, progress: &Progress<'_>) {
+        self.count += 1;
+        for byte in progress.steps.to_le_bytes() {
+            self.fnv = (self.fnv ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Where one stop-condition case ends: `(case, stop, steps, time bits,
+/// winner, first-halt bits, notifications, FNV of the notified steps)`.
+type Landing = (
+    &'static str,
+    StopReason,
+    u64,
+    u64,
+    Option<usize>,
+    Option<u64>,
+    u64,
+    u64,
+);
+
+/// The golden landings, recorded on the engine that checked every stop
+/// condition after every tick.
+#[rustfmt::skip]
+const LANDINGS: &[Landing] = &[
+    ("rapid/step-budget", StopReason::StepBudget, 100003, 0x40686a3000000000, None, None, 197, 0x7095661892b8264d),
+    ("rapid/round-budget", StopReason::RoundBudget, 76800, 0x4062c00000000000, None, None, 151, 0xb3f2fa1b449b00be),
+    ("rapid/time-horizon", StopReason::TimeHorizon, 102656, 0x4069100000000000, None, None, 202, 0x54a98b5634f3cbbe),
+    ("rapid/time-horizon/event-queue", StopReason::TimeHorizon, 76742, 0x4062c824d91d077c, None, None, 151, 0x592494a22a599c75),
+    ("rapid/composed", StopReason::TimeHorizon, 51149, 0x4058f9a000000000, None, None, 101, 0xf30c5aa55f500e25),
+    ("rapid/pre-stepped", StopReason::StepBudget, 5777, 0x4026910000000000, None, None, 11, 0x2ef13b6d03ec55a0),
+    ("rapid/first-halt", StopReason::FirstHalt, 39534, 0x40534dc000000000, None, Some(0x40534dc000000000), 79, 0x986ca15485e01153),
+    ("rapid/all-halted", StopReason::AllHalted, 59976, 0x405d490000000000, None, Some(0x40534dc000000000), 119, 0x1d69a4898f500a35),
+    ("rapid/default-budget", StopReason::DefaultBudget, 1370112, 0x40a4e80000000000, None, Some(0x4088b7d000000000), 2677, 0x5acde1a86f2a24a9),
+    ("rapid/unanimity", StopReason::Unanimity, 254682, 0x407f16d000000000, Some(0), None, 499, 0x6534c0db88dc7ec8),
+    ("rapid/adversary", StopReason::Unanimity, 413765, 0x4089411400000000, Some(0), None, 810, 0x404bedb2602e2480),
+    ("two-choices/step-budget", StopReason::StepBudget, 2501, 0x40238a0000000000, None, None, 11, 0x572e4bb5efab737c),
+    ("two-choices/round-budget", StopReason::RoundBudget, 1792, 0x401c000000000000, None, None, 8, 0xfd03af683f267a25),
+    ("two-choices/time-horizon", StopReason::TimeHorizon, 1408, 0x4016000000000000, None, None, 7, 0x216b17d8810e8a39),
+    ("two-choices/pre-stepped", StopReason::StepBudget, 1333, 0x4014d40000000000, None, None, 5, 0xa9df68a652a217c7),
+    ("two-choices/first-halt", StopReason::FirstHalt, 1096, 0x4011200000000000, None, Some(0x4011200000000000), 6, 0x9f1812a42603669d),
+    ("two-choices/all-halted", StopReason::AllHalted, 5349, 0x4034e50000000000, None, Some(0x4011200000000000), 22, 0x44883013109efb10),
+    ("two-choices/default-budget", StopReason::DefaultBudget, 335113, 0x4094742400000000, None, None, 1311, 0x1d2e541439075881),
+    ("two-choices/unanimity", StopReason::Unanimity, 3408, 0x402aa00000000000, Some(1), None, 15, 0x79feff04956a4331),
+    ("two-choices/adversary", StopReason::Unanimity, 5804, 0x4036ac0000000000, Some(1), None, 24, 0x3a362f4b17b902ee),
+];
+
+/// A stop-condition case: its name, the steps taken before the run, and
+/// its assembly.
+type Case = (&'static str, u64, fn() -> SimBuilder);
+
+/// Rapid on `K_512`, four colors with the plurality 1.5× ahead.
+fn rapid_512() -> SimBuilder {
+    Sim::builder()
+        .topology(Complete::new(512))
+        .distribution(InitialDistribution::multiplicative_bias(4, 0.5))
+        .rapid(Params::for_network(512, 4))
+        .seed(Seed::new(21))
+}
+
+/// Rapid on an even split with one phase and a short endgame: nodes
+/// halt long before the population agrees.
+fn rapid_512_short() -> SimBuilder {
+    let mut params = Params::for_network(512, 2);
+    params.phases = 1;
+    params.endgame_ticks = 8;
+    Sim::builder()
+        .topology(Complete::new(512))
+        .counts(&[256, 256])
+        .rapid(params)
+        .seed(Seed::new(23))
+}
+
+/// Two-Choices on `K_256` from a near-even split; nodes freeze after
+/// `halt_after` own ticks.
+fn two_choices_256(halt_after: u64) -> SimBuilder {
+    Sim::builder()
+        .topology(Complete::new(256))
+        .counts(&[136, 120])
+        .gossip(GossipRule::TwoChoices)
+        .halt_after(halt_after)
+        .seed(Seed::new(22))
+}
+
+/// Every message lost and node 0 down from the start: no color ever
+/// changes and node 0 never halts, so only the default budget ends a run.
+fn frozen() -> FaultPlan {
+    FaultPlan::none()
+        .with_loss(1.0)
+        .with_churn(vec![ChurnEvent::crash(NodeId::new(0), SimTime::ZERO)])
+}
+
+fn adversary(kind: AdversaryKind, start: f64, interval: f64) -> FaultPlan {
+    FaultPlan::none().with_adversary(AdversaryPlan {
+        kind,
+        budget: 400,
+        start: SimTime::from_secs(start),
+        interval,
+    })
+}
+
+#[test]
+fn stop_conditions_land_on_pinned_steps() {
+    let cases: [Case; 20] = [
+        ("rapid/step-budget", 0, || {
+            rapid_512().stop(StopCondition::StepBudget(100_003))
+        }),
+        ("rapid/round-budget", 0, || {
+            rapid_512().stop(StopCondition::RoundBudget(150))
+        }),
+        ("rapid/time-horizon", 0, || {
+            rapid_512().stop(StopCondition::TimeHorizon(SimTime::from_secs(200.5)))
+        }),
+        ("rapid/time-horizon/event-queue", 0, || {
+            rapid_512()
+                .clock(Clock::EventQueue { rate: 1.0 })
+                .stop(StopCondition::TimeHorizon(SimTime::from_secs(150.25)))
+        }),
+        ("rapid/composed", 0, || {
+            rapid_512()
+                .stop(StopCondition::StepBudget(300_001))
+                .stop(StopCondition::RoundBudget(500))
+                .stop(StopCondition::TimeHorizon(SimTime::from_secs(99.9)))
+                .stop(StopCondition::FirstHalt)
+        }),
+        ("rapid/pre-stepped", 777, || {
+            rapid_512().stop(StopCondition::StepBudget(5_000))
+        }),
+        ("rapid/first-halt", 0, || {
+            rapid_512_short().stop(StopCondition::FirstHalt)
+        }),
+        ("rapid/all-halted", 0, rapid_512_short),
+        ("rapid/default-budget", 0, || rapid_512().faults(frozen())),
+        ("rapid/unanimity", 0, rapid_512),
+        ("rapid/adversary", 0, || {
+            rapid_512().faults(adversary(AdversaryKind::Adaptive, 30.0, 0.05))
+        }),
+        ("two-choices/step-budget", 0, || {
+            two_choices_256(60).stop(StopCondition::StepBudget(2_501))
+        }),
+        ("two-choices/round-budget", 0, || {
+            two_choices_256(60).stop(StopCondition::RoundBudget(7))
+        }),
+        ("two-choices/time-horizon", 0, || {
+            two_choices_256(60).stop(StopCondition::TimeHorizon(SimTime::from_secs(5.5)))
+        }),
+        ("two-choices/pre-stepped", 333, || {
+            two_choices_256(60).stop(StopCondition::StepBudget(1_000))
+        }),
+        ("two-choices/first-halt", 0, || {
+            two_choices_256(12).stop(StopCondition::FirstHalt)
+        }),
+        ("two-choices/all-halted", 0, || two_choices_256(12)),
+        ("two-choices/default-budget", 0, || {
+            two_choices_256(100_000).faults(frozen())
+        }),
+        ("two-choices/unanimity", 0, || two_choices_256(200)),
+        ("two-choices/adversary", 0, || {
+            two_choices_256(200).faults(adversary(AdversaryKind::Oblivious, 2.0, 0.25))
+        }),
+    ];
+    let mut landed: Vec<Landing> = Vec::new();
+    for (case, pre_steps, builder) in cases {
+        let run = |observer: Option<&mut StepLog>| {
+            let mut sim = builder().build().expect("valid experiment");
+            for _ in 0..pre_steps {
+                sim.step();
+            }
+            match observer {
+                Some(log) => sim.run_observed(log),
+                None => sim.run(),
+            }
+        };
+        let mut log = StepLog {
+            count: 0,
+            fnv: 0xcbf2_9ce4_8422_2325,
+        };
+        let observed = run(Some(&mut log));
+        assert_eq!(observed, run(None), "{case}: observers moved the stop");
+        landed.push((
+            case,
+            observed.stop,
+            observed.steps,
+            observed.time.expect("asynchronous").as_secs().to_bits(),
+            observed.winner.map(Color::index),
+            observed.first_halt.map(|t| t.as_secs().to_bits()),
+            log.count,
+            log.fnv,
+        ));
+    }
+    let table: String = landed
+        .iter()
+        .map(|&(case, stop, steps, time, winner, halt, count, fnv)| {
+            let halt = halt.map_or("None".into(), |h| format!("Some({h:#018x})"));
+            format!(
+                "    (\"{case}\", StopReason::{stop:?}, {steps}, {time:#018x}, \
+                 {winner:?}, {halt}, {count}, {fnv:#018x}),\n"
+            )
+        })
+        .collect();
+    assert!(landed == LANDINGS, "stop landings moved; now:\n{table}");
 }
 
 #[test]

@@ -36,6 +36,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use rapid_core::asynchronous::{Schedule, ShardedProtocol};
 use rapid_core::facade::{
     BuildError, EngineKind, MacroProtocol, NetSpec, Outcome, SimBuilder, Spec, StopCondition,
     StopReason,
@@ -186,13 +187,18 @@ impl Cluster {
         let topology: Arc<dyn rapid_graph::topology::Topology + Send + Sync> =
             Arc::from(spec.topology);
         let threshold = default_beacon_threshold(n);
+        // One protocol, hence one Rapid schedule table, for every machine.
+        let protocol = match spec.protocol {
+            MacroProtocol::Gossip(rule) => ShardedProtocol::Gossip(rule),
+            MacroProtocol::Rapid(params) => ShardedProtocol::Rapid(Schedule::new(params)),
+        };
         let mut machines = Vec::with_capacity(n);
         for i in 0..n {
             machines.push(NodeMachine::new(
                 i as u32,
                 Arc::clone(&topology),
                 spec.config.color(rapid_sim::node::NodeId::new(i)),
-                &spec.protocol,
+                &protocol,
                 spec.rate,
                 spec.seed.child(NODE_STREAM + i as u64),
                 threshold,

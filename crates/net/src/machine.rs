@@ -42,7 +42,7 @@ use std::sync::Arc;
 use rapid_core::asynchronous::kernel::{GossipRule, Peer, Step, MAX_PULLS};
 use rapid_core::asynchronous::node::NodeState;
 use rapid_core::asynchronous::schedule::{Action, Schedule};
-use rapid_core::facade::MacroProtocol;
+use rapid_core::asynchronous::ShardedProtocol;
 use rapid_core::opinion::Color;
 use rapid_graph::topology::Topology;
 use rapid_sim::node::NodeId;
@@ -143,21 +143,22 @@ impl std::fmt::Debug for NodeMachine {
 
 impl NodeMachine {
     /// Boots one node: its id, the shared topology view, its initial
-    /// opinion, the protocol, the local Poisson clock rate, and its own
-    /// RNG stream (derived per node by the cluster).
+    /// opinion, the protocol (cloned, so a Rapid schedule stays shared),
+    /// the local Poisson clock rate, and its own RNG stream (derived per
+    /// node by the cluster).
     pub fn new(
         id: u32,
         topology: Arc<dyn Topology + Send + Sync>,
         color: Color,
-        protocol: &MacroProtocol,
+        protocol: &ShardedProtocol,
         rate: f64,
         seed: Seed,
         beacon_threshold: u32,
     ) -> Self {
         let proto = match protocol {
-            MacroProtocol::Gossip(rule) => Proto::Gossip(*rule),
-            MacroProtocol::Rapid(params) => Proto::Rapid {
-                schedule: Schedule::new(*params),
+            ShardedProtocol::Gossip(rule) => Proto::Gossip(*rule),
+            ShardedProtocol::Rapid(schedule) => Proto::Rapid {
+                schedule: schedule.clone(),
                 state: NodeState::new(),
             },
         };
@@ -424,7 +425,7 @@ mod tests {
             id,
             Arc::new(Complete::new(8)),
             Color::new(color),
-            &MacroProtocol::Gossip(rule),
+            &ShardedProtocol::Gossip(rule),
             1.0,
             Seed::new(7).child(id as u64),
             4,
@@ -630,7 +631,7 @@ mod tests {
             0,
             Arc::new(Complete::new(8)),
             Color::new(0),
-            &MacroProtocol::Rapid(params),
+            &ShardedProtocol::Rapid(Schedule::new(params)),
             1.0,
             Seed::new(1),
             8,

@@ -29,6 +29,9 @@ impl SimTime {
     /// Time zero — the start of every simulation.
     pub const ZERO: SimTime = SimTime(0.0);
 
+    /// The largest representable time: a horizon no run reaches.
+    pub const MAX: SimTime = SimTime(f64::MAX);
+
     /// Creates a time from seconds (time units).
     ///
     /// # Panics
