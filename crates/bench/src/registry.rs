@@ -22,7 +22,7 @@
 
 use rapid_core::facade::{EngineKind, Sim, SimBuilder, StopCondition};
 use rapid_core::prelude::*;
-use rapid_core::{ShardedProtocol, ShardedSim};
+use rapid_core::{AsyncProtocol, ShardedSim};
 use rapid_graph::prelude::*;
 use rapid_macro::MacroSim;
 use rapid_obs::{Obs, ObsHandle, TraceEvent};
@@ -76,10 +76,10 @@ fn gossip_tick_4096() -> Box<dyn FnMut()> {
     // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error
     let config = Configuration::from_counts(&counts).expect("valid");
     let source = SequentialScheduler::new(n, Seed::new(6));
-    let mut sim = AsyncGossipSim::new(
+    let mut sim = SeqSim::new(
         Complete::new(n),
         config,
-        GossipRule::TwoChoices,
+        AsyncProtocol::Gossip(GossipRule::TwoChoices),
         source,
         Seed::new(16),
     );
@@ -119,10 +119,10 @@ fn gossip_tick_faulty_4096() -> Box<dyn FnMut()> {
     // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error
     let config = Configuration::from_counts(&counts).expect("valid");
     let source = SequentialScheduler::new(n, Seed::new(6));
-    let mut sim = AsyncGossipSim::new(
+    let mut sim = SeqSim::new(
         Complete::new(n),
         config,
-        GossipRule::TwoChoices,
+        AsyncProtocol::Gossip(GossipRule::TwoChoices),
         source,
         Seed::new(16),
     )
@@ -141,7 +141,8 @@ fn rapid_tick_faulty_4096() -> Box<dyn FnMut()> {
     // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error
     let config = Configuration::from_counts(&counts).expect("valid");
     let source = SequentialScheduler::new(n, Seed::new(5));
-    let mut sim = RapidSim::new(Complete::new(n), config, params, source, Seed::new(15))
+    let protocol = AsyncProtocol::Rapid(Schedule::new(params));
+    let mut sim = SeqSim::new(Complete::new(n), config, protocol, source, Seed::new(15))
         .with_faults(&bench_fault_plan(n), Seed::new(25));
     Box::new(move || {
         for _ in 0..BATCH {
@@ -157,7 +158,8 @@ fn rapid_tick_4096() -> Box<dyn FnMut()> {
     // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error
     let config = Configuration::from_counts(&counts).expect("valid");
     let source = SequentialScheduler::new(n, Seed::new(5));
-    let mut sim = RapidSim::new(Complete::new(n), config, params, source, Seed::new(15));
+    let protocol = AsyncProtocol::Rapid(Schedule::new(params));
+    let mut sim = SeqSim::new(Complete::new(n), config, protocol, source, Seed::new(15));
     Box::new(move || {
         for _ in 0..BATCH {
             sim.tick();
@@ -430,7 +432,7 @@ fn micro_sharded_epoch_1e6() -> Box<dyn FnMut()> {
     let mut sim = ShardedSim::new(
         Box::new(Complete::new(n)),
         config,
-        ShardedProtocol::Gossip(GossipRule::TwoChoices),
+        AsyncProtocol::Gossip(GossipRule::TwoChoices),
         Seed::new(12),
         1.0,
         4,
@@ -482,7 +484,6 @@ fn net_codec_round_trip() -> Box<dyn FnMut()> {
 }
 
 fn net_machine_on_message() -> Box<dyn FnMut()> {
-    use rapid_core::asynchronous::ShardedProtocol;
     use rapid_net::codec::{Envelope, Payload};
     use rapid_net::NodeMachine;
     // One node machine answering a stream of pull requests: the hot
@@ -491,7 +492,7 @@ fn net_machine_on_message() -> Box<dyn FnMut()> {
         0,
         std::sync::Arc::new(Complete::new(1024)),
         Color::new(0),
-        &ShardedProtocol::Gossip(GossipRule::TwoChoices),
+        &AsyncProtocol::Gossip(GossipRule::TwoChoices),
         1.0,
         Seed::new(7),
         rapid_net::machine::default_beacon_threshold(1024),

@@ -3,17 +3,18 @@
 //! The paper defines its protocols per node: on each tick a node pulls
 //! from sampled neighbors and updates from what it pulled. This module is
 //! that definition, as pure functions over one node's state. Every engine
-//! calls it — the synchronous rounds, [`AsyncGossipSim`], [`RapidSim`],
-//! [`ShardedSim`] and the rapid-net `NodeMachine` — and keeps only its
-//! *pull resolver* (where a pulled peer's state comes from) and its own
-//! bookkeeping:
+//! calls it — the synchronous rounds, [`SeqSim`], [`ShardedSim`] and the
+//! rapid-net `NodeMachine` — and keeps only its *pull resolver* (where a
+//! pulled peer's state comes from) and its own bookkeeping:
 //!
 //! | engine | resolver |
 //! |---|---|
 //! | synchronous rounds | the round-start snapshot |
-//! | [`AsyncGossipSim`], [`RapidSim`] | live state, voided by the crash/loss veto |
+//! | [`SeqSim`] | live state, voided by the crash/loss veto |
 //! | [`ShardedSim`] | the epoch snapshot, or the clique histogram |
 //! | `NodeMachine` | the replies that arrive |
+//!
+//! The last three are per-node engines; each runs one [`AsyncProtocol`].
 //!
 //! * **Gossip** — [`GossipRule::pulls`] says how many peers one
 //!   activation pulls, [`GossipRule::decide`] maps the node's own color
@@ -39,8 +40,7 @@
 //! 3. a Sync-Gadget sample records the node's real time when the pull was
 //!    issued.
 //!
-//! [`AsyncGossipSim`]: crate::asynchronous::AsyncGossipSim
-//! [`RapidSim`]: crate::asynchronous::RapidSim
+//! [`SeqSim`]: crate::asynchronous::SeqSim
 //! [`ShardedSim`]: crate::asynchronous::ShardedSim
 
 use crate::asynchronous::schedule::{Action, Schedule};
@@ -116,6 +116,33 @@ impl GossipRule {
 impl std::fmt::Display for GossipRule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// The protocol a per-node engine runs: the sequential engine, the epoch
+/// engine or a rapid-net `NodeMachine`. Clones share a Rapid schedule's
+/// action table.
+#[derive(Clone, Debug)]
+pub enum AsyncProtocol {
+    /// Plain asynchronous gossip under one rule.
+    Gossip(GossipRule),
+    /// The paper's full protocol, driven by a working-time schedule.
+    Rapid(Schedule),
+}
+
+impl AsyncProtocol {
+    /// A conservative activation budget for `n` nodes: three times the
+    /// protocol length for every node under Rapid, `200·n·(ln n + 1)`
+    /// under a gossip rule.
+    pub fn default_step_budget(&self, n: usize) -> u64 {
+        let n = n as u64;
+        match self {
+            AsyncProtocol::Gossip(_) => {
+                let ln_n = (n.max(2) as f64).ln();
+                (n as f64 * (ln_n + 1.0) * 200.0) as u64
+            }
+            AsyncProtocol::Rapid(schedule) => 3 * n * schedule.params().total_len(),
+        }
     }
 }
 

@@ -1,25 +1,58 @@
-//! The rapid asynchronous plurality-consensus protocol (Theorem 1.3).
+//! The exact sequential engine: one activation at a time, on live state.
 //!
-//! Part 1 runs [`Params::phases`] phases, each of three sub-phases decoded
-//! from the node's *working time* by [`Schedule`]:
+//! Each Poisson tick, the activated node pulls from sampled neighbors and
+//! updates at once — no snapshots, the genuinely asynchronous dynamic of
+//! the paper's model. What it does is its [`AsyncProtocol`]:
 //!
-//! 1. **Two-Choices** — sample two, remember the agreed color as the
-//!    *intermediate* color; commit it (and set the bit) one block later.
-//!    The separation between sample and commit is what makes the step
-//!    effectively simultaneous for all well-synchronized nodes.
-//! 2. **Bit-Propagation** — nodes without the bit pull once per tick;
-//!    hitting a bit-set node copies its color and bit. The bit-set
-//!    population's composition evolves as a Pólya urn (see `rapid-urn`),
-//!    preserving the post-Two-Choices quadratic amplification while
-//!    spreading it to everyone.
-//! 3. **Sync Gadget** — sample real times, wait tactically, then *jump*
-//!    the working time to the median estimate, resetting the accumulated
-//!    Poisson drift so that all but `o(n)` nodes stay within `Δ` of each
-//!    other (weak synchronicity).
+//! * **A gossip rule** (Voter, Two-Choices, 3-Majority). Asynchronous
+//!   Two-Choices is both the natural baseline for the paper's protocol
+//!   and its **endgame** (part 2): Theorem 1.3's second stage runs
+//!   exactly this process from a `c_1 ≥ (1−ε)n` configuration. The
+//!   optional per-node tick budget ([`SeqSim::with_halt_after`]) models
+//!   the endgame's finish line: nodes freeze after that many own ticks.
+//! * **The rapid protocol** (Theorem 1.3). Part 1 runs
+//!   [`Params::phases`](crate::asynchronous::Params::phases) phases, each
+//!   of three sub-phases decoded from the node's *working time* by its
+//!   [`Schedule`](crate::asynchronous::Schedule):
+//!   1. **Two-Choices** — sample two, remember the agreed color as the
+//!      *intermediate* color; commit it (and set the bit) one block later.
+//!      The separation between sample and commit is what makes the step
+//!      effectively simultaneous for all well-synchronized nodes.
+//!   2. **Bit-Propagation** — nodes without the bit pull once per tick;
+//!      hitting a bit-set node copies its color and bit. The bit-set
+//!      population's composition evolves as a Pólya urn (see
+//!      `rapid-urn`), preserving the post-Two-Choices quadratic
+//!      amplification while spreading it to everyone.
+//!   3. **Sync Gadget** — sample real times, wait tactically, then *jump*
+//!      the working time to the median estimate, resetting the
+//!      accumulated Poisson drift so that all but `o(n)` nodes stay within
+//!      `Δ` of each other (weak synchronicity).
 //!
-//! Part 2 (**endgame**) is plain asynchronous Two-Choices for
-//! `Θ(log n)` ticks, after which the node halts. Theorem 1.3's success
-//! event is unanimity on the plurality *before the first halt*.
+//!   Part 2 is the asynchronous Two-Choices above for `Θ(log n)` ticks,
+//!   after which the node halts.
+//!
+//! Under either protocol the success event is unanimity on the plurality
+//! *before the first halt*.
+//!
+//! # Example
+//!
+//! ```
+//! use rapid_core::prelude::*;
+//! use rapid_graph::prelude::*;
+//! use rapid_sim::prelude::*;
+//!
+//! let out = Sim::builder()
+//!     .topology(Complete::new(500))
+//!     .counts(&[400, 100])
+//!     .gossip(GossipRule::TwoChoices)
+//!     .seed(Seed::new(1))
+//!     .stop(StopCondition::StepBudget(10_000_000))
+//!     .build()
+//!     .expect("valid experiment")
+//!     .run_to_consensus()
+//!     .expect("converges");
+//! assert_eq!(out.winner, Some(Color::new(0)));
+//! ```
 
 use rapid_graph::topology::Topology;
 use rapid_sim::fault::{FaultPlan, FaultState};
@@ -27,15 +60,14 @@ use rapid_sim::rng::{Seed, SimRng};
 use rapid_sim::scheduler::{Activation, ActivationSource};
 use rapid_sim::time::SimTime;
 
-use crate::asynchronous::kernel::{resolve_all, Peer, Step, MAX_PULLS};
+use crate::asynchronous::kernel::{resolve_all, AsyncProtocol, Peer, Step, MAX_PULLS};
 use crate::asynchronous::node::NodeState;
-use crate::asynchronous::params::Params;
-use crate::asynchronous::schedule::{Action, Schedule};
+use crate::asynchronous::schedule::Action;
 use crate::convergence::ConvergenceError;
 use crate::faults::pull;
 use crate::opinion::{Color, Configuration};
 
-/// Outcome of a full rapid-consensus run.
+/// Outcome of a run to consensus.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RapidOutcome {
     /// The color every node ended up with.
@@ -93,10 +125,11 @@ impl WorkingTimeStats {
     }
 }
 
-/// The full asynchronous protocol simulation.
+/// The exact sequential simulation of one [`AsyncProtocol`].
 ///
-/// Generic over the topology `G` (the paper: `K_n`) and activation source
-/// `S` (sequential model, event queue, jittered for response delays).
+/// Generic over the topology `G` (the paper: `K_n`) and the activation
+/// source `S` (sequential model, event queue, jittered for response
+/// delays, or a replayed trace).
 ///
 /// # Example
 ///
@@ -119,13 +152,17 @@ impl WorkingTimeStats {
 /// assert_eq!(out.before_first_halt, Some(true));
 /// ```
 #[derive(Clone, Debug)]
-pub struct RapidSim<G, S> {
+pub struct SeqSim<G, S> {
     topology: G,
     source: S,
     rng: SimRng,
-    schedule: Schedule,
     config: Configuration,
+    protocol: AsyncProtocol,
+    /// Per-node Rapid state; empty under a gossip rule.
     nodes: Vec<NodeState>,
+    /// Each node's own ticks, kept only under a gossip halt budget.
+    ticks: Vec<u64>,
+    halt_after: Option<u64>,
     steps: u64,
     now: SimTime,
     halted_count: usize,
@@ -136,28 +173,38 @@ pub struct RapidSim<G, S> {
     adversary_struck: bool,
 }
 
-impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
+impl<G: Topology, S: ActivationSource> SeqSim<G, S> {
     /// Creates a simulation.
     ///
     /// # Panics
     ///
-    /// Panics if topology, configuration and source disagree on `n`, or if
-    /// the parameters fail [`Params::validate`].
-    pub fn new(topology: G, config: Configuration, params: Params, source: S, seed: Seed) -> Self {
+    /// Panics if topology, configuration and source disagree on `n`.
+    pub fn new(
+        topology: G,
+        config: Configuration,
+        protocol: AsyncProtocol,
+        source: S,
+        seed: Seed,
+    ) -> Self {
         assert_eq!(
             topology.n(),
             config.n(),
             "topology/configuration n mismatch"
         );
         assert_eq!(source.n(), config.n(), "source/configuration n mismatch");
-        let n = config.n();
-        RapidSim {
+        let nodes = match protocol {
+            AsyncProtocol::Gossip(_) => Vec::new(),
+            AsyncProtocol::Rapid(_) => vec![NodeState::new(); config.n()],
+        };
+        SeqSim {
             topology,
             source,
             rng: SimRng::from_seed_value(seed),
-            schedule: Schedule::new(params),
             config,
-            nodes: (0..n).map(|_| NodeState::new()).collect(),
+            protocol,
+            nodes,
+            ticks: Vec::new(),
+            halt_after: None,
             steps: 0,
             now: SimTime::ZERO,
             halted_count: 0,
@@ -182,9 +229,21 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
         self
     }
 
-    /// The fault layer, if one is installed.
-    pub fn faults(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
+    /// Makes every node freeze its color after `ticks` of its own ticks
+    /// (the gossip endgame's finish line; Rapid halts by its schedule).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ticks == 0` or the protocol is Rapid.
+    pub fn with_halt_after(mut self, ticks: u64) -> Self {
+        assert!(ticks > 0, "halt budget must be positive");
+        assert!(
+            matches!(self.protocol, AsyncProtocol::Gossip(_)),
+            "a halt budget needs a gossip rule"
+        );
+        self.halt_after = Some(ticks);
+        self.ticks = vec![0; self.config.n()];
+        self
     }
 
     /// Whether the latest [`tick`](Self::tick) applied at least one
@@ -200,9 +259,9 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
         &self.config
     }
 
-    /// The schedule in force.
-    pub fn schedule(&self) -> &Schedule {
-        &self.schedule
+    /// The protocol being run.
+    pub fn protocol(&self) -> &AsyncProtocol {
+        &self.protocol
     }
 
     /// Simulation time of the latest activation.
@@ -215,12 +274,17 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
         self.steps
     }
 
-    /// When the first node halted, if any has.
+    /// When the first node halted (or froze), if any has.
     pub fn first_halt(&self) -> Option<SimTime> {
         self.first_halt
     }
 
-    /// How many nodes have halted.
+    /// The per-node tick budget after which gossip nodes freeze, if set.
+    pub fn halt_budget(&self) -> Option<u64> {
+        self.halt_after
+    }
+
+    /// How many nodes have halted (or frozen).
     pub fn halted_count(&self) -> usize {
         self.halted_count
     }
@@ -235,55 +299,52 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
         self.max_jump_displacement
     }
 
-    /// Per-node working times (instrumentation).
-    pub fn working_times(&self) -> Vec<u64> {
-        self.nodes.iter().map(|s| s.working_time).collect()
+    /// Per-node working times (Rapid only).
+    pub fn working_times(&self) -> Option<Vec<u64>> {
+        self.rapid_nodes()
+            .map(|nodes| nodes.iter().map(|s| s.working_time).collect())
     }
 
-    /// Per-node real times (total ticks performed).
-    pub fn real_times(&self) -> Vec<u64> {
-        self.nodes.iter().map(|s| s.real_time).collect()
-    }
-
-    /// Working-time spread statistics with the given tolerance (typically
-    /// `Δ`): the weak-synchronicity measurement of experiment E8.
-    pub fn working_time_stats(&self, tolerance: u64) -> WorkingTimeStats {
-        let mut wts = self.working_times();
-        WorkingTimeStats::from_times(&mut wts, tolerance)
-    }
-
-    /// A conservative activation budget: three times the protocol length
-    /// for every node.
-    pub fn default_step_budget(&self) -> u64 {
-        3 * self.config.n() as u64 * self.schedule.params().total_len()
-    }
-
-    /// The median working time across all nodes (instrumentation: where
-    /// the bulk of the network currently is in the schedule).
-    pub fn median_working_time(&self) -> u64 {
-        let mut wts = self.working_times();
-        wts.sort_unstable();
-        wts[wts.len() / 2]
+    /// Per-node real times, i.e. total ticks performed (Rapid only).
+    pub fn real_times(&self) -> Option<Vec<u64>> {
+        self.rapid_nodes()
+            .map(|nodes| nodes.iter().map(|s| s.real_time).collect())
     }
 
     /// Color histogram over the **bit-set** nodes — the Pólya-urn
-    /// population of the Bit-Propagation analysis (experiment E10).
-    pub fn bit_composition(&self) -> Vec<u64> {
+    /// population of the Bit-Propagation analysis (experiment E10; Rapid
+    /// only).
+    pub fn bit_composition(&self) -> Option<Vec<u64>> {
+        let nodes = self.rapid_nodes()?;
         let mut counts = vec![0u64; self.config.k()];
-        for (i, state) in self.nodes.iter().enumerate() {
+        for (state, color) in nodes.iter().zip(self.config.colors()) {
             if state.bit {
-                counts[self.config.colors()[i].index()] += 1;
+                counts[color.index()] += 1;
             }
         }
-        counts
+        Some(counts)
+    }
+
+    fn rapid_nodes(&self) -> Option<&[NodeState]> {
+        matches!(self.protocol, AsyncProtocol::Rapid(_)).then_some(&self.nodes)
+    }
+
+    /// A conservative activation budget
+    /// ([`AsyncProtocol::default_step_budget`]).
+    pub fn default_step_budget(&self) -> u64 {
+        self.protocol.default_step_budget(self.config.n())
     }
 
     /// Executes one activation; returns it with the action performed.
     ///
-    /// With a fault layer installed, a crashed node's tick is consumed as
-    /// [`Action::Wait`], and any step whose pulled responses are voided
-    /// (loss, crashed neighbor) aborts: all samples are still drawn from
-    /// the main stream, but the node's state does not change.
+    /// A Rapid tick reports the action its schedule decoded. A gossip
+    /// interaction reports [`Action::Endgame`] — the paper's part 2 is
+    /// exactly this interaction — and a frozen gossip node's tick
+    /// [`Action::Halt`]. With a fault layer installed, a crashed node's
+    /// tick is consumed as [`Action::Wait`], and any step whose pulled
+    /// responses are voided (loss, crashed neighbor) aborts: all samples
+    /// are still drawn from the main stream, but the node's state does not
+    /// change.
     pub fn tick(&mut self) -> (Activation, Action) {
         let a = self.source.next_activation();
         self.now = a.time;
@@ -300,7 +361,39 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
                 return (a, Action::Wait);
             }
         }
-        let (action, pulls) = match self.nodes[i].view().begin(&self.schedule) {
+        let schedule = match &self.protocol {
+            AsyncProtocol::Gossip(rule) => {
+                let rule = *rule;
+                if let Some(budget) = self.halt_after {
+                    if self.ticks[i] >= budget {
+                        return (a, Action::Halt);
+                    }
+                    self.ticks[i] += 1;
+                }
+                // An interaction aborts (the node keeps its color) unless
+                // every pulled response arrives.
+                let own = self.config.color(u);
+                let mut pulled = [own; MAX_PULLS];
+                let pulled = &mut pulled[..rule.pulls()];
+                let all = resolve_all(pulled, || {
+                    pull(&self.topology, u, &mut self.rng, self.faults.as_mut())
+                        .map(|v| self.config.color(v))
+                });
+                if all {
+                    self.config.set_color(u, rule.decide(own, pulled));
+                }
+                if self
+                    .halt_after
+                    .is_some_and(|budget| self.ticks[i] >= budget)
+                {
+                    self.halted_count += 1;
+                    self.first_halt.get_or_insert(a.time);
+                }
+                return (a, Action::Endgame);
+            }
+            AsyncProtocol::Rapid(schedule) => schedule,
+        };
+        let (action, pulls) = match self.nodes[i].view().begin(schedule) {
             Step::Done(action) => return (a, action),
             Step::Apply { action, pulls } => (action, pulls),
         };
@@ -317,7 +410,7 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
         });
         let effect = self.nodes[i]
             .view()
-            .finish(&self.schedule, action, all.then_some(pulled));
+            .finish(schedule, action, all.then_some(pulled));
         if let Some(c) = effect.recolor {
             self.config.set_color(u, c);
         }
@@ -375,7 +468,7 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
     /// * [`ConvergenceError::BudgetExhausted`] after `max_steps`
     ///   activations without unanimity;
     /// * [`ConvergenceError::AllHaltedWithoutConsensus`] if every node
-    ///   froze first.
+    ///   halted (or froze) first.
     pub fn run_until_consensus(
         &mut self,
         max_steps: u64,
@@ -412,21 +505,33 @@ impl<G: Topology, S: ActivationSource> RapidSim<G, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asynchronous::kernel::GossipRule;
+    use crate::asynchronous::params::Params;
+    use crate::facade::{BoxedSource, BoxedTopology, Sim, SimBuilder};
 
-    /// The paper's setting — `K_n` under the sequential model — built
-    /// through the façade (the same streams the removed `clique_rapid`
-    /// shim derived).
-    fn clique_rapid(
-        counts: &[u64],
-        params: Params,
-        seed: Seed,
-    ) -> RapidSim<crate::facade::BoxedTopology, crate::facade::BoxedSource> {
+    type Engine = SeqSim<BoxedTopology, BoxedSource>;
+
+    /// `K_n` under the sequential model, as the façade assembles it.
+    fn clique(counts: &[u64], seed: Seed) -> SimBuilder {
         let n: u64 = counts.iter().sum();
-        crate::facade::Sim::builder()
+        Sim::builder()
             .topology(rapid_graph::complete::Complete::new(n as usize))
             .counts(counts)
-            .rapid(params)
             .seed(seed)
+    }
+
+    fn clique_gossip(counts: &[u64], rule: GossipRule, seed: Seed) -> Engine {
+        clique(counts, seed)
+            .gossip(rule)
+            .build()
+            .expect("valid configuration")
+            .into_gossip()
+            .expect("gossip rule was selected")
+    }
+
+    fn clique_rapid(counts: &[u64], params: Params, seed: Seed) -> Engine {
+        clique(counts, seed)
+            .rapid(params)
             .build()
             .expect("valid configuration")
             .into_rapid()
@@ -439,6 +544,86 @@ mod tests {
         let mut counts = vec![c; k];
         counts[0] = n - c * (k as u64 - 1);
         counts
+    }
+
+    #[test]
+    fn two_choices_converges_to_strong_plurality() {
+        let mut wins = 0;
+        for seed in 0..10 {
+            let mut sim = clique_gossip(&[400, 100], GossipRule::TwoChoices, Seed::new(seed));
+            let out = sim.run_until_consensus(20_000_000).expect("converges");
+            if out.winner == Color::new(0) {
+                wins += 1;
+            }
+        }
+        assert!(wins >= 9, "plurality won only {wins}/10");
+    }
+
+    #[test]
+    fn endgame_finishes_before_first_halt_from_dominant_start() {
+        // c1 = 0.95n: the paper's endgame precondition.
+        let n = 2000u64;
+        let c1 = (0.95 * n as f64) as u64;
+        let mut sim =
+            clique_gossip(&[c1, n - c1], GossipRule::TwoChoices, Seed::new(3)).with_halt_after(100); // ≈ 8 ln n ticks each
+        let out = sim.run_until_consensus(50_000_000).expect("converges");
+        assert_eq!(out.winner, Color::new(0));
+        assert!(
+            out.before_first_halt,
+            "consensus at {} vs first halt {:?}",
+            out.time,
+            sim.first_halt()
+        );
+    }
+
+    #[test]
+    fn all_halted_error_when_budget_is_tiny() {
+        let mut sim = clique_gossip(&[50, 50], GossipRule::Voter, Seed::new(4)).with_halt_after(1);
+        let err = sim
+            .run_until_consensus(10_000_000)
+            .expect_err("cannot finish");
+        assert_eq!(err, ConvergenceError::AllHaltedWithoutConsensus);
+        assert!(sim.first_halt().is_some());
+    }
+
+    #[test]
+    fn voter_changes_color_every_tick() {
+        let mut sim = clique_gossip(&[5, 5], GossipRule::Voter, Seed::new(5));
+        let before = sim.config().counts().n();
+        for _ in 0..100 {
+            sim.tick();
+        }
+        assert_eq!(sim.config().counts().n(), before);
+        assert_eq!(sim.steps(), 100);
+        assert!(sim.now() > SimTime::ZERO);
+    }
+
+    #[test]
+    fn three_majority_converges() {
+        let mut sim = clique_gossip(&[300, 100, 100], GossipRule::ThreeMajority, Seed::new(6));
+        let out = sim.run_until_consensus(20_000_000).expect("converges");
+        assert_eq!(out.winner, Color::new(0));
+    }
+
+    #[test]
+    fn already_unanimous_returns_immediately() {
+        let mut sim = clique_gossip(&[100, 0], GossipRule::TwoChoices, Seed::new(7));
+        let out = sim.run_until_consensus(10).expect("already done");
+        assert_eq!(out.steps, 0);
+    }
+
+    #[test]
+    fn budget_exhaustion_is_reported() {
+        let mut sim = clique_gossip(&[50, 50], GossipRule::TwoChoices, Seed::new(8));
+        let err = sim.run_until_consensus(10).expect_err("too few steps");
+        assert_eq!(err, ConvergenceError::BudgetExhausted { budget: 10 });
+    }
+
+    #[test]
+    fn rule_names_are_stable() {
+        assert_eq!(GossipRule::Voter.to_string(), "async-voter");
+        assert_eq!(GossipRule::TwoChoices.name(), "async-two-choices");
+        assert_eq!(GossipRule::ThreeMajority.name(), "async-3-majority");
     }
 
     #[test]
@@ -505,7 +690,8 @@ mod tests {
             // Tolerance 2Δ: the sample→commit separation, i.e. the drift a
             // node can absorb while still executing the critical steps in
             // lockstep with the bulk.
-            let stats = sim.working_time_stats(2 * params.delta as u64);
+            let mut wts = sim.working_times().expect("rapid");
+            let stats = WorkingTimeStats::from_times(&mut wts, 2 * params.delta as u64);
             worst = worst.max(stats.poorly_synced);
         }
         assert!(
@@ -551,7 +737,7 @@ mod tests {
         }
         assert!(seen_wait, "landing buffer produces waits");
         assert_eq!(sim.steps(), 64 * 3);
-        let rt = sim.real_times();
+        let rt = sim.real_times().expect("rapid");
         assert_eq!(rt.iter().sum::<u64>(), 64 * 3);
     }
 

@@ -1,7 +1,7 @@
 //! The sharded epoch engine: one micro run split across worker threads.
 //!
-//! The sequential micro engines ([`AsyncGossipSim`], [`RapidSim`])
-//! advance one activation at a time through a single RNG stream, which
+//! The exact sequential engine ([`SeqSim`]) advances one activation at
+//! a time through a single RNG stream, which
 //! caps practical sizes near `n = 10⁵–10⁶` on non-complete topologies.
 //! This engine scales the *same protocols* to `n = 10⁷` by advancing
 //! the global Poisson clock in deterministic τ-sized **epochs**:
@@ -11,7 +11,8 @@
 //!    time) at the epoch start.
 //! 2. **Shards** — nodes are partitioned into contiguous shards, one
 //!    per worker. Each node draws its activation count for the epoch
-//!    as `Poisson(rate · τ)` and its protocol randomness from a
+//!    as `Poisson(rate · τ)` = `Poisson(1)` (τ = 1/rate, see
+//!    [`ShardedSim::new`]) and its protocol randomness from a
 //!    dedicated child stream `seed.child(7).child(epoch).child(node)`
 //!    (stream 7 of the master seed; see the rapid-lint stream
 //!    registry). Every *pull* resolves against the frozen snapshot;
@@ -29,7 +30,7 @@
 //! its private stream, the result is **bit-identical under any shard
 //! count** (including 1) and any thread interleaving — sharding is a
 //! pure throughput knob. The engine is *not* activation-for-activation
-//! identical to the sequential engines: those interleave activations
+//! identical to the sequential engine: that one interleaves activations
 //! through one global stream, while here neighbor state is at most one
 //! epoch (τ time units) stale, exactly like a tau-leap discretisation
 //! of the Poisson dynamics. That documented stream split is pinned by
@@ -40,8 +41,7 @@
 //! bit, pending samples as parallel vectors) so per-epoch updates
 //! stream through memory instead of hopping across an array of structs.
 //!
-//! [`AsyncGossipSim`]: crate::asynchronous::AsyncGossipSim
-//! [`RapidSim`]: crate::asynchronous::RapidSim
+//! [`SeqSim`]: crate::asynchronous::SeqSim
 
 use std::sync::Arc;
 
@@ -53,27 +53,18 @@ use rapid_sim::rng::{Seed, SimRng};
 use rapid_sim::time::SimTime;
 
 use crate::asynchronous::kernel::{
-    resolve_all, GossipRule, Peer, RapidView, Step, MAX_PULLS, NO_COLOR, NO_PHASE,
+    resolve_all, AsyncProtocol, GossipRule, Peer, RapidView, Step, MAX_PULLS, NO_COLOR, NO_PHASE,
 };
 use crate::asynchronous::schedule::Schedule;
 use crate::opinion::{Color, Configuration};
 
-/// Epoch length τ in simulation-time units.
+/// Expected activations per node per epoch, `λ = rate · τ`.
 ///
-/// One unit is the natural step: each node performs one expected
-/// activation per epoch (at unit rate), matching the granularity at
-/// which the paper's analysis discretises the Poisson clock.
-pub const DEFAULT_TAU: f64 = 1.0;
-
-/// Which protocol the epoch engine advances — or a rapid-net
-/// `NodeMachine`. Clones share a Rapid schedule's action table.
-#[derive(Clone, Debug)]
-pub enum ShardedProtocol {
-    /// Plain asynchronous gossip under one rule.
-    Gossip(GossipRule),
-    /// The paper's full protocol, driven by a working-time schedule.
-    Rapid(Schedule),
-}
+/// One is the natural step, matching the granularity at which the
+/// paper's analysis discretises the Poisson clock. The engine holds it
+/// fixed and derives the epoch length from the clock rate, τ = λ/rate, so
+/// a slow clock lengthens the epochs instead of starving them.
+const EPOCH_LAMBDA: f64 = 1.0;
 
 /// Struct-of-arrays node state for the full protocol: one vector per
 /// field of the kernel's [`RapidView`], in its encoding.
@@ -219,7 +210,7 @@ struct SnapView<'a> {
 /// [`ShardedSim::new`]; drive it with [`ShardedSim::run_epoch`].
 pub struct ShardedSim {
     topology: Box<dyn Topology + Send + Sync>,
-    proto: ShardedProtocol,
+    proto: AsyncProtocol,
     config: Configuration,
     rapid: Option<RapidSoa>,
     snap_colors: Vec<Color>,
@@ -227,9 +218,8 @@ pub struct ShardedSim {
     snap_bit: Vec<bool>,
     snap_real_time: Vec<u64>,
     seed: Seed,
+    /// Epoch length in time units: [`EPOCH_LAMBDA`] / clock rate.
     tau: f64,
-    /// Expected activations per node per epoch (= clock rate × τ).
-    lambda: f64,
     workers: usize,
     epoch: u64,
     steps: u64,
@@ -269,8 +259,9 @@ impl ShardedSim {
     /// Assembles a sharded run.
     ///
     /// `rate` is each node's Poisson clock rate (activations per time
-    /// unit); the epoch length is [`DEFAULT_TAU`]. `workers` is clamped
-    /// to `[1, n]`.
+    /// unit). An epoch lasts τ = 1/rate time units, so each node expects
+    /// one activation per epoch at any rate. `workers` is clamped to
+    /// `[1, n]`.
     ///
     /// # Panics
     ///
@@ -279,7 +270,7 @@ impl ShardedSim {
     pub fn new(
         topology: Box<dyn Topology + Send + Sync>,
         config: Configuration,
-        proto: ShardedProtocol,
+        proto: AsyncProtocol,
         seed: Seed,
         rate: f64,
         workers: usize,
@@ -291,8 +282,8 @@ impl ShardedSim {
         );
         let n = config.n();
         let rapid = match &proto {
-            ShardedProtocol::Gossip(_) => None,
-            ShardedProtocol::Rapid(schedule) => Some(RapidSoa::new(schedule.clone(), n)),
+            AsyncProtocol::Gossip(_) => None,
+            AsyncProtocol::Rapid(schedule) => Some(RapidSoa::new(schedule.clone(), n)),
         };
         ShardedSim {
             topology,
@@ -304,8 +295,7 @@ impl ShardedSim {
             snap_bit: Vec::new(),
             snap_real_time: Vec::new(),
             seed,
-            tau: DEFAULT_TAU,
-            lambda: rate * DEFAULT_TAU,
+            tau: EPOCH_LAMBDA / rate,
             workers: workers.clamp(1, n.max(1)),
             epoch: 0,
             steps: 0,
@@ -345,7 +335,7 @@ impl ShardedSim {
     }
 
     /// The protocol being advanced.
-    pub fn protocol(&self) -> &ShardedProtocol {
+    pub fn protocol(&self) -> &AsyncProtocol {
         &self.proto
     }
 
@@ -407,19 +397,10 @@ impl ShardedSim {
         Some(counts)
     }
 
-    /// A conservative activation budget, matching the sequential
-    /// engines: [`crate::asynchronous::RapidSim::default_step_budget`]'s
-    /// formula for the full protocol, the facade's gossip default
-    /// otherwise.
+    /// A conservative activation budget
+    /// ([`AsyncProtocol::default_step_budget`]).
     pub fn default_step_budget(&self) -> u64 {
-        let n = self.config.n() as u64;
-        match (&self.proto, &self.rapid) {
-            (ShardedProtocol::Rapid(_), Some(soa)) => 3 * n * soa.schedule.params().total_len(),
-            _ => {
-                let ln_n = (n.max(2) as f64).ln();
-                ((n as f64) * (ln_n + 1.0)).ceil() as u64 * 200
-            }
-        }
+        self.proto.default_step_budget(self.config.n())
     }
 
     /// Advances one τ-sized epoch: snapshot, sharded execution, merge.
@@ -445,13 +426,12 @@ impl ShardedSim {
         // Stream 7 split by epoch, hoisted: the per-node loop only pays
         // one further child derivation per node.
         let epoch_seed = self.seed.child(7).child(epoch);
-        let lambda = self.lambda;
         let k = self.config.k();
         let (colors, counts) = self.config.split_mut();
         let color_shards = split_by_sizes(colors, &sizes);
 
         let deltas: Vec<EpochDelta> = match (&self.proto, &mut self.rapid) {
-            (ShardedProtocol::Gossip(rule), _) => {
+            (AsyncProtocol::Gossip(rule), _) => {
                 let rule = *rule;
                 let snap: &[Color] = &self.snap_colors;
                 let snap_counts: &[u64] = &self.snap_counts;
@@ -463,19 +443,10 @@ impl ShardedSim {
                     _ => gossip_epoch_shard::<MAX_PULLS>,
                 };
                 run_shards(color_shards, &sizes, self.workers, move |lo, colors| {
-                    shard(
-                        rule,
-                        topo,
-                        snap,
-                        snap_counts,
-                        epoch_seed,
-                        lambda,
-                        lo,
-                        colors,
-                    )
+                    shard(rule, topo, snap, snap_counts, epoch_seed, lo, colors)
                 })
             }
-            (ShardedProtocol::Rapid(_), Some(soa)) => {
+            (AsyncProtocol::Rapid(_), Some(soa)) => {
                 let snap = SnapView {
                     colors: &self.snap_colors,
                     bit: &self.snap_bit,
@@ -516,11 +487,11 @@ impl ShardedSim {
                         .collect()
                 };
                 run_shards(shards, &sizes, self.workers, move |lo, shard| {
-                    rapid_epoch_shard(schedule, topo, snap, epoch_seed, lambda, k, lo, shard)
+                    rapid_epoch_shard(schedule, topo, snap, epoch_seed, k, lo, shard)
                 })
             }
             // lint: allow(panic-hygiene): new() allocates SoA state iff the protocol is Rapid, in the same match
-            (ShardedProtocol::Rapid(_), None) => unreachable!("rapid proto implies SoA state"),
+            (AsyncProtocol::Rapid(_), None) => unreachable!("rapid proto implies SoA state"),
         };
 
         // Merge in shard order: commutative aggregates, deterministic
@@ -669,7 +640,6 @@ fn gossip_epoch_shard<const PULLS: usize>(
     snap_colors: &[Color],
     snap_counts: &[u64],
     epoch_seed: Seed,
-    lambda: f64,
     lo: usize,
     colors: &mut [Color],
 ) -> EpochDelta {
@@ -680,7 +650,7 @@ fn gossip_epoch_shard<const PULLS: usize>(
         let g = lo + local;
         let u = NodeId::new(g);
         let mut rng = epoch_node_rng(epoch_seed, g as u64);
-        let activations = sample_poisson(&mut rng, lambda);
+        let activations = sample_poisson(&mut rng, EPOCH_LAMBDA);
         if activations == 0 {
             continue;
         }
@@ -711,7 +681,6 @@ fn rapid_epoch_shard(
     topology: &(dyn Topology + Send + Sync),
     snap: SnapView<'_>,
     epoch_seed: Seed,
-    lambda: f64,
     k: usize,
     lo: usize,
     mut st: RapidShard<'_>,
@@ -721,7 +690,7 @@ fn rapid_epoch_shard(
         let g = lo + local;
         let u = NodeId::new(g);
         let mut rng = epoch_node_rng(epoch_seed, g as u64);
-        let activations = sample_poisson(&mut rng, lambda);
+        let activations = sample_poisson(&mut rng, EPOCH_LAMBDA);
         if activations == 0 {
             continue;
         }
@@ -768,7 +737,7 @@ mod tests {
         ShardedSim::new(
             topology,
             config,
-            ShardedProtocol::Gossip(GossipRule::TwoChoices),
+            AsyncProtocol::Gossip(GossipRule::TwoChoices),
             Seed::new(seed),
             1.0,
             workers,
@@ -808,7 +777,7 @@ mod tests {
         let mut sim = ShardedSim::new(
             topology,
             config,
-            ShardedProtocol::Rapid(schedule),
+            AsyncProtocol::Rapid(schedule),
             Seed::new(7),
             1.0,
             2,
@@ -827,6 +796,6 @@ mod tests {
         sim.run_epoch();
         assert!(sim.steps() >= s1);
         assert_eq!(sim.epoch(), 2);
-        assert!((sim.now().as_secs() - 2.0 * DEFAULT_TAU).abs() < 1e-12);
+        assert!((sim.now().as_secs() - 2.0).abs() < 1e-12);
     }
 }

@@ -1,7 +1,5 @@
 //! Convergence outcomes and errors shared by all protocol drivers.
 
-use rapid_sim::time::SimTime;
-
 use crate::opinion::Color;
 
 /// Why a run failed to produce a consensus.
@@ -52,17 +50,6 @@ pub struct SyncOutcome {
     pub winner: Color,
     /// Rounds until unanimity.
     pub rounds: u64,
-}
-
-/// Outcome of an asynchronous run.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct AsyncOutcome {
-    /// The color every node ended up with.
-    pub winner: Color,
-    /// Parallel time until unanimity.
-    pub time: SimTime,
-    /// Total activations (sequential steps) until unanimity.
-    pub steps: u64,
 }
 
 #[cfg(test)]

@@ -75,13 +75,12 @@ use rapid_sim::scheduler::{
 };
 use rapid_sim::time::SimTime;
 
-use crate::asynchronous::gossip::AsyncGossipSim;
-use crate::asynchronous::kernel::GossipRule;
+use crate::asynchronous::kernel::{AsyncProtocol, GossipRule};
 use crate::asynchronous::params::Params;
-use crate::asynchronous::rapid::{RapidOutcome, RapidSim, WorkingTimeStats};
 use crate::asynchronous::schedule::Schedule;
-use crate::asynchronous::sharded::{ShardedProtocol, ShardedSim};
-use crate::convergence::{AsyncOutcome, ConvergenceError, SyncOutcome};
+use crate::asynchronous::sequential::{RapidOutcome, SeqSim, WorkingTimeStats};
+use crate::asynchronous::sharded::ShardedSim;
+use crate::convergence::{ConvergenceError, SyncOutcome};
 use crate::distributions::{DistributionError, InitialDistribution};
 use crate::opinion::{Color, ConfigError, Configuration};
 use crate::sync::engine::{RoundTrace, SyncProtocol};
@@ -441,7 +440,7 @@ pub enum BuildError {
     Distribution(DistributionError),
     /// The rapid protocol's parameters are inconsistent.
     InvalidParams(&'static str),
-    /// A clock rate is not strictly positive and finite, or the skew is
+    /// A clock rate is not finite or below [`MIN_RATE`], or the skew is
     /// outside `[0, 1)`.
     InvalidClock(&'static str),
     /// Explicit per-node rates have the wrong length.
@@ -451,7 +450,7 @@ pub enum BuildError {
         /// Number of rates supplied.
         got: usize,
     },
-    /// The jitter delay rate is not strictly positive and finite.
+    /// The jitter delay rate is not finite or below [`MIN_RATE`].
     InvalidJitter(f64),
     /// `halt_after` requires an asynchronous gossip protocol (the rapid
     /// protocol halts by its own schedule), and must be positive.
@@ -517,7 +516,7 @@ impl std::fmt::Display for BuildError {
             BuildError::InvalidJitter(rate) => {
                 write!(
                     f,
-                    "jitter delay rate must be positive and finite, got {rate}"
+                    "jitter delay rate must be finite and at least {MIN_RATE:e}, got {rate}"
                 )
             }
             BuildError::InvalidHaltBudget => write!(
@@ -574,7 +573,7 @@ impl From<DistributionError> for BuildError {
 }
 
 /// The unified result of any run: one type subsuming the legacy
-/// [`SyncOutcome`], [`AsyncOutcome`] and [`RapidOutcome`].
+/// [`SyncOutcome`] and [`RapidOutcome`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Outcome {
     /// Why the run ended.
@@ -609,19 +608,6 @@ impl Outcome {
             (Some(winner), Some(rounds)) if self.converged() => {
                 Some(SyncOutcome { winner, rounds })
             }
-            _ => None,
-        }
-    }
-
-    /// The legacy asynchronous view, for activation-based runs that
-    /// converged.
-    pub fn as_async(&self) -> Option<AsyncOutcome> {
-        match (self.winner, self.time) {
-            (Some(winner), Some(time)) if self.converged() => Some(AsyncOutcome {
-                winner,
-                time,
-                steps: self.steps,
-            }),
             _ => None,
         }
     }
@@ -1023,12 +1009,14 @@ impl SimBuilder {
     /// the shard worker count taken from `parallelism.shard_workers`.
     ///
     /// Setting this axis — even with one shard worker — switches the
-    /// run from the sequential activation-at-a-time engines to the
-    /// epoch engine, whose randomness comes from per-(epoch, node)
-    /// child streams (`seed.child(7)`): results are bit-identical under
-    /// any worker count, but *not* activation-for-activation identical
-    /// to the unsharded engines (a documented, tested stream split; see
-    /// the module docs of [`crate::asynchronous::sharded`]).
+    /// run from the exact activation-at-a-time engine
+    /// ([`crate::asynchronous::SeqSim`]) to the epoch engine, whose
+    /// randomness comes from per-(epoch, node) child streams
+    /// (`seed.child(7)`): results are bit-identical under any worker
+    /// count, but *not* activation-for-activation identical to the
+    /// exact engine (a documented, tested stream split; see the module
+    /// docs of [`crate::asynchronous::sharded`]). An epoch lasts one
+    /// expected activation per node, τ = 1/rate time units.
     ///
     /// The epoch engine supports asynchronous gossip and the rapid
     /// protocol on any topology, with [`Clock::Sequential`] or
@@ -1106,7 +1094,7 @@ impl SimBuilder {
             Some(_) => {}
         }
         if let Some(rate) = self.jitter {
-            if !(rate.is_finite() && rate > 0.0) {
+            if !valid_rate(rate) {
                 return Err(BuildError::InvalidJitter(rate));
             }
         }
@@ -1135,21 +1123,36 @@ impl SimBuilder {
             config.shuffle(&mut SimRng::from_seed_value(self.seed.child(2)));
         }
 
+        let protocol = match protocol {
+            Protocol::Sync(mut proto) => {
+                if self.parallelism.is_some() {
+                    return Err(BuildError::ShardedUnsupported(
+                        "synchronous protocols (epochs discretise the Poisson clock)",
+                    ));
+                }
+                proto.reset();
+                let engine = Engine::Sync {
+                    proto,
+                    topology,
+                    config,
+                    // Matches the stream a legacy caller gets from
+                    // `SimRng::from_seed_value(seed)`.
+                    rng: SimRng::from_seed_value(self.seed),
+                    rounds: 0,
+                };
+                return Ok(Sim {
+                    engine,
+                    stops: self.stops,
+                });
+            }
+            Protocol::Gossip(rule) => AsyncProtocol::Gossip(rule),
+            Protocol::Rapid(params) => AsyncProtocol::Rapid(Schedule::new(params)),
+        };
+
         // An explicit parallelism axis selects the sharded epoch engine
         // (even at one shard worker): same protocols, different —
         // documented and registry-declared — stream layout.
-        if let Some(par) = self.parallelism {
-            let proto = match protocol {
-                Protocol::Gossip(rule) => ShardedProtocol::Gossip(rule),
-                Protocol::Rapid(params) => {
-                    ShardedProtocol::Rapid(crate::asynchronous::Schedule::new(params))
-                }
-                Protocol::Sync(_) => {
-                    return Err(BuildError::ShardedUnsupported(
-                        "synchronous protocols (epochs discretise the Poisson clock)",
-                    ))
-                }
-            };
+        let engine = if let Some(par) = self.parallelism {
             if self.halt_after.is_some() {
                 return Err(BuildError::ShardedUnsupported(
                     "per-node halt budgets (epoch merges carry no per-node tick counts)",
@@ -1175,51 +1178,22 @@ impl SimBuilder {
                 }
             };
             let workers = par.shard_workers.resolve(n);
-            let mut sim = ShardedSim::new(topology, config, proto, self.seed, rate, workers);
+            let mut sim = ShardedSim::new(topology, config, protocol, self.seed, rate, workers);
             if let Some(obs) = self.obs {
                 sim.attach_obs(obs);
             }
-            return Ok(Sim {
-                engine: Engine::Sharded(Box::new(sim)),
-                stops: self.stops,
-            });
-        }
-
-        let engine = match protocol {
-            Protocol::Sync(mut proto) => Engine::Sync {
-                proto: {
-                    proto.reset();
-                    proto
-                },
-                topology,
-                config,
-                // Matches the stream a legacy caller gets from
-                // `SimRng::from_seed_value(seed)`.
-                rng: SimRng::from_seed_value(self.seed),
-                rounds: 0,
-            },
-            Protocol::Gossip(rule) => {
-                let source = build_source(&self.clock, self.jitter, faults.as_ref(), n, self.seed);
-                let mut sim =
-                    AsyncGossipSim::new(topology, config, rule, source, self.seed.child(1));
-                if let Some(ticks) = self.halt_after {
-                    sim = sim.with_halt_after(ticks);
-                }
-                if let Some(plan) = &faults {
-                    sim = sim.with_faults(plan, self.seed.child(4));
-                }
-                Engine::Gossip(Box::new(sim))
+            Engine::Sharded(Box::new(sim))
+        } else {
+            let source = build_source(&self.clock, self.jitter, faults.as_ref(), n, self.seed);
+            let mut sim = SeqSim::new(topology, config, protocol, source, self.seed.child(1));
+            if let Some(ticks) = self.halt_after {
+                sim = sim.with_halt_after(ticks);
             }
-            Protocol::Rapid(params) => {
-                let source = build_source(&self.clock, self.jitter, faults.as_ref(), n, self.seed);
-                let mut sim = RapidSim::new(topology, config, params, source, self.seed.child(1));
-                if let Some(plan) = &faults {
-                    sim = sim.with_faults(plan, self.seed.child(4));
-                }
-                Engine::Rapid(Box::new(sim))
+            if let Some(plan) = &faults {
+                sim = sim.with_faults(plan, self.seed.child(4));
             }
+            Engine::Seq(Box::new(sim))
         };
-
         Ok(Sim {
             engine,
             stops: self.stops,
@@ -1336,7 +1310,7 @@ impl SimBuilder {
             ));
         }
         if let Some(rate) = self.jitter {
-            if !(rate.is_finite() && rate > 0.0) {
+            if !valid_rate(rate) {
                 return Err(BuildError::InvalidJitter(rate));
             }
             return Err(BuildError::MacroUnsupported(
@@ -1464,7 +1438,7 @@ impl SimBuilder {
             ));
         }
         if let Some(rate) = self.jitter {
-            if !(rate.is_finite() && rate > 0.0) {
+            if !valid_rate(rate) {
                 return Err(BuildError::InvalidJitter(rate));
             }
             return Err(BuildError::NetUnsupported(
@@ -1520,14 +1494,30 @@ impl SimBuilder {
     }
 }
 
+/// The slowest clock or jitter rate a build accepts.
+///
+/// Every exponential gap or delay is `−ln(U)/rate`, where the sampler's
+/// uniform `U` is at least 2⁻⁵³, so one gap is at most
+/// `53·ln 2/rate ≈ 36.7/rate` time units. Even 2⁶⁴ of them, more steps
+/// than a run can count, sum to less than `f64::MAX` at any rate above
+/// ≈ 3.8·10⁻²⁸⁸: every run above the floor keeps a finite clock, with
+/// eight orders of magnitude to spare. Below it, a long enough run
+/// overflows simulation time to infinity, which panics.
+pub const MIN_RATE: f64 = 1e-280;
+
+/// Whether `rate` is a usable clock or jitter rate ([`MIN_RATE`]).
+fn valid_rate(rate: f64) -> bool {
+    rate.is_finite() && rate >= MIN_RATE
+}
+
 /// Validates a clock configuration against the population size.
 fn check_clock(clock: &Clock, n: usize) -> Result<(), BuildError> {
     match clock {
         Clock::Sequential(_) => {}
         Clock::EventQueue { rate } => {
-            if !(rate.is_finite() && *rate > 0.0) {
+            if !valid_rate(*rate) {
                 return Err(BuildError::InvalidClock(
-                    "event-queue rate must be positive and finite",
+                    "event-queue rate must be finite and at least MIN_RATE (1e-280)",
                 ));
             }
         }
@@ -1543,9 +1533,9 @@ fn check_clock(clock: &Clock, n: usize) -> Result<(), BuildError> {
                     got: rates.len(),
                 });
             }
-            if rates.iter().any(|r| !(r.is_finite() && *r > 0.0)) {
+            if !rates.iter().all(|&r| valid_rate(r)) {
                 return Err(BuildError::InvalidClock(
-                    "every clock rate must be positive and finite",
+                    "every clock rate must be finite and at least MIN_RATE (1e-280)",
                 ));
             }
         }
@@ -1601,8 +1591,7 @@ enum Engine {
         rng: SimRng,
         rounds: u64,
     },
-    Gossip(Box<AsyncGossipSim<BoxedTopology, BoxedSource>>),
-    Rapid(Box<RapidSim<BoxedTopology, BoxedSource>>),
+    Seq(Box<SeqSim<BoxedTopology, BoxedSource>>),
     Sharded(Box<ShardedSim>),
 }
 
@@ -1620,11 +1609,13 @@ impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let engine = match &self.engine {
             Engine::Sync { proto, .. } => proto.name(),
-            Engine::Gossip(sim) => sim.rule().name(),
-            Engine::Rapid(_) => "rapid",
+            Engine::Seq(sim) => match sim.protocol() {
+                AsyncProtocol::Gossip(rule) => rule.name(),
+                AsyncProtocol::Rapid(_) => "rapid",
+            },
             Engine::Sharded(sim) => match sim.protocol() {
-                ShardedProtocol::Gossip(_) => "sharded-gossip",
-                ShardedProtocol::Rapid(_) => "sharded-rapid",
+                AsyncProtocol::Gossip(_) => "sharded-gossip",
+                AsyncProtocol::Rapid(_) => "sharded-rapid",
             },
         };
         f.debug_struct("Sim")
@@ -1642,21 +1633,31 @@ impl Sim {
         SimBuilder::new()
     }
 
-    /// Unwraps the underlying rapid-protocol engine, if that protocol was
-    /// selected (for callers that want to drive it tick by tick).
-    pub fn into_rapid(self) -> Option<RapidSim<BoxedTopology, BoxedSource>> {
+    /// Unwraps the underlying sequential engine, if it runs the rapid
+    /// protocol (for callers that want to drive it tick by tick).
+    pub fn into_rapid(self) -> Option<SeqSim<BoxedTopology, BoxedSource>> {
         match self.engine {
-            Engine::Rapid(sim) => Some(*sim),
+            Engine::Seq(sim) if matches!(sim.protocol(), AsyncProtocol::Rapid(_)) => Some(*sim),
             _ => None,
         }
     }
 
-    /// Unwraps the underlying gossip engine, if a gossip rule was
-    /// selected (for callers that want to drive it tick by tick).
-    pub fn into_gossip(self) -> Option<AsyncGossipSim<BoxedTopology, BoxedSource>> {
+    /// Unwraps the underlying sequential engine, if it runs a gossip rule
+    /// (for callers that want to drive it tick by tick).
+    pub fn into_gossip(self) -> Option<SeqSim<BoxedTopology, BoxedSource>> {
         match self.engine {
-            Engine::Gossip(sim) => Some(*sim),
+            Engine::Seq(sim) if matches!(sim.protocol(), AsyncProtocol::Gossip(_)) => Some(*sim),
             _ => None,
+        }
+    }
+
+    /// The protocol the per-node engines run (`None` for synchronous
+    /// rounds).
+    fn protocol(&self) -> Option<&AsyncProtocol> {
+        match &self.engine {
+            Engine::Sync { .. } => None,
+            Engine::Seq(sim) => Some(sim.protocol()),
+            Engine::Sharded(sim) => Some(sim.protocol()),
         }
     }
 
@@ -1664,8 +1665,7 @@ impl Sim {
     pub fn config(&self) -> &Configuration {
         match &self.engine {
             Engine::Sync { config, .. } => config,
-            Engine::Gossip(sim) => sim.config(),
-            Engine::Rapid(sim) => sim.config(),
+            Engine::Seq(sim) => sim.config(),
             Engine::Sharded(sim) => sim.config(),
         }
     }
@@ -1680,8 +1680,7 @@ impl Sim {
     pub fn steps(&self) -> u64 {
         match &self.engine {
             Engine::Sync { rounds, .. } => *rounds,
-            Engine::Gossip(sim) => sim.steps(),
-            Engine::Rapid(sim) => sim.steps(),
+            Engine::Seq(sim) => sim.steps(),
             Engine::Sharded(sim) => sim.steps(),
         }
     }
@@ -1698,8 +1697,7 @@ impl Sim {
     pub fn now(&self) -> Option<SimTime> {
         match &self.engine {
             Engine::Sync { .. } => None,
-            Engine::Gossip(sim) => Some(sim.now()),
-            Engine::Rapid(sim) => Some(sim.now()),
+            Engine::Seq(sim) => Some(sim.now()),
             Engine::Sharded(sim) => Some(sim.now()),
         }
     }
@@ -1708,8 +1706,7 @@ impl Sim {
     pub fn first_halt(&self) -> Option<SimTime> {
         match &self.engine {
             Engine::Sync { .. } => None,
-            Engine::Gossip(sim) => sim.first_halt(),
-            Engine::Rapid(sim) => sim.first_halt(),
+            Engine::Seq(sim) => sim.first_halt(),
             Engine::Sharded(sim) => sim.first_halt(),
         }
     }
@@ -1718,8 +1715,7 @@ impl Sim {
     pub fn halted_count(&self) -> Option<usize> {
         match &self.engine {
             Engine::Sync { .. } => None,
-            Engine::Gossip(sim) => Some(sim.halted_count()),
-            Engine::Rapid(sim) => Some(sim.halted_count()),
+            Engine::Seq(sim) => Some(sim.halted_count()),
             Engine::Sharded(sim) => Some(sim.halted_count()),
         }
     }
@@ -1727,53 +1723,39 @@ impl Sim {
     /// Per-node working times (rapid protocol only).
     pub fn working_times(&self) -> Option<Vec<u64>> {
         match &self.engine {
-            Engine::Rapid(sim) => Some(sim.working_times()),
+            Engine::Sync { .. } => None,
+            Engine::Seq(sim) => sim.working_times(),
             Engine::Sharded(sim) => sim.working_times(),
-            _ => None,
         }
     }
 
     /// Working-time spread statistics (rapid protocol only).
     pub fn working_time_stats(&self, tolerance: u64) -> Option<WorkingTimeStats> {
-        match &self.engine {
-            Engine::Rapid(sim) => Some(sim.working_time_stats(tolerance)),
-            Engine::Sharded(sim) => {
-                let mut wts = sim.working_times()?;
-                Some(WorkingTimeStats::from_times(&mut wts, tolerance))
-            }
-            _ => None,
-        }
+        let mut wts = self.working_times()?;
+        Some(WorkingTimeStats::from_times(&mut wts, tolerance))
     }
 
     /// Median working time (rapid protocol only).
     pub fn median_working_time(&self) -> Option<u64> {
-        match &self.engine {
-            Engine::Rapid(sim) => Some(sim.median_working_time()),
-            Engine::Sharded(sim) => {
-                let mut wts = sim.working_times()?;
-                wts.sort_unstable();
-                Some(wts[wts.len() / 2])
-            }
-            _ => None,
-        }
+        let mut wts = self.working_times()?;
+        let mid = wts.len() / 2;
+        Some(*wts.select_nth_unstable(mid).1)
     }
 
     /// Color histogram over the bit-set nodes (rapid protocol only).
     pub fn bit_composition(&self) -> Option<Vec<u64>> {
         match &self.engine {
-            Engine::Rapid(sim) => Some(sim.bit_composition()),
+            Engine::Sync { .. } => None,
+            Engine::Seq(sim) => sim.bit_composition(),
             Engine::Sharded(sim) => sim.bit_composition(),
-            _ => None,
         }
     }
 
     /// Sync-Gadget jumps so far (rapid protocol only).
     pub fn jump_count(&self) -> Option<u64> {
         match &self.engine {
-            Engine::Rapid(sim) => Some(sim.jump_count()),
-            Engine::Sharded(sim) if matches!(sim.protocol(), ShardedProtocol::Rapid(_)) => {
-                Some(sim.jump_count())
-            }
+            Engine::Seq(sim) if self.is_rapid() => Some(sim.jump_count()),
+            Engine::Sharded(sim) if self.is_rapid() => Some(sim.jump_count()),
             _ => None,
         }
     }
@@ -1782,27 +1764,24 @@ impl Sim {
     /// only).
     pub fn max_jump_displacement(&self) -> Option<u64> {
         match &self.engine {
-            Engine::Rapid(sim) => Some(sim.max_jump_displacement()),
-            Engine::Sharded(sim) if matches!(sim.protocol(), ShardedProtocol::Rapid(_)) => {
-                Some(sim.max_jump_displacement())
-            }
+            Engine::Seq(sim) if self.is_rapid() => Some(sim.max_jump_displacement()),
+            Engine::Sharded(sim) if self.is_rapid() => Some(sim.max_jump_displacement()),
             _ => None,
         }
     }
 
+    fn is_rapid(&self) -> bool {
+        matches!(self.protocol(), Some(AsyncProtocol::Rapid(_)))
+    }
+
     /// The generous fallback budget used when no explicit stop condition
     /// is configured: the rapid protocol's schedule-derived budget, or a
-    /// population-scaled cap for open-ended dynamics.
+    /// population-scaled cap for open-ended dynamics
+    /// ([`AsyncProtocol::default_step_budget`]).
     pub fn default_budget(&self) -> u64 {
-        match &self.engine {
-            Engine::Sync { config, .. } => (config.n() as u64 * 64).max(100_000),
-            Engine::Gossip(sim) => {
-                let n = sim.config().n() as u64;
-                let ln_n = (n.max(2) as f64).ln();
-                (n as f64 * (ln_n + 1.0) * 200.0) as u64
-            }
-            Engine::Rapid(sim) => sim.default_step_budget(),
-            Engine::Sharded(sim) => sim.default_step_budget(),
+        match self.protocol() {
+            None => (self.n() as u64 * 64).max(100_000),
+            Some(protocol) => protocol.default_step_budget(self.n()),
         }
     }
 
@@ -1820,10 +1799,7 @@ impl Sim {
                 proto.round(&**topology, config, rng);
                 *rounds += 1;
             }
-            Engine::Gossip(sim) => {
-                sim.tick();
-            }
-            Engine::Rapid(sim) => {
+            Engine::Seq(sim) => {
                 sim.tick();
             }
             // One "step" of the epoch engine is one τ-sized epoch (≈ one
@@ -1848,14 +1824,13 @@ impl Sim {
     }
 
     /// Advances the engine and reports the unanimous color if that
-    /// produced unanimity. The sequential engines tick as one batch (see
-    /// [`RapidSim::run_batch`]): up to `max_ticks` ticks, ending early
+    /// produced unanimity. The sequential engine ticks as one batch (see
+    /// [`SeqSim::run_batch`]): up to `max_ticks` ticks, ending early
     /// where a stop could fire. A synchronous round or an epoch is always
     /// a batch of its own, checked by a histogram scan.
     fn advance(&mut self, max_ticks: u64, horizon: SimTime) -> Option<Color> {
         match &mut self.engine {
-            Engine::Gossip(sim) => sim.run_batch(max_ticks, horizon),
-            Engine::Rapid(sim) => sim.run_batch(max_ticks, horizon),
+            Engine::Seq(sim) => sim.run_batch(max_ticks, horizon),
             Engine::Sync { .. } | Engine::Sharded(_) => {
                 self.step();
                 self.config().unanimous()
@@ -1868,7 +1843,7 @@ impl Sim {
     /// Unanimity and the stop conditions are checked between batches of
     /// engine steps, and each batch ends at the first step where one of
     /// them could fire: a budget running out, an observer falling due
-    /// (with observers attached), or, inside the sequential engines, a
+    /// (with observers attached), or, inside the sequential engine, a
     /// tick that creates unanimity, halts a node or reaches the earliest
     /// time horizon. So a run stops on exactly the step a check after
     /// every step would stop it on.
@@ -1976,11 +1951,7 @@ impl Sim {
         if observers.is_empty() {
             return;
         }
-        let working_times = match &self.engine {
-            Engine::Rapid(sim) => Some(sim.working_times()),
-            Engine::Sharded(sim) => sim.working_times(),
-            _ => None,
-        };
+        let working_times = self.working_times();
         let progress = Progress {
             steps: self.steps(),
             rounds: self.rounds(),
@@ -1998,13 +1969,7 @@ impl Sim {
     /// so a manually pre-stepped simulation still gets its full budget.
     fn stop_reason(&self, start_steps: u64) -> Option<StopReason> {
         let n = self.n();
-        let all_halted = match &self.engine {
-            Engine::Sync { .. } => false,
-            Engine::Gossip(sim) => sim.halted_count() == n,
-            Engine::Rapid(sim) => sim.halted_count() == n,
-            Engine::Sharded(sim) => sim.halted_count() == n,
-        };
-        if all_halted {
+        if self.halted_count() == Some(n) {
             return Some(StopReason::AllHalted);
         }
         let steps_run = self.steps() - start_steps;
@@ -2045,17 +2010,10 @@ impl Sim {
                 // lint: allow(panic-hygiene): first_halt is only set by halting engines, which always carry virtual time
                 Some(halt) => self.now().expect("halting engines are asynchronous") < halt,
             };
-        let before_first_halt = match &self.engine {
-            Engine::Sync { .. } => None,
-            Engine::Gossip(sim) => sim.halt_budget().map(|_| success),
-            Engine::Rapid(_) => Some(success),
-            // Sharded gossip has no halt budget; sharded rapid halts by
-            // schedule, exactly like the sequential engine.
-            Engine::Sharded(sim) => match sim.protocol() {
-                ShardedProtocol::Gossip(_) => None,
-                ShardedProtocol::Rapid(_) => Some(success),
-            },
-        };
+        // Rapid halts by its schedule on either engine; gossip halts only
+        // under a halt budget, which only the sequential engine takes.
+        let halts = matches!(&self.engine, Engine::Seq(sim) if sim.halt_budget().is_some());
+        let before_first_halt = (halts || self.is_rapid()).then_some(success);
         Outcome {
             stop,
             winner,

@@ -1,8 +1,8 @@
-//! Opinion-level fault hooks shared by both asynchronous engines.
+//! Opinion-level fault hooks of the exact sequential engine.
 //!
 //! The mechanics of the fault layer (loss draws, churn transitions,
 //! strike scheduling) live in [`rapid_sim::fault`]; this module supplies
-//! the pieces that need to see the engines: the pull with its crash/loss
+//! the pieces that need to see the engine: the pull with its crash/loss
 //! veto, and turning an adversary strike into a concrete corruption of
 //! the [`Configuration`].
 
@@ -14,7 +14,7 @@ use rapid_sim::time::SimTime;
 
 use crate::opinion::{Color, Configuration};
 
-/// The sequential engines' pull resolver: samples one neighbor of `u`
+/// The sequential engine's pull resolver: samples one neighbor of `u`
 /// from the main stream (so fault-free runs are bit-identical to the
 /// pre-fault implementation), then the fault layer may void the response
 /// — the contacted node is down, or the message is lost.
@@ -31,9 +31,9 @@ pub(crate) fn pull<G: Topology + ?Sized>(
 }
 
 /// Advances the fault layer to `now` and applies any adversary strikes
-/// that came due, returning how many were applied. Called by the engines
+/// that came due, returning how many were applied. Called by the engine
 /// at the top of every tick; a `None` fault layer is a no-op. The strike
-/// count matters to the engines' unanimity fast paths: a corruption can
+/// count matters to the engine's unanimity fast path: a corruption can
 /// create unanimity outside any color-changing protocol action.
 pub(crate) fn pre_tick(
     faults: &mut Option<FaultState>,

@@ -18,12 +18,14 @@
 //!   [`sync::OneExtraBit`] (Theorem 1.2: polylogarithmic via an extra bit
 //!   and Bit-Propagation), and the [`sync::Voter`] / [`sync::ThreeMajority`]
 //!   baselines.
-//! * [`asynchronous`] — the paper's headline contribution
-//!   ([`asynchronous::RapidSim`]): nodes driven by Poisson clocks schedule
-//!   Two-Choices, Bit-Propagation and Sync-Gadget sub-phases by *working
-//!   time*, achieving consensus in `Θ(log n)` time (Theorem 1.3) despite
-//!   asynchrony; plus plain asynchronous gossip
-//!   ([`asynchronous::AsyncGossipSim`]) as baseline and endgame.
+//! * [`asynchronous`] — the paper's headline contribution: nodes driven
+//!   by Poisson clocks schedule Two-Choices, Bit-Propagation and
+//!   Sync-Gadget sub-phases by *working time*, achieving consensus in
+//!   `Θ(log n)` time (Theorem 1.3) despite asynchrony; plus plain
+//!   asynchronous gossip as baseline and endgame. Both are an
+//!   [`asynchronous::AsyncProtocol`], run exactly by
+//!   [`asynchronous::SeqSim`] or in epochs by
+//!   [`asynchronous::ShardedSim`].
 //! * [`opinion`] — colors, histograms, configurations.
 //! * [`convergence`] — outcome and error types.
 //!
@@ -32,7 +34,7 @@
 //!   fault plan and stop conditions into a run with one serialisable
 //!   [`Outcome`]. The fault axis
 //!   ([`rapid_sim::fault::FaultPlan`]) adds message loss, edge latency,
-//!   churn and budgeted adversaries to both asynchronous engines.
+//!   churn and budgeted adversaries to the exact sequential engine.
 //!
 //! # Quickstart
 //!
@@ -68,10 +70,10 @@ pub mod opinion;
 pub mod sync;
 
 pub use asynchronous::{
-    Action, AsyncGossipSim, GossipRule, NodeState, Params, RapidOutcome, RapidSim, Schedule,
-    ShardedProtocol, ShardedSim,
+    Action, AsyncProtocol, GossipRule, NodeState, Params, RapidOutcome, Schedule, SeqSim,
+    ShardedSim,
 };
-pub use convergence::{AsyncOutcome, ConvergenceError, SyncOutcome};
+pub use convergence::{ConvergenceError, SyncOutcome};
 pub use distributions::{theorem_11_gap, theorem_12_gap, DistributionError, InitialDistribution};
 pub use facade::{
     BuildError, Clock, EngineKind, MacroProtocol, MacroSpec, NetSpec, ObsObserver, Observer,
@@ -82,12 +84,11 @@ pub use sync::{OneExtraBit, OneExtraBitParams, SyncProtocol, ThreeMajority, TwoC
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
-    pub use crate::asynchronous::gossip::AsyncGossipSim;
-    pub use crate::asynchronous::kernel::GossipRule;
+    pub use crate::asynchronous::kernel::{AsyncProtocol, GossipRule};
     pub use crate::asynchronous::params::Params;
-    pub use crate::asynchronous::rapid::{RapidOutcome, RapidSim};
     pub use crate::asynchronous::schedule::{Action, Schedule};
-    pub use crate::convergence::{AsyncOutcome, ConvergenceError, SyncOutcome};
+    pub use crate::asynchronous::sequential::{RapidOutcome, SeqSim};
+    pub use crate::convergence::{ConvergenceError, SyncOutcome};
     pub use crate::distributions::{DistributionError, InitialDistribution};
     pub use crate::facade::{
         BuildError, Clock, EngineKind, MacroProtocol, MacroSpec, NetSpec, ObsObserver, Observer,

@@ -1,8 +1,11 @@
-//! What the sequential engines allocate once warm.
+//! What the sequential engine allocates once warm, under each protocol.
 //!
-//! A counting global allocator wraps the system one. This binary holds a
-//! single test, so no other test thread adds to the count while it runs.
-//! Both engines run through `run_until_consensus`, the batch loop that
+//! A counting global allocator wraps the system one. It counts only the
+//! allocations of a thread that has switched counting on, i.e. of the
+//! test thread inside its counted window. Other threads (the test
+//! harness runs its own) allocate at times of their own, and counting
+//! them made the pins flaky.
+//! Both protocols run through `run_until_consensus`, the batch loop that
 //! `Sim::run` drives, and each count must come back as a step budget
 //! spent in full.
 //!
@@ -20,6 +23,7 @@
 //!   a protocol question, not an engine one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rapid_core::facade::Sim;
@@ -27,29 +31,53 @@ use rapid_core::prelude::*;
 use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 
-/// Counts every allocation and reallocation, then defers to [`System`].
+/// Counts every allocation and reallocation of a counting thread, then
+/// defers to [`System`].
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count. `const`-initialised and
+    /// without a destructor, so reading it never allocates and works on
+    /// any thread at any time, as code inside an allocator must.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The allocations the current thread makes while `f` runs.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counter is a plain
-// atomic and never allocates.
+// atomic and the flag a const thread-local without a destructor, and
+// neither ever allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's guarantees on `layout` pass through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` was allocated by this allocator, hence by `System`,
         // with `layout`; the caller guarantees `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -83,9 +111,7 @@ fn builder(distribution: InitialDistribution) -> SimBuilder {
 
 /// Allocations while `run` spends its budget of [`COUNTED`] steps.
 fn counted(run: impl FnOnce(u64) -> Result<(), ConvergenceError>) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = run(COUNTED);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (result, allocations) = allocations_in(|| run(COUNTED));
     assert_eq!(
         result,
         Err(ConvergenceError::BudgetExhausted { budget: COUNTED }),

@@ -243,10 +243,10 @@ fn builder_async_runs_match_directly_constructed_engines() {
     let counts = [90u64, 38];
     let seed = Seed::new(5);
     let config = Configuration::from_counts(&counts).expect("valid");
-    let mut direct = AsyncGossipSim::new(
+    let mut direct = SeqSim::new(
         Complete::new(128),
         config,
-        GossipRule::TwoChoices,
+        AsyncProtocol::Gossip(GossipRule::TwoChoices),
         SequentialScheduler::new(128, seed.child(0)),
         seed.child(1),
     );
@@ -260,15 +260,18 @@ fn builder_async_runs_match_directly_constructed_engines() {
         .expect("valid experiment")
         .run_to_consensus()
         .expect("converges");
-    assert_eq!(built.as_async(), Some(direct));
+    assert_eq!(
+        (built.winner, built.time, built.steps),
+        (Some(direct.winner), Some(direct.time), direct.steps)
+    );
 
     let params = Params::for_network(128, 2);
     let seed = Seed::new(6);
     let config = Configuration::from_counts(&counts).expect("valid");
-    let mut direct_sim = RapidSim::new(
+    let mut direct_sim = SeqSim::new(
         Complete::new(128),
         config,
-        params,
+        AsyncProtocol::Rapid(Schedule::new(params)),
         SequentialScheduler::new(128, seed.child(0)),
         seed.child(1),
     );
@@ -759,5 +762,103 @@ fn builder_covers_every_clock_model() {
             .run_to_consensus()
             .unwrap_or_else(|e| panic!("clock {clock:?} failed: {e}"));
         assert_eq!(out.winner, Some(Color::new(0)), "clock {clock:?}");
+    }
+}
+
+// ----------------------------------------------------------- clock rates
+
+/// Two-Choices or Rapid on `K_64`, sequential or on the epoch engine
+/// (one shard), under an event-queue clock at `rate`.
+fn at_rate(rate: f64, rapid: bool, epochs: bool) -> SimBuilder {
+    let b = Sim::builder()
+        .topology(Complete::new(64))
+        .counts(&[40, 24])
+        .clock(Clock::EventQueue { rate })
+        .seed(Seed::new(3));
+    let b = if rapid {
+        b.rapid(Params::for_network(64, 2))
+    } else {
+        b.gossip(GossipRule::TwoChoices)
+    };
+    if epochs {
+        b.parallelism(Parallelism::default())
+    } else {
+        b
+    }
+}
+
+#[test]
+fn tiny_clock_rates_end_or_fail_to_build() {
+    for epochs in [false, true] {
+        for rapid in [false, true] {
+            let label = format!("rapid={rapid} epochs={epochs}");
+            let out = at_rate(1e-270, rapid, epochs)
+                .stop(StopCondition::StepBudget(10_000))
+                .build()
+                .expect("a rate above the floor builds")
+                .run();
+            assert!(
+                matches!(out.stop, StopReason::StepBudget | StopReason::Unanimity),
+                "{label}: {:?}",
+                out.stop
+            );
+            assert!(out.time.is_some_and(|t| t.as_secs().is_finite()), "{label}");
+            for rate in [1e-300, 1e-308, 5e-324] {
+                let err = at_rate(rate, rapid, epochs)
+                    .build()
+                    .expect_err("a rate below the floor");
+                assert!(matches!(err, BuildError::InvalidClock(_)), "{label}: {err}");
+            }
+        }
+    }
+    let gossip = || at_rate(1.0, false, false);
+    let err = gossip()
+        .clock(Clock::Rates(vec![1e-308; 64]))
+        .build()
+        .expect_err("per-node rates below the floor");
+    assert!(matches!(err, BuildError::InvalidClock(_)), "{err}");
+    let err = gossip()
+        .jitter(1e-308)
+        .build()
+        .expect_err("a jitter rate below the floor");
+    assert_eq!(err, BuildError::InvalidJitter(1e-308));
+}
+
+#[test]
+fn epoch_engine_scales_time_with_the_clock_rate() {
+    for rapid in [false, true] {
+        let base = at_rate(1.0, rapid, true)
+            .build()
+            .expect("valid experiment")
+            .run();
+        assert!(base.converged(), "rapid={rapid}: {:?}", base.stop);
+        for rate in [0.5, 2.0] {
+            let out = at_rate(rate, rapid, true)
+                .build()
+                .expect("valid experiment")
+                .run();
+            let label = format!("rapid={rapid} rate={rate}");
+            assert_eq!(out.stop, base.stop, "{label}");
+            assert_eq!(out.winner, base.winner, "{label}");
+            assert_eq!(out.steps, base.steps, "{label}");
+            assert_eq!(out.final_counts, base.final_counts, "{label}");
+            assert_eq!(out.before_first_halt, base.before_first_halt, "{label}");
+            let scaled = |t: Option<SimTime>| t.map(|t| t.as_secs() * rate);
+            for (got, want) in [
+                (scaled(out.time), base.time.map(SimTime::as_secs)),
+                (
+                    scaled(out.first_halt),
+                    base.first_halt.map(SimTime::as_secs),
+                ),
+            ] {
+                assert_eq!(got.is_some(), want.is_some(), "{label}");
+                if let (Some(got), Some(want)) = (got, want) {
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want,
+                        "{label}: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 }

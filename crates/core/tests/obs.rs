@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use rapid_core::prelude::*;
-use rapid_core::{ShardedProtocol, ShardedSim};
+use rapid_core::{AsyncProtocol, ShardedSim};
 use rapid_graph::prelude::*;
 use rapid_obs::{EventKind, Obs, TraceEvent};
 use rapid_sim::parallelism::{Parallelism, Workers};
@@ -60,9 +60,9 @@ fn engine(topo: &Topo, rapid: bool, n: usize, workers: usize) -> ShardedSim {
     let counts = [3 * n as u64 / 5, n as u64 - 3 * n as u64 / 5];
     let config = Configuration::from_counts(&counts).expect("valid");
     let proto = if rapid {
-        ShardedProtocol::Rapid(Schedule::new(Params::for_network(n, 2)))
+        AsyncProtocol::Rapid(Schedule::new(Params::for_network(n, 2)))
     } else {
-        ShardedProtocol::Gossip(GossipRule::TwoChoices)
+        AsyncProtocol::Gossip(GossipRule::TwoChoices)
     };
     ShardedSim::new(
         topology(topo, n),

@@ -1,9 +1,10 @@
 //! Pins asynchronous simulation outcomes across the hot-path optimizations.
 //!
-//! `AsyncGossipSim::run_until_consensus` replaced its per-tick O(k)
+//! The sequential engine's run loop replaced its per-tick O(k)
 //! unanimity scan with a single histogram lookup on the ticked node's
-//! color, and the schedulers underneath were optimized (in-place heap root
-//! replacement, precomputed expected gap). None of these may change a
+//! color, gated on the tick's action, and the schedulers underneath were
+//! optimized (in-place heap root replacement, precomputed expected gap).
+//! None of these may change a
 //! simulation result: the golden values below — winner, step count, and
 //! the exact bit pattern of the consensus time — were captured from the
 //! pre-optimization code, and every path (sequential and event-queue
@@ -14,6 +15,7 @@
 use rapid_core::facade::{Clock, Sim, StopCondition};
 use rapid_core::prelude::*;
 use rapid_graph::prelude::*;
+use rapid_sim::fault::{AdversaryKind, AdversaryPlan, FaultPlan};
 use rapid_sim::prelude::*;
 
 struct Golden {
@@ -209,31 +211,82 @@ fn sync_rule_traces_match_goldens() {
     }
 }
 
-/// The O(1) unanimity check must agree with the full O(k) scan at every
-/// step, not only at the golden endpoints: run tick-by-tick and compare
-/// the two detectors on each activation.
+/// The sequential engine's action-gated O(1) unanimity check must agree
+/// with the full O(k) scan after every tick, for every rule, clean and
+/// under faults: `run_batch` looks for unanimity only after a tick whose
+/// action reports [`Action::changes_color`] or an adversary strike. So
+/// every tick that reports neither must leave the histogram unchanged,
+/// and on every tick the gated check must equal the scan.
 #[test]
 fn fast_unanimity_detector_agrees_with_full_scan_stepwise() {
-    let mut sim = Sim::builder()
-        .topology(Complete::new(200))
-        .counts(&[120, 50, 30])
-        .gossip(GossipRule::TwoChoices)
-        .seed(Seed::new(21))
-        .stop(StopCondition::StepBudget(10_000_000))
-        .build()
-        .expect("valid")
-        .into_gossip()
-        .expect("gossip");
-    let n = sim.config().n() as u64;
-    for _ in 0..10_000_000u64 {
-        let a = sim.tick();
-        let cu = sim.config().color(a.node);
-        let fast = sim.config().counts().count(cu) == n;
-        let slow = sim.config().unanimous().is_some();
-        assert_eq!(fast, slow, "detectors disagree at step {}", sim.steps());
-        if slow {
-            return;
+    let n = 200;
+    let adversary = AdversaryPlan {
+        kind: AdversaryKind::Oblivious,
+        budget: 40,
+        start: SimTime::from_secs(1.0),
+        interval: 0.5,
+    };
+    let faulty = FaultPlan::none().with_loss(0.1).with_adversary(adversary);
+    // Each gossip rule's halt budget freezes some nodes (their ticks
+    // report `Halt`) before the faulty run still reaches unanimity, so
+    // every case checks the gate on frozen ticks and on a unanimity tick.
+    let rules = [
+        (Some(GossipRule::Voter), 134),
+        (Some(GossipRule::TwoChoices), 13),
+        (Some(GossipRule::ThreeMajority), 23),
+        (None, 0),
+    ];
+    for (rule, halt_after) in rules {
+        for faults in [false, true] {
+            let mut b = Sim::builder()
+                .topology(Complete::new(n))
+                .counts(&[120, 50, 30])
+                .seed(Seed::new(21));
+            b = match rule {
+                Some(rule) => b.gossip(rule),
+                None => b.rapid(Params::for_network(n, 3)),
+            };
+            if faults {
+                b = b.faults(faulty.clone());
+                if rule.is_some() {
+                    b = b.halt_after(halt_after);
+                }
+            }
+            let sim = b.build().expect("valid");
+            let budget = sim.default_budget();
+            let mut sim = match rule {
+                Some(_) => sim.into_gossip().expect("gossip"),
+                None => sim.into_rapid().expect("rapid"),
+            };
+            let label = format!("{rule:?} faults={faults}");
+            let (mut frozen, mut unanimous) = (0u64, false);
+            while sim.steps() < budget && sim.halted_count() < n {
+                let before = sim.config().counts().as_slice().to_vec();
+                let (a, action) = sim.tick();
+                frozen += u64::from(action == Action::Halt);
+                let gated = action.changes_color() || sim.adversary_struck();
+                if !gated {
+                    assert_eq!(
+                        sim.config().counts().as_slice(),
+                        &before[..],
+                        "{label}: step {} recolored under {action:?}",
+                        sim.steps()
+                    );
+                }
+                let cu = sim.config().color(a.node);
+                let fast = gated && sim.config().counts().count(cu) == n as u64;
+                unanimous = sim.config().unanimous().is_some();
+                assert_eq!(fast, unanimous, "{label}: step {}", sim.steps());
+                if unanimous {
+                    break;
+                }
+            }
+            assert!(unanimous, "{label}: no unanimity within the budget");
+            assert_eq!(
+                frozen > 0,
+                faults && rule.is_some(),
+                "{label}: {frozen} frozen ticks"
+            );
         }
     }
-    panic!("no consensus within budget");
 }

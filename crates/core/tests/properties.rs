@@ -14,7 +14,7 @@ fn clique_rapid(
     counts: &[u64],
     params: Params,
     seed: Seed,
-) -> RapidSim<rapid_core::facade::BoxedTopology, rapid_core::facade::BoxedSource> {
+) -> SeqSim<rapid_core::facade::BoxedTopology, rapid_core::facade::BoxedSource> {
     let n: u64 = counts.iter().sum();
     Sim::builder()
         .topology(Complete::new(n as usize))

@@ -18,7 +18,7 @@
 //!   node draws).
 
 use rapid_core::prelude::*;
-use rapid_core::{ShardedProtocol, ShardedSim};
+use rapid_core::{AsyncProtocol, ShardedSim};
 use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
 
@@ -71,8 +71,8 @@ fn engine(topo: &Topo, proto: Proto, n: usize, workers: usize) -> ShardedSim {
     // lint: allow(panic-hygiene): fixed test inputs make the configuration valid by construction
     let config = Configuration::from_counts(&counts).expect("valid");
     let proto = match proto {
-        None => ShardedProtocol::Rapid(Schedule::new(Params::for_network(n, 2))),
-        Some(rule) => ShardedProtocol::Gossip(rule),
+        None => AsyncProtocol::Rapid(Schedule::new(Params::for_network(n, 2))),
+        Some(rule) => AsyncProtocol::Gossip(rule),
     };
     ShardedSim::new(
         topology(topo, n),
@@ -204,7 +204,7 @@ fn rapid_completes_at_ten_million_on_er() {
     ];
     // lint: allow(panic-hygiene): fixed test inputs make the configuration valid by construction
     let config = Configuration::from_counts(&counts).expect("valid");
-    let proto = ShardedProtocol::Rapid(Schedule::new(Params::for_network(n, 2)));
+    let proto = AsyncProtocol::Rapid(Schedule::new(Params::for_network(n, 2)));
     let mut sim = ShardedSim::new(Box::new(g), config, proto, Seed::new(0xACC), 1.0, 4);
     let winner = sim.run_until_consensus(100_000);
     assert_eq!(

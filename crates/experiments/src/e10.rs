@@ -5,7 +5,7 @@
 //! martingale property the composition at the end of the sub-phase is
 //! (almost) the composition right after the Two-Choices step.
 //!
-//! Measurement: inside real [`RapidSim`] runs, snapshot the bit-set
+//! Measurement: inside real [`SeqSim`] Rapid runs, snapshot the bit-set
 //! composition at the start and end of phase 0's Bit-Propagation; the
 //! plurality fraction's drift should be ≈ 0, and the distribution of final
 //! fractions across trials should match an actual Pólya urn seeded with the

@@ -7,7 +7,7 @@
 //!   to pick the plurality;
 //! * Two-Choices / 3-Majority — drift-based, but `Ω(k)` rounds;
 //! * OneExtraBit — polylogarithmic rounds at every `k`;
-//! * RapidSim (asynchronous) — `Θ(log n)` *time*, reported in the same
+//! * Rapid (asynchronous) — `Θ(log n)` *time*, reported in the same
 //!   table (one synchronous round ≈ one asynchronous time unit of work per
 //!   node).
 
@@ -273,7 +273,7 @@ mod tests {
         );
 
         let rapid = protocol_series(table, "rapid-async");
-        // RapidSim: flat Θ(log n) time and consistent success inside the
+        // Rapid: flat Θ(log n) time and consistent success inside the
         // theorem's k-range.
         let times: Vec<f64> = rapid.iter().map(|r| r.1).collect();
         let band = times.iter().cloned().fold(f64::MIN, f64::max)

@@ -8,7 +8,7 @@
 //! — now with nodes on Poisson clocks, working-time scheduling, jumps and
 //! the o(n) poorly-synchronized stragglers the analysis has to tolerate.
 //!
-//! Measurement: inside real [`RapidSim`] runs, record the `c₁/c₂` ratio
+//! Measurement: inside real [`SeqSim`] Rapid runs, record the `c₁/c₂` ratio
 //! each time the *median working time* crosses a phase boundary; compare
 //! `ratio_{p+1}` against `ratio_p²`.
 

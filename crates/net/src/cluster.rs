@@ -36,7 +36,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rapid_core::asynchronous::{Schedule, ShardedProtocol};
+use rapid_core::asynchronous::{AsyncProtocol, Schedule};
 use rapid_core::facade::{
     BuildError, EngineKind, MacroProtocol, NetSpec, Outcome, SimBuilder, Spec, StopCondition,
     StopReason,
@@ -135,7 +135,7 @@ pub struct NetRun {
 /// A booted deployment: `n` machines plus the channel-driver state.
 pub struct Cluster {
     machines: Vec<NodeMachine>,
-    protocol: MacroProtocol,
+    protocol: AsyncProtocol,
     stops: Vec<StopCondition>,
     transport: ChannelTransport,
     heap: BinaryHeap<Reverse<(SimTime, u32)>>,
@@ -189,8 +189,8 @@ impl Cluster {
         let threshold = default_beacon_threshold(n);
         // One protocol, hence one Rapid schedule table, for every machine.
         let protocol = match spec.protocol {
-            MacroProtocol::Gossip(rule) => ShardedProtocol::Gossip(rule),
-            MacroProtocol::Rapid(params) => ShardedProtocol::Rapid(Schedule::new(params)),
+            MacroProtocol::Gossip(rule) => AsyncProtocol::Gossip(rule),
+            MacroProtocol::Rapid(params) => AsyncProtocol::Rapid(Schedule::new(params)),
         };
         let mut machines = Vec::with_capacity(n);
         for i in 0..n {
@@ -216,7 +216,7 @@ impl Cluster {
         Cluster {
             transport: ChannelTransport::new(n),
             machines,
-            protocol: spec.protocol,
+            protocol,
             stops: spec.stops,
             heap,
             counts,
@@ -402,17 +402,10 @@ impl Cluster {
         }
     }
 
-    /// The generous fallback activation budget, mirroring
-    /// `Sim::default_budget` (gossip) and `RapidSim::default_step_budget`.
+    /// The generous fallback activation budget, the simulators' own
+    /// ([`AsyncProtocol::default_step_budget`]).
     pub fn default_budget(&self) -> u64 {
-        let n = self.n() as u64;
-        match self.protocol {
-            MacroProtocol::Gossip(_) => {
-                let ln_n = (n.max(2) as f64).ln();
-                (n as f64 * (ln_n + 1.0) * 200.0) as u64
-            }
-            MacroProtocol::Rapid(p) => 3 * n * p.total_len(),
-        }
+        self.protocol.default_step_budget(self.n())
     }
 
     /// The configured explicit budgets, if any.
@@ -470,7 +463,7 @@ impl Cluster {
     fn outcome(&self, fallback: StopReason) -> Outcome {
         let n = self.n() as u64;
         let winner = self.counts.iter().position(|&c| c == n).map(Color::new);
-        let rapid = matches!(self.protocol, MacroProtocol::Rapid(_));
+        let rapid = matches!(self.protocol, AsyncProtocol::Rapid(_));
         match (winner, self.unanimity) {
             (Some(w), Some((steps, time))) => Outcome {
                 stop: StopReason::Unanimity,

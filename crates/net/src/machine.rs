@@ -42,7 +42,7 @@ use std::sync::Arc;
 use rapid_core::asynchronous::kernel::{GossipRule, Peer, Step, MAX_PULLS};
 use rapid_core::asynchronous::node::NodeState;
 use rapid_core::asynchronous::schedule::{Action, Schedule};
-use rapid_core::asynchronous::ShardedProtocol;
+use rapid_core::asynchronous::AsyncProtocol;
 use rapid_core::opinion::Color;
 use rapid_graph::topology::Topology;
 use rapid_sim::node::NodeId;
@@ -150,14 +150,14 @@ impl NodeMachine {
         id: u32,
         topology: Arc<dyn Topology + Send + Sync>,
         color: Color,
-        protocol: &ShardedProtocol,
+        protocol: &AsyncProtocol,
         rate: f64,
         seed: Seed,
         beacon_threshold: u32,
     ) -> Self {
         let proto = match protocol {
-            ShardedProtocol::Gossip(rule) => Proto::Gossip(*rule),
-            ShardedProtocol::Rapid(schedule) => Proto::Rapid {
+            AsyncProtocol::Gossip(rule) => Proto::Gossip(*rule),
+            AsyncProtocol::Rapid(schedule) => Proto::Rapid {
                 schedule: schedule.clone(),
                 state: NodeState::new(),
             },
@@ -425,7 +425,7 @@ mod tests {
             id,
             Arc::new(Complete::new(8)),
             Color::new(color),
-            &ShardedProtocol::Gossip(rule),
+            &AsyncProtocol::Gossip(rule),
             1.0,
             Seed::new(7).child(id as u64),
             4,
@@ -631,7 +631,7 @@ mod tests {
             0,
             Arc::new(Complete::new(8)),
             Color::new(0),
-            &ShardedProtocol::Rapid(Schedule::new(params)),
+            &AsyncProtocol::Rapid(Schedule::new(params)),
             1.0,
             Seed::new(1),
             8,
