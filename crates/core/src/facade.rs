@@ -82,7 +82,7 @@ use crate::asynchronous::sequential::{RapidOutcome, SeqSim, WorkingTimeStats};
 use crate::asynchronous::sharded::ShardedSim;
 use crate::convergence::{ConvergenceError, SyncOutcome};
 use crate::distributions::{DistributionError, InitialDistribution};
-use crate::opinion::{Color, ConfigError, Configuration};
+use crate::opinion::{Color, ColorCounts, ConfigError, Configuration};
 use crate::sync::engine::{RoundTrace, SyncProtocol};
 
 /// A boxed topology, as stored by the façade.
@@ -122,20 +122,21 @@ impl std::fmt::Debug for Protocol {
 /// The engine axis: at what resolution the dynamics are simulated.
 ///
 /// * [`EngineKind::Micro`] — one struct per node (every engine that
-///   existed before the macro subsystem). The only kind [`SimBuilder::build`]
-///   accepts; exact, but state is `O(n)`.
+///   existed before the macro subsystem). Built by [`SimBuilder::build`];
+///   exact, but state is `O(n)`.
 /// * [`EngineKind::Macro`] — population-level stochastic simulation:
 ///   occupancy counts per (opinion, protocol-state) bucket, advanced by
 ///   τ-leaped multinomial batches with an exact single-event fallback.
 ///   State is `O(k · levels)`, so `n = 10⁸–10⁹` is practical. Built via
-///   [`SimBuilder::build_spec`] and executed by the `rapid-macro`
+///   [`SimBuilder::build_macro`] and executed by the `rapid-macro`
 ///   crate.
 /// * [`EngineKind::MeanField`] — the deterministic `n → ∞` limit: RK4
 ///   over the expected-drift equations (no randomness, no seed
-///   dependence). Also executed by `rapid-macro`.
+///   dependence). Also built via [`SimBuilder::build_macro`] and
+///   executed by `rapid-macro`.
 /// * [`EngineKind::Net`] — not a simulator at all: real per-node state
 ///   machines exchanging serialized messages over a transport. Built via
-///   [`SimBuilder::build_spec`] and executed by the `rapid-net`
+///   [`SimBuilder::build_net`] and executed by the `rapid-net`
 ///   crate, with the micro engine as statistical oracle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum EngineKind {
@@ -183,11 +184,31 @@ impl MacroProtocol {
     }
 }
 
+impl From<MacroProtocol> for Protocol {
+    fn from(protocol: MacroProtocol) -> Self {
+        match protocol {
+            MacroProtocol::Gossip(rule) => Protocol::Gossip(rule),
+            MacroProtocol::Rapid(params) => Protocol::Rapid(params),
+        }
+    }
+}
+
+/// The per-node engines' protocol, with the Rapid schedule table built
+/// once.
+impl From<MacroProtocol> for AsyncProtocol {
+    fn from(protocol: MacroProtocol) -> Self {
+        match protocol {
+            MacroProtocol::Gossip(rule) => AsyncProtocol::Gossip(rule),
+            MacroProtocol::Rapid(params) => AsyncProtocol::Rapid(Schedule::new(params)),
+        }
+    }
+}
+
 /// A fully validated description of a population-level run: everything a
 /// macro engine needs, with **no per-node state** — building one at
 /// `n = 10⁹` allocates `O(k)`, not `O(n)`.
 ///
-/// Produced by [`SimBuilder::build_spec`]; executed by
+/// Produced by [`SimBuilder::build_macro`]; executed by
 /// `rapid_macro::MacroSim` ([`EngineKind::Macro`]) or
 /// `rapid_macro::MeanFieldSim` ([`EngineKind::MeanField`]). The spec is
 /// pure data so the builder (validation) and the engines (execution) can
@@ -228,7 +249,7 @@ impl MacroSpec {
 /// node state machines, with execution (transports, event loops) kept
 /// entirely on the other side of the crate graph.
 ///
-/// Produced by [`SimBuilder::build_spec`]; executed by
+/// Produced by [`SimBuilder::build_net`]; executed by
 /// `rapid_net::Cluster` ([`EngineKind::Net`]). Unlike [`MacroSpec`] the
 /// spec carries the full per-node initial assignment — a deployment has
 /// per-node state by definition, and on structured topologies the
@@ -271,67 +292,6 @@ impl std::fmt::Debug for NetSpec {
             .field("seed", &self.seed)
             .field("stops", &self.stops)
             .finish_non_exhaustive()
-    }
-}
-
-/// A validated assembly, finalised for the engine the builder selected.
-///
-/// Returned by [`SimBuilder::build_spec`], the engine-dispatching build
-/// entry point. Each variant carries the artifact its runner executes:
-/// [`Sim`] runs in this crate; [`MacroSpec`] is executed by the
-/// `rapid-macro` crate (stochastic buckets for [`Spec::Macro`], the
-/// deterministic ODE limit for [`Spec::MeanField`]); [`NetSpec`] is
-/// executed by the `rapid-net` crate.
-#[derive(Debug)]
-pub enum Spec {
-    /// A ready-to-run micro simulation ([`EngineKind::Micro`]).
-    Micro(Sim),
-    /// A population-level spec for the stochastic macro engine
-    /// ([`EngineKind::Macro`]).
-    Macro(MacroSpec),
-    /// A population-level spec for the deterministic mean-field engine
-    /// ([`EngineKind::MeanField`]).
-    MeanField(MacroSpec),
-    /// A deployment spec for the message-passing runtime
-    /// ([`EngineKind::Net`]).
-    Net(NetSpec),
-}
-
-impl Spec {
-    /// The engine kind this spec was finalised for.
-    pub fn kind(&self) -> EngineKind {
-        match self {
-            Spec::Micro(_) => EngineKind::Micro,
-            Spec::Macro(_) => EngineKind::Macro,
-            Spec::MeanField(_) => EngineKind::MeanField,
-            Spec::Net(_) => EngineKind::Net,
-        }
-    }
-
-    /// The micro simulation, if that is what was built.
-    pub fn into_micro(self) -> Option<Sim> {
-        match self {
-            Spec::Micro(sim) => Some(sim),
-            _ => None,
-        }
-    }
-
-    /// The population-level spec, if that is what was built. Covers both
-    /// [`Spec::Macro`] and [`Spec::MeanField`] — the returned
-    /// [`MacroSpec`] records which via [`MacroSpec::kind`].
-    pub fn into_macro(self) -> Option<MacroSpec> {
-        match self {
-            Spec::Macro(spec) | Spec::MeanField(spec) => Some(spec),
-            _ => None,
-        }
-    }
-
-    /// The deployment spec, if that is what was built.
-    pub fn into_net(self) -> Option<NetSpec> {
-        match self {
-            Spec::Net(spec) => Some(spec),
-            _ => None,
-        }
     }
 }
 
@@ -477,9 +437,10 @@ pub enum BuildError {
     /// clocks, simulator-only stop conditions).
     NetUnsupported(&'static str),
     /// The wrong build entry point was called for the selected
-    /// [`EngineKind`]: `build()` constructs micro engines only; every
-    /// other kind goes through `build_spec()`. The payload names the
-    /// method to call instead.
+    /// [`EngineKind`]: [`SimBuilder::build`] builds the micro engines,
+    /// [`SimBuilder::build_macro`] the macro and mean-field ones and
+    /// [`SimBuilder::build_net`] the deployment. The payload names the
+    /// entry point for the selected kind.
     EngineMismatch(&'static str),
     /// The selected axis combination is not supported by the sharded
     /// epoch engine ([`SimBuilder::parallelism`]); the payload names the
@@ -938,19 +899,13 @@ impl SimBuilder {
 
     /// Selects the simulation engine (default: [`EngineKind::Micro`]).
     ///
-    /// [`SimBuilder::build_spec`] finalises the assembly for whichever
-    /// kind was selected. The one kind-specific entry point,
-    /// [`SimBuilder::build`] for [`EngineKind::Micro`], rejects a
-    /// mismatched kind with [`BuildError::EngineMismatch`].
+    /// Each kind has one entry point — [`SimBuilder::build`],
+    /// [`SimBuilder::build_macro`] or [`SimBuilder::build_net`] — and
+    /// each entry point rejects a builder declaring another kind with
+    /// [`BuildError::EngineMismatch`] before it checks anything else.
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.engine = kind;
         self
-    }
-
-    /// The engine kind this builder is currently set to (what
-    /// [`SimBuilder::build_spec`] will dispatch on).
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine
     }
 
     /// Sets the clock model for asynchronous protocols.
@@ -1042,191 +997,81 @@ impl SimBuilder {
         self
     }
 
-    /// Validates the assembly and constructs the simulation.
+    /// Validates the assembly and constructs a per-node simulation: the
+    /// exact sequential engine, or the sharded epoch engine when
+    /// [`SimBuilder::parallelism`] is set.
     ///
     /// # Errors
     ///
     /// Returns a [`BuildError`] naming the first inconsistency: a missing
     /// axis, an `n` mismatch, invalid parameters, or an unusable clock.
+    /// A builder declaring another [`EngineKind`] is a
+    /// [`BuildError::EngineMismatch`].
     pub fn build(self) -> Result<Sim, BuildError> {
-        if self.engine != EngineKind::Micro {
-            return Err(BuildError::EngineMismatch(
-                "SimBuilder::build_spec (run via rapid_macro / rapid_net) for non-micro engines",
-            ));
+        let a = self.validate(&[EngineKind::Micro])?;
+        if a.halt_after.is_some() && !matches!(a.protocol, Protocol::Gossip(_)) {
+            return Err(BuildError::InvalidHaltBudget);
         }
-        let topology = self.topology.ok_or(BuildError::MissingTopology)?;
-        let n = topology.n();
-        let init = self.init.ok_or(BuildError::MissingInitialState)?;
-        let protocol = self.protocol.ok_or(BuildError::MissingProtocol)?;
-
-        let mut config = match init {
-            Init::Counts(counts) => {
-                let config = Configuration::from_counts(&counts)?;
-                if config.n() != n {
-                    return Err(BuildError::SizeMismatch {
-                        topology_n: n,
-                        config_n: config.n(),
-                    });
-                }
-                config
-            }
-            Init::Assignment(config) => {
-                if config.n() != n {
-                    return Err(BuildError::SizeMismatch {
-                        topology_n: n,
-                        config_n: config.n(),
-                    });
-                }
-                config
-            }
-            Init::Distribution(dist) => Configuration::from_counts(&dist.counts(n as u64)?)?,
-        };
-
-        if let Protocol::Rapid(params) = &protocol {
-            params.check().map_err(BuildError::InvalidParams)?;
-        }
-        match self.halt_after {
-            None => {}
-            Some(0) => return Err(BuildError::InvalidHaltBudget),
-            Some(_) if !matches!(protocol, Protocol::Gossip(_)) => {
-                return Err(BuildError::InvalidHaltBudget)
-            }
-            Some(_) => {}
-        }
-        if let Some(rate) = self.jitter {
-            if !valid_rate(rate) {
-                return Err(BuildError::InvalidJitter(rate));
-            }
-        }
-        // Checked for every protocol — a misconfigured clock in a
-        // sync-vs-async sweep should fail on the sync entrants too, not
-        // only when the protocol axis flips to asynchronous.
-        check_clock(&self.clock, n)?;
-        // Fault plans are validated unconditionally, then a neutral plan
-        // is dropped so the zero-fault path stays bit-identical to a
-        // build without the axis.
-        let faults = match self.faults {
-            None => None,
-            Some(plan) => {
-                plan.check(n)?;
-                if plan.is_neutral() {
-                    None
-                } else if matches!(protocol, Protocol::Sync(_)) {
-                    return Err(BuildError::FaultsRequireAsync);
-                } else {
-                    Some(plan)
-                }
-            }
-        };
-
-        if self.shuffle {
-            config.shuffle(&mut SimRng::from_seed_value(self.seed.child(2)));
+        if a.faults.is_some() && matches!(a.protocol, Protocol::Sync(_)) {
+            return Err(BuildError::FaultsRequireAsync);
         }
 
-        let protocol = match protocol {
+        // An explicit parallelism axis selects the sharded epoch engine
+        // (even at one shard worker): same protocols, different —
+        // documented and registry-declared — stream layout.
+        if let Some(par) = a.parallelism {
+            let (protocol, rate) = a.exchangeable(&EPOCH)?;
+            if a.faults.is_some() {
+                return Err(BuildError::ShardedUnsupported(
+                    "fault plans (crash/loss bookkeeping is per-activation, not per-epoch)",
+                ));
+            }
+            let workers = par.shard_workers.resolve(a.n);
+            let config = a.initial.configuration(a.shuffle, a.seed)?;
+            let mut sim =
+                ShardedSim::new(a.topology, config, protocol.into(), a.seed, rate, workers);
+            if let Some(obs) = a.obs {
+                sim.attach_obs(obs);
+            }
+            return Ok(Sim {
+                engine: Engine::Sharded(Box::new(sim)),
+                stops: a.stops,
+            });
+        }
+
+        let config = a.initial.configuration(a.shuffle, a.seed)?;
+        let protocol = match a.protocol {
             Protocol::Sync(mut proto) => {
-                if self.parallelism.is_some() {
-                    return Err(BuildError::ShardedUnsupported(
-                        "synchronous protocols (epochs discretise the Poisson clock)",
-                    ));
-                }
                 proto.reset();
                 let engine = Engine::Sync {
                     proto,
-                    topology,
+                    topology: a.topology,
                     config,
                     // Matches the stream a legacy caller gets from
                     // `SimRng::from_seed_value(seed)`.
-                    rng: SimRng::from_seed_value(self.seed),
+                    rng: SimRng::from_seed_value(a.seed),
                     rounds: 0,
                 };
                 return Ok(Sim {
                     engine,
-                    stops: self.stops,
+                    stops: a.stops,
                 });
             }
             Protocol::Gossip(rule) => AsyncProtocol::Gossip(rule),
             Protocol::Rapid(params) => AsyncProtocol::Rapid(Schedule::new(params)),
         };
-
-        // An explicit parallelism axis selects the sharded epoch engine
-        // (even at one shard worker): same protocols, different —
-        // documented and registry-declared — stream layout.
-        let engine = if let Some(par) = self.parallelism {
-            if self.halt_after.is_some() {
-                return Err(BuildError::ShardedUnsupported(
-                    "per-node halt budgets (epoch merges carry no per-node tick counts)",
-                ));
-            }
-            if self.jitter.is_some() {
-                return Err(BuildError::ShardedUnsupported(
-                    "jitter (response delays reorder activations across the epoch boundary)",
-                ));
-            }
-            if faults.is_some() {
-                return Err(BuildError::ShardedUnsupported(
-                    "fault plans (crash/loss bookkeeping is per-activation, not per-epoch)",
-                ));
-            }
-            let rate = match self.clock {
-                Clock::Sequential(_) => 1.0,
-                Clock::EventQueue { rate } => rate,
-                Clock::UniformSkew { .. } | Clock::Rates(_) => {
-                    return Err(BuildError::ShardedUnsupported(
-                        "heterogeneous clock rates (every node draws one Poisson(rate·τ) count)",
-                    ))
-                }
-            };
-            let workers = par.shard_workers.resolve(n);
-            let mut sim = ShardedSim::new(topology, config, protocol, self.seed, rate, workers);
-            if let Some(obs) = self.obs {
-                sim.attach_obs(obs);
-            }
-            Engine::Sharded(Box::new(sim))
-        } else {
-            let source = build_source(&self.clock, self.jitter, faults.as_ref(), n, self.seed);
-            let mut sim = SeqSim::new(topology, config, protocol, source, self.seed.child(1));
-            if let Some(ticks) = self.halt_after {
-                sim = sim.with_halt_after(ticks);
-            }
-            if let Some(plan) = &faults {
-                sim = sim.with_faults(plan, self.seed.child(4));
-            }
-            Engine::Seq(Box::new(sim))
-        };
-        Ok(Sim {
-            engine,
-            stops: self.stops,
-        })
-    }
-
-    /// Validates the assembly and finalises it for whichever engine the
-    /// builder selected, dispatching on [`SimBuilder::engine`].
-    ///
-    /// This is the single build entry point: it returns a [`Spec`] whose
-    /// variant matches the engine kind — a ready-to-run [`Sim`] for
-    /// [`EngineKind::Micro`], a pure-data [`MacroSpec`] for
-    /// [`EngineKind::Macro`] / [`EngineKind::MeanField`] (executed by the
-    /// `rapid-macro` crate), and a [`NetSpec`] for [`EngineKind::Net`]
-    /// (executed by the `rapid-net` crate). The micro-only entry point
-    /// [`SimBuilder::build`] applies exactly the same validation;
-    /// `build_spec` merely removes the caller's obligation to pick the
-    /// matching method.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BuildError`] naming the first inconsistency, exactly
-    /// as the kind-specific builders do. [`BuildError::EngineMismatch`]
-    /// can no longer arise from this method itself — the dispatch is the
-    /// point — only from downstream consumers that received the wrong
-    /// variant.
-    pub fn build_spec(self) -> Result<Spec, BuildError> {
-        match self.engine {
-            EngineKind::Micro => self.build().map(Spec::Micro),
-            EngineKind::Macro => self.finish_macro_spec().map(Spec::Macro),
-            EngineKind::MeanField => self.finish_macro_spec().map(Spec::MeanField),
-            EngineKind::Net => self.finish_net_spec().map(Spec::Net),
+        let source = build_source(&a.clock, a.jitter, a.faults.as_ref(), a.n, a.seed);
+        let mut sim = SeqSim::new(a.topology, config, protocol, source, a.seed.child(1));
+        if let Some(ticks) = a.halt_after {
+            sim = sim.with_halt_after(ticks);
         }
+        if let Some(plan) = &a.faults {
+            sim = sim.with_faults(plan, a.seed.child(4));
+        }
+        Ok(Sim {
+            engine: Engine::Seq(Box::new(sim)),
+            stops: a.stops,
+        })
     }
 
     /// Validates the assembly for a population-level engine
@@ -1243,7 +1088,8 @@ impl SimBuilder {
     ///   per-node halt budget;
     /// * the clock must be exchangeable — [`Clock::Sequential`] or
     ///   [`Clock::EventQueue`]; skewed or per-node rates have no
-    ///   count-level representation;
+    ///   count-level representation, and neither have jitter or
+    ///   [`SimBuilder::parallelism`];
     /// * of the fault axis only per-message **loss** composes (it scales
     ///   every interaction identically); latency, churn and adversaries
     ///   are per-node / per-edge and are rejected
@@ -1252,117 +1098,48 @@ impl SimBuilder {
     /// # Errors
     ///
     /// Returns a [`BuildError`] naming the first inconsistency.
-    ///
-    /// Engine-kind dispatch has already happened by the time this runs —
-    /// [`SimBuilder::build_spec`] is the only caller.
-    fn finish_macro_spec(self) -> Result<MacroSpec, BuildError> {
-        let kind = self.engine;
-        let topology = self.topology.ok_or(BuildError::MissingTopology)?;
-        if !topology.is_complete() {
+    pub fn build_macro(self) -> Result<MacroSpec, BuildError> {
+        let a = self.validate(&[EngineKind::Macro, EngineKind::MeanField])?;
+        if !a.topology.is_complete() {
             return Err(BuildError::MacroRequiresComplete);
         }
-        let n = topology.n() as u64;
-        let init = self.init.ok_or(BuildError::MissingInitialState)?;
-        let protocol = match self.protocol.ok_or(BuildError::MissingProtocol)? {
-            Protocol::Gossip(rule) => MacroProtocol::Gossip(rule),
-            Protocol::Rapid(params) => {
-                params.check().map_err(BuildError::InvalidParams)?;
-                MacroProtocol::Rapid(params)
-            }
-            Protocol::Sync(_) => {
-                return Err(BuildError::MacroUnsupported(
-                    "synchronous protocols (population dynamics model the Poisson-clock chain)",
-                ))
-            }
-        };
-
-        // Counts only — never a per-node assignment. (A caller-supplied
-        // Configuration is accepted and reduced to its histogram: on the
-        // complete graph the assignment carries no extra information.)
-        let counts = match init {
-            Init::Counts(counts) => {
-                // Reuse the histogram validation without the O(n) colors vec.
-                let c = crate::opinion::ColorCounts::from_counts(&counts)
-                    .map_err(BuildError::Config)?;
-                if c.n() != n {
-                    return Err(BuildError::SizeMismatch {
-                        topology_n: n as usize,
-                        config_n: c.n() as usize,
-                    });
-                }
-                counts
-            }
-            Init::Assignment(config) => {
-                if config.n() as u64 != n {
-                    return Err(BuildError::SizeMismatch {
-                        topology_n: n as usize,
-                        config_n: config.n(),
-                    });
-                }
-                config.counts().as_slice().to_vec()
-            }
-            Init::Distribution(dist) => dist.counts(n)?,
-        };
-
-        if self.halt_after.is_some() {
+        let (protocol, rate) = a.exchangeable(&MACRO)?;
+        if a.parallelism.is_some() {
             return Err(BuildError::MacroUnsupported(
-                "per-node halt budgets (bucket state carries no per-node tick counts)",
+                "parallelism (count-based state has no nodes to shard)",
             ));
         }
-        if let Some(rate) = self.jitter {
-            if !valid_rate(rate) {
-                return Err(BuildError::InvalidJitter(rate));
-            }
-            return Err(BuildError::MacroUnsupported(
-                "jitter (response delays reorder individual activations)",
-            ));
-        }
-        check_clock(&self.clock, n as usize)?;
-        let rate = match self.clock {
-            Clock::Sequential(_) => 1.0,
-            Clock::EventQueue { rate } => rate,
-            Clock::UniformSkew { .. } | Clock::Rates(_) => {
-                return Err(BuildError::MacroUnsupported(
-                    "heterogeneous clock rates (buckets assume exchangeable nodes)",
-                ))
-            }
-        };
-        // Faults: validate the full plan, then keep only what composes.
-        let loss = match self.faults {
+        let loss = match &a.faults {
             None => 0.0,
-            Some(plan) => {
-                plan.check(n as usize)?;
-                if !plan.latency.is_none() {
-                    return Err(BuildError::MacroUnsupported(
-                        "latency models (per-edge delays reorder individual activations)",
-                    ));
-                }
-                if !plan.churn.is_empty() {
-                    return Err(BuildError::MacroUnsupported(
-                        "churn (crash/rejoin schedules name individual nodes)",
-                    ));
-                }
-                if plan.adversary.is_some_and(|a| a.budget > 0) {
-                    return Err(BuildError::MacroUnsupported(
-                        "adversaries (corruptions target individual nodes)",
-                    ));
-                }
-                plan.loss
+            Some(plan) if !plan.latency.is_none() => {
+                return Err(BuildError::MacroUnsupported(
+                    "latency models (per-edge delays reorder individual activations)",
+                ))
             }
+            Some(plan) if !plan.churn.is_empty() => {
+                return Err(BuildError::MacroUnsupported(
+                    "churn (crash/rejoin schedules name individual nodes)",
+                ))
+            }
+            Some(plan) if plan.adversary.is_some_and(|adv| adv.budget > 0) => {
+                return Err(BuildError::MacroUnsupported(
+                    "adversaries (corruptions target individual nodes)",
+                ))
+            }
+            Some(plan) => plan.loss,
         };
-
         // `shuffle` permutes the node–color assignment, which a histogram
         // cannot see: accept it silently, exactly like micro runs on the
         // complete graph where it is equally irrelevant.
         Ok(MacroSpec {
-            kind,
-            n,
-            counts,
+            kind: a.kind,
+            n: a.n as u64,
+            counts: a.initial.counts(),
             protocol,
             rate,
             loss,
-            seed: self.seed,
-            stops: self.stops,
+            seed: a.seed,
+            stops: a.stops,
         })
     }
 
@@ -1382,6 +1159,8 @@ impl SimBuilder {
     ///   are observed, not injected);
     /// * skewed or per-node clock rates (each node runs one local
     ///   Poisson clock at the common rate);
+    /// * [`SimBuilder::parallelism`] (a deployment's transport workers
+    ///   are set per run);
     /// * [`StopCondition::FirstHalt`] and
     ///   [`StopCondition::RoundBudget`] (a deployment observes halts
     ///   only through messages, and has no rounds).
@@ -1389,81 +1168,20 @@ impl SimBuilder {
     /// # Errors
     ///
     /// Returns a [`BuildError`] naming the first inconsistency.
-    ///
-    /// Engine-kind dispatch has already happened by the time this runs —
-    /// [`SimBuilder::build_spec`] is the only caller.
-    fn finish_net_spec(self) -> Result<NetSpec, BuildError> {
-        let topology = self.topology.ok_or(BuildError::MissingTopology)?;
-        let n = topology.n();
-        let init = self.init.ok_or(BuildError::MissingInitialState)?;
-        let protocol = match self.protocol.ok_or(BuildError::MissingProtocol)? {
-            Protocol::Gossip(rule) => MacroProtocol::Gossip(rule),
-            Protocol::Rapid(params) => {
-                params.check().map_err(BuildError::InvalidParams)?;
-                MacroProtocol::Rapid(params)
-            }
-            Protocol::Sync(_) => {
-                return Err(BuildError::NetUnsupported(
-                    "synchronous protocols (a deployment has no global round barrier)",
-                ))
-            }
-        };
-
-        let mut config = match init {
-            Init::Counts(counts) => {
-                let config = Configuration::from_counts(&counts)?;
-                if config.n() != n {
-                    return Err(BuildError::SizeMismatch {
-                        topology_n: n,
-                        config_n: config.n(),
-                    });
-                }
-                config
-            }
-            Init::Assignment(config) => {
-                if config.n() != n {
-                    return Err(BuildError::SizeMismatch {
-                        topology_n: n,
-                        config_n: config.n(),
-                    });
-                }
-                config
-            }
-            Init::Distribution(dist) => Configuration::from_counts(&dist.counts(n as u64)?)?,
-        };
-
-        if self.halt_after.is_some() {
+    pub fn build_net(self) -> Result<NetSpec, BuildError> {
+        let a = self.validate(&[EngineKind::Net])?;
+        let (protocol, rate) = a.exchangeable(&NET)?;
+        if a.parallelism.is_some() {
             return Err(BuildError::NetUnsupported(
-                "per-node halt budgets (termination is detected by the gossiped beacon)",
+                "parallelism (a deployment's transport workers are set per run)",
             ));
         }
-        if let Some(rate) = self.jitter {
-            if !valid_rate(rate) {
-                return Err(BuildError::InvalidJitter(rate));
-            }
+        if a.faults.is_some() {
             return Err(BuildError::NetUnsupported(
-                "jitter (a real transport's response delays are observed, not modeled)",
+                "fault plans (a deployment's losses and delays are real, not injected)",
             ));
         }
-        check_clock(&self.clock, n)?;
-        let rate = match self.clock {
-            Clock::Sequential(_) => 1.0,
-            Clock::EventQueue { rate } => rate,
-            Clock::UniformSkew { .. } | Clock::Rates(_) => {
-                return Err(BuildError::NetUnsupported(
-                    "heterogeneous clock rates (every node runs one local Poisson clock)",
-                ))
-            }
-        };
-        if let Some(plan) = self.faults {
-            plan.check(n)?;
-            if !plan.is_neutral() {
-                return Err(BuildError::NetUnsupported(
-                    "fault plans (a deployment's losses and delays are real, not injected)",
-                ));
-            }
-        }
-        for stop in &self.stops {
+        for stop in &a.stops {
             match stop {
                 StopCondition::FirstHalt => {
                     return Err(BuildError::NetUnsupported(
@@ -1478,19 +1196,209 @@ impl SimBuilder {
                 StopCondition::TimeHorizon(_) | StopCondition::StepBudget(_) => {}
             }
         }
-
-        if self.shuffle {
-            config.shuffle(&mut SimRng::from_seed_value(self.seed.child(2)));
-        }
-
         Ok(NetSpec {
-            topology,
-            config,
+            config: a.initial.configuration(a.shuffle, a.seed)?,
+            topology: a.topology,
             protocol,
             rate,
+            seed: a.seed,
+            stops: a.stops,
+        })
+    }
+
+    /// Checks the declared engine kind against the entry point's `kinds`,
+    /// then every axis the engines share, each once: the missing axes,
+    /// the initial state's size, the Rapid parameters, `halt_after(0)`,
+    /// the jitter rate, the clock and the fault plan. What is left to
+    /// each finisher is only what its engine cannot honour.
+    fn validate(self, kinds: &[EngineKind]) -> Result<Assembly, BuildError> {
+        // Fail fast: nothing is resolved for a kind this entry point
+        // does not build. The payload names the one that does.
+        if !kinds.contains(&self.engine) {
+            return Err(BuildError::EngineMismatch(match self.engine {
+                EngineKind::Micro => "SimBuilder::build for Engine::Micro",
+                EngineKind::Macro => "MacroSim::from_builder for Engine::Macro",
+                EngineKind::MeanField => "MeanFieldSim::from_builder for Engine::MeanField",
+                EngineKind::Net => "Cluster::from_builder for Engine::Net",
+            }));
+        }
+        let topology = self.topology.ok_or(BuildError::MissingTopology)?;
+        let n = topology.n();
+        let init = self.init.ok_or(BuildError::MissingInitialState)?;
+        let protocol = self.protocol.ok_or(BuildError::MissingProtocol)?;
+
+        // Counts stay counts — validated without per-node state, so a
+        // macro build at n = 10⁹ stays O(k).
+        let initial = match init {
+            Init::Counts(counts) => Initial::Counts(counts),
+            Init::Assignment(config) => Initial::Assignment(config),
+            Init::Distribution(dist) => Initial::Counts(dist.counts(n as u64)?),
+        };
+        let config_n = match &initial {
+            Initial::Counts(counts) => ColorCounts::from_counts(counts)?.n(),
+            Initial::Assignment(config) => config.n() as u64,
+        };
+        if config_n != n as u64 {
+            return Err(BuildError::SizeMismatch {
+                topology_n: n,
+                config_n: config_n as usize,
+            });
+        }
+
+        if let Protocol::Rapid(params) = &protocol {
+            params.check().map_err(BuildError::InvalidParams)?;
+        }
+        if self.halt_after == Some(0) {
+            return Err(BuildError::InvalidHaltBudget);
+        }
+        if let Some(rate) = self.jitter.filter(|&rate| !valid_rate(rate)) {
+            return Err(BuildError::InvalidJitter(rate));
+        }
+        // Checked for every protocol — a misconfigured clock in a
+        // sync-vs-async sweep should fail on the sync entrants too, not
+        // only when the protocol axis flips to asynchronous.
+        check_clock(&self.clock, n)?;
+        // Fault plans are validated unconditionally, then a neutral plan
+        // is dropped so the zero-fault path stays bit-identical to a
+        // build without the axis.
+        let faults = match self.faults {
+            None => None,
+            Some(plan) => {
+                plan.check(n)?;
+                (!plan.is_neutral()).then_some(plan)
+            }
+        };
+
+        Ok(Assembly {
+            kind: self.engine,
+            topology,
+            n,
+            initial,
+            protocol,
+            clock: self.clock,
+            jitter: self.jitter,
+            faults,
             seed: self.seed,
             stops: self.stops,
+            shuffle: self.shuffle,
+            halt_after: self.halt_after,
+            parallelism: self.parallelism,
+            obs: self.obs,
         })
+    }
+}
+
+/// A builder whose shared axes [`SimBuilder::validate`] has checked;
+/// `faults` is `None` for a neutral plan.
+struct Assembly {
+    kind: EngineKind,
+    topology: BoxedTopology,
+    n: usize,
+    initial: Initial,
+    protocol: Protocol,
+    clock: Clock,
+    jitter: Option<f64>,
+    faults: Option<FaultPlan>,
+    seed: Seed,
+    stops: Vec<StopCondition>,
+    shuffle: bool,
+    halt_after: Option<u64>,
+    parallelism: Option<Parallelism>,
+    obs: Option<Arc<Obs>>,
+}
+
+impl Assembly {
+    /// The protocol and common clock rate of an engine without per-node
+    /// clocks (epoch, macro, net), which cannot honour a synchronous
+    /// protocol, a halt budget, jitter or a heterogeneous clock.
+    fn exchangeable(&self, engine: &Unsupported) -> Result<(MacroProtocol, f64), BuildError> {
+        let protocol = match &self.protocol {
+            Protocol::Sync(_) => return Err((engine.error)(engine.sync)),
+            Protocol::Gossip(rule) => MacroProtocol::Gossip(*rule),
+            Protocol::Rapid(params) => MacroProtocol::Rapid(*params),
+        };
+        if self.halt_after.is_some() {
+            return Err((engine.error)(engine.halt));
+        }
+        if self.jitter.is_some() {
+            return Err((engine.error)(engine.jitter));
+        }
+        let rate = common_rate(&self.clock).ok_or_else(|| (engine.error)(engine.skew))?;
+        Ok((protocol, rate))
+    }
+}
+
+/// The initial state once validated. Counts stay counts until an engine
+/// needs per-node state.
+enum Initial {
+    Counts(Vec<u64>),
+    Assignment(Configuration),
+}
+
+impl Initial {
+    /// Per-color counts, color 0 first.
+    fn counts(self) -> Vec<u64> {
+        match self {
+            Initial::Counts(counts) => counts,
+            Initial::Assignment(config) => config.counts().as_slice().to_vec(),
+        }
+    }
+
+    /// The per-node assignment, permuted by the `seed.child(2)` stream
+    /// when `shuffle` is set.
+    fn configuration(self, shuffle: bool, seed: Seed) -> Result<Configuration, BuildError> {
+        let mut config = match self {
+            Initial::Counts(counts) => Configuration::from_counts(&counts)?,
+            Initial::Assignment(config) => config,
+        };
+        if shuffle {
+            config.shuffle(&mut SimRng::from_seed_value(seed.child(2)));
+        }
+        Ok(config)
+    }
+}
+
+/// How an engine without per-node clocks words the axes it cannot
+/// honour: its own `*Unsupported` variant, one payload per axis.
+struct Unsupported {
+    error: fn(&'static str) -> BuildError,
+    sync: &'static str,
+    halt: &'static str,
+    jitter: &'static str,
+    skew: &'static str,
+}
+
+const EPOCH: Unsupported = Unsupported {
+    error: BuildError::ShardedUnsupported,
+    sync: "synchronous protocols (epochs discretise the Poisson clock)",
+    halt: "per-node halt budgets (epoch merges carry no per-node tick counts)",
+    jitter: "jitter (response delays reorder activations across the epoch boundary)",
+    skew: "heterogeneous clock rates (every node draws one Poisson(rate·τ) count)",
+};
+
+const MACRO: Unsupported = Unsupported {
+    error: BuildError::MacroUnsupported,
+    sync: "synchronous protocols (population dynamics model the Poisson-clock chain)",
+    halt: "per-node halt budgets (bucket state carries no per-node tick counts)",
+    jitter: "jitter (response delays reorder individual activations)",
+    skew: "heterogeneous clock rates (buckets assume exchangeable nodes)",
+};
+
+const NET: Unsupported = Unsupported {
+    error: BuildError::NetUnsupported,
+    sync: "synchronous protocols (a deployment has no global round barrier)",
+    halt: "per-node halt budgets (termination is detected by the gossiped beacon)",
+    jitter: "jitter (a real transport's response delays are observed, not modeled)",
+    skew: "heterogeneous clock rates (every node runs one local Poisson clock)",
+};
+
+/// The Poisson rate every node shares, or `None` for a heterogeneous
+/// clock.
+fn common_rate(clock: &Clock) -> Option<f64> {
+    match clock {
+        Clock::Sequential(_) => Some(1.0),
+        Clock::EventQueue { rate } => Some(*rate),
+        Clock::UniformSkew { .. } | Clock::Rates(_) => None,
     }
 }
 

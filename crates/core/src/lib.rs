@@ -77,7 +77,7 @@ pub use convergence::{ConvergenceError, SyncOutcome};
 pub use distributions::{theorem_11_gap, theorem_12_gap, DistributionError, InitialDistribution};
 pub use facade::{
     BuildError, Clock, EngineKind, MacroProtocol, MacroSpec, NetSpec, ObsObserver, Observer,
-    Outcome, Progress, Protocol, Sim, SimBuilder, Spec, SpreadTrace, StopCondition, StopReason,
+    Outcome, Progress, Protocol, Sim, SimBuilder, SpreadTrace, StopCondition, StopReason,
 };
 pub use opinion::{Color, ColorCounts, ConfigError, Configuration, TopTwo};
 pub use sync::{OneExtraBit, OneExtraBitParams, SyncProtocol, ThreeMajority, TwoChoices, Voter};
@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::distributions::{DistributionError, InitialDistribution};
     pub use crate::facade::{
         BuildError, Clock, EngineKind, MacroProtocol, MacroSpec, NetSpec, ObsObserver, Observer,
-        Outcome, Progress, Protocol, Sim, SimBuilder, Spec, SpreadTrace, StopCondition, StopReason,
+        Outcome, Progress, Protocol, Sim, SimBuilder, SpreadTrace, StopCondition, StopReason,
     };
     pub use crate::opinion::{Color, ColorCounts, Configuration, TopTwo};
     pub use crate::sync::engine::{run_sync_traced, RoundTrace, SyncProtocol};

@@ -95,11 +95,6 @@ impl TopTwo {
             self.c1 as f64 / self.c2 as f64
         }
     }
-
-    /// Whether the plurality is strict (`c_1 > c_2`).
-    pub fn is_strict(&self) -> bool {
-        self.c1 > self.c2
-    }
 }
 
 /// Error constructing a [`ColorCounts`] or [`Configuration`].
@@ -109,6 +104,8 @@ pub enum ConfigError {
     EmptyPopulation,
     /// At least two colors are required.
     TooFewColors,
+    /// The counts sum past `u64::MAX`.
+    PopulationOverflow,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -116,6 +113,7 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::EmptyPopulation => write!(f, "population must be non-empty"),
             ConfigError::TooFewColors => write!(f, "at least two colors are required"),
+            ConfigError::PopulationOverflow => write!(f, "the counts sum past u64::MAX"),
         }
     }
 }
@@ -127,13 +125,18 @@ impl ColorCounts {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::TooFewColors`] for fewer than two colors and
-    /// [`ConfigError::EmptyPopulation`] if all counts are zero.
+    /// Returns [`ConfigError::TooFewColors`] for fewer than two colors,
+    /// [`ConfigError::PopulationOverflow`] if the counts sum past
+    /// `u64::MAX` and [`ConfigError::EmptyPopulation`] if all counts are
+    /// zero.
     pub fn from_counts(counts: &[u64]) -> Result<Self, ConfigError> {
         if counts.len() < 2 {
             return Err(ConfigError::TooFewColors);
         }
-        let n: u64 = counts.iter().sum();
+        let n = counts
+            .iter()
+            .try_fold(0u64, |n, &c| n.checked_add(c))
+            .ok_or(ConfigError::PopulationOverflow)?;
         if n == 0 {
             return Err(ConfigError::EmptyPopulation);
         }
@@ -439,6 +442,24 @@ mod tests {
     }
 
     #[test]
+    fn counts_summing_past_u64_max_are_an_error() {
+        for counts in [&[1 << 63, 1 << 63, 2][..], &[u64::MAX, 1]] {
+            assert_eq!(
+                ColorCounts::from_counts(counts),
+                Err(ConfigError::PopulationOverflow)
+            );
+            assert_eq!(
+                Configuration::from_counts(counts).err(),
+                Some(ConfigError::PopulationOverflow)
+            );
+        }
+        assert_eq!(
+            ColorCounts::from_counts(&[u64::MAX, 0]).map(|c| c.n()),
+            Ok(u64::MAX)
+        );
+    }
+
+    #[test]
     fn top_two_finds_leader_and_runner_up() {
         let c = ColorCounts::from_counts(&[2, 9, 5, 9]).expect("valid");
         let t = c.top_two();
@@ -447,7 +468,6 @@ mod tests {
         assert_eq!(t.runner_up, Color::new(3));
         assert_eq!(t.c2, 9);
         assert_eq!(t.gap(), 0);
-        assert!(!t.is_strict());
         assert_eq!(t.ratio(), 1.0);
     }
 

@@ -1,6 +1,6 @@
-//! The engine axis: `build()` vs `build_spec()` dispatch and the
-//! macro-specific validation rules (complete topology, exchangeable
-//! clocks, loss-only faults).
+//! The engine axis: `build()` vs `build_macro()` and the macro-specific
+//! validation rules (complete topology, exchangeable clocks, loss-only
+//! faults).
 
 use rapid_core::prelude::*;
 use rapid_graph::prelude::*;
@@ -15,12 +15,8 @@ fn gossip_builder(n: usize) -> SimBuilder {
         .seed(Seed::new(1))
 }
 
-/// Builds through the unified entry point and unwraps the macro-family
-/// variant; validation errors pass through untouched.
 fn macro_spec(builder: SimBuilder) -> Result<MacroSpec, BuildError> {
-    builder
-        .build_spec()
-        .map(|spec| spec.into_macro().expect("macro-family assembly"))
+    builder.build_macro()
 }
 
 #[test]
@@ -34,13 +30,6 @@ fn micro_is_the_default_and_macro_kinds_are_rejected_by_build() {
         let err = gossip_builder(100).engine(kind).build().expect_err("macro");
         assert!(matches!(err, BuildError::EngineMismatch(_)), "{err}");
     }
-}
-
-#[test]
-fn build_spec_dispatches_the_micro_kind_to_a_micro_sim() {
-    let spec = gossip_builder(100).build_spec().expect("micro default");
-    assert_eq!(spec.kind(), EngineKind::Micro);
-    assert!(spec.into_micro().is_some());
 }
 
 #[test]

@@ -1,11 +1,11 @@
-//! `SimBuilder::build_spec` as the single build entry point.
+//! The three build entry points: `build()` for the micro engines,
+//! `build_macro()` for the macro and mean-field engines and `build_net()`
+//! for the deployment.
 //!
-//! `build_spec` dispatches on the engine kind and returns the matching
-//! [`Spec`] variant. These tests pin that the micro variant is the same
-//! artifact `build()` produces (config-and-debug equality for the
-//! stateful engine), that every kind lands in its own variant, that
-//! validation errors are kind-independent, and that the micro-only
-//! `build()` keeps rejecting non-micro kinds.
+//! Each entry point validates the shared axes the same way, so a
+//! kind-independent error is the same error everywhere, and each carries
+//! the assembly into its own artifact. Kind mismatches are pinned per
+//! entry point in the umbrella crate's `tests/builder_contract.rs`.
 
 use rapid_core::prelude::*;
 use rapid_graph::prelude::*;
@@ -20,82 +20,56 @@ fn builder(n: usize, kind: EngineKind) -> SimBuilder {
         .engine(kind)
 }
 
-#[test]
-fn micro_spec_matches_build() {
-    let old = builder(64, EngineKind::Micro).build().expect("build");
-    let new = builder(64, EngineKind::Micro)
-        .build_spec()
-        .expect("build_spec");
-    assert_eq!(new.kind(), EngineKind::Micro);
-    let new = new.into_micro().expect("micro variant");
-    assert_eq!(old.config(), new.config());
-    assert_eq!(format!("{old:?}"), format!("{new:?}"));
+/// Builds through the entry point for `entry`'s kind, reporting only the
+/// error.
+fn build_via(entry: EngineKind, builder: SimBuilder) -> Result<(), BuildError> {
+    match entry {
+        EngineKind::Micro => builder.build().map(drop),
+        EngineKind::Macro | EngineKind::MeanField => builder.build_macro().map(drop),
+        EngineKind::Net => builder.build_net().map(drop),
+    }
 }
 
+const KINDS: [EngineKind; 4] = [
+    EngineKind::Micro,
+    EngineKind::Macro,
+    EngineKind::MeanField,
+    EngineKind::Net,
+];
+
 #[test]
-fn build_spec_yields_the_macro_variants() {
+fn build_macro_yields_both_macro_kinds() {
     for kind in [EngineKind::Macro, EngineKind::MeanField] {
-        let new = builder(1000, kind).build_spec().expect("build_spec");
-        assert_eq!(new.kind(), kind);
-        let new = new.into_macro().expect("macro variant");
-        assert_eq!(new.kind, kind);
-        assert_eq!(new.n, 1000);
-        assert_eq!(new.counts, vec![750, 250]);
+        let spec = builder(1000, kind).build_macro().expect("build_macro");
+        assert_eq!(spec.kind, kind);
+        assert_eq!(spec.n, 1000);
+        assert_eq!(spec.counts, vec![750, 250]);
     }
 }
 
 #[test]
-fn build_spec_yields_the_net_variant() {
-    let new = builder(64, EngineKind::Net)
-        .build_spec()
-        .expect("build_spec");
-    assert_eq!(new.kind(), EngineKind::Net);
-    let new = new.into_net().expect("net variant");
-    assert_eq!(new.topology.n(), 64);
-    assert_eq!(new.config.n(), 64);
-    assert_eq!(new.seed, Seed::new(11));
-    assert!(new.stops.is_empty());
+fn build_net_yields_the_deployment_spec() {
+    let spec = builder(64, EngineKind::Net).build_net().expect("build_net");
+    assert_eq!(spec.topology.n(), 64);
+    assert_eq!(spec.config.n(), 64);
+    assert_eq!(spec.seed, Seed::new(11));
+    assert!(spec.stops.is_empty());
 }
 
 #[test]
-fn build_spec_reports_kind_independent_validation_errors() {
+fn every_entry_point_reports_kind_independent_validation_errors() {
     // A missing protocol fails identically for every engine kind.
-    for kind in [
-        EngineKind::Micro,
-        EngineKind::Macro,
-        EngineKind::MeanField,
-        EngineKind::Net,
-    ] {
-        let err = Sim::builder()
-            .topology(Complete::new(16))
-            .counts(&[12, 4])
-            .engine(kind)
-            .build_spec()
-            .expect_err("build_spec");
-        assert_eq!(err, BuildError::MissingProtocol);
+    for kind in KINDS {
+        let err = build_via(
+            kind,
+            Sim::builder()
+                .topology(Complete::new(16))
+                .counts(&[12, 4])
+                .engine(kind),
+        )
+        .expect_err("no protocol");
+        assert_eq!(err, BuildError::MissingProtocol, "{kind:?}");
     }
-    // The micro-only entry point agrees with the dispatcher.
-    let old = Sim::builder()
-        .topology(Complete::new(16))
-        .counts(&[12, 4])
-        .build()
-        .expect_err("build");
-    assert_eq!(old, BuildError::MissingProtocol);
-}
-
-#[test]
-fn into_helpers_reject_the_other_variants() {
-    let spec = builder(64, EngineKind::Macro).build_spec().expect("macro");
-    assert!(spec.into_micro().is_none());
-    let spec = builder(64, EngineKind::Net).build_spec().expect("net");
-    assert!(spec.into_macro().is_none());
-    let spec = builder(64, EngineKind::Micro).build_spec().expect("micro");
-    assert!(spec.into_net().is_none());
-    // Mean-field specs surface through the shared macro accessor.
-    let spec = builder(64, EngineKind::MeanField)
-        .build_spec()
-        .expect("mean-field");
-    assert!(spec.into_macro().is_some());
 }
 
 #[test]

@@ -133,6 +133,7 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapid_experiments::json::{parse, JsonValue};
 
     fn sample() -> Report {
         Report {
@@ -170,14 +171,17 @@ mod tests {
     fn json_document_round_trips_and_carries_summary() {
         let r = sample();
         let text = r.to_json().to_pretty();
-        let doc = Json::parse(&text).expect("emitted document parses");
-        assert_eq!(doc.get("clean"), Some(&Json::Bool(false)));
+        let doc = parse(&text).expect("emitted document parses");
+        assert!(matches!(doc.get("clean"), Some(JsonValue::Bool(false))));
         let summary = doc.get("summary").expect("summary");
-        assert_eq!(summary.get("total").and_then(Json::as_num), Some(2.0));
-        let findings = doc.get("findings").and_then(Json::as_arr).expect("array");
+        assert_eq!(summary.get("total").and_then(JsonValue::as_f64), Some(2.0));
+        let findings = doc
+            .get("findings")
+            .and_then(JsonValue::as_array)
+            .expect("array");
         assert_eq!(findings.len(), 2);
         assert_eq!(
-            findings[0].get("rule").and_then(Json::as_str),
+            findings[0].get("rule").and_then(JsonValue::as_str),
             Some("no-wall-clock")
         );
     }

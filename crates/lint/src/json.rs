@@ -1,10 +1,10 @@
-//! A minimal JSON value: emit and parse, std only.
+//! A minimal JSON value and its emitter, std only.
 //!
 //! `rapid-lint` deliberately depends on nothing — not even the workspace's
 //! own `rapid-experiments` JSON module — so the findings document needs a
-//! local emitter, and the fixture tests need a parser to prove the schema
-//! round-trips. Both fit in this file. Object keys keep insertion order
-//! (a `Vec` of pairs), so emitted documents are deterministic.
+//! local emitter. The tests parse what it emits with that module, a
+//! dev-dependency only. Object keys keep insertion order (a `Vec` of
+//! pairs), so emitted documents are deterministic.
 
 use std::fmt::Write as _;
 
@@ -27,38 +27,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// Looks up a key in an object; `None` for other variants.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as `&str`, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as `f64`, if it is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Serialises with two-space indentation and a trailing newline-free
     /// result, stable across runs.
     pub fn to_pretty(&self) -> String {
@@ -111,23 +79,6 @@ impl Json {
             }
         }
     }
-
-    /// Parses a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line description with a byte offset on malformed
-    /// input or trailing garbage.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(value)
-    }
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -148,143 +99,30 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at offset {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(b, pos)?;
-                pairs.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {text:?} at offset {start}"))
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at offset {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy one UTF-8 scalar.
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapid_experiments::json::{parse, JsonValue};
+
+    /// Whether `parsed` holds the document `doc` (object keys in any
+    /// order: the parser sorts them).
+    fn same(doc: &Json, parsed: &JsonValue) -> bool {
+        match doc {
+            Json::Null => matches!(parsed, JsonValue::Null),
+            Json::Bool(b) => matches!(parsed, JsonValue::Bool(p) if p == b),
+            Json::Num(n) => parsed.as_f64() == Some(*n),
+            Json::Str(s) => parsed.as_str() == Some(s.as_str()),
+            Json::Arr(items) => parsed.as_array().is_some_and(|p| {
+                p.len() == items.len() && items.iter().zip(p).all(|(a, b)| same(a, b))
+            }),
+            Json::Obj(pairs) => {
+                matches!(parsed, JsonValue::Object(map) if map.len() == pairs.len())
+                    && pairs
+                        .iter()
+                        .all(|(k, v)| parsed.get(k).is_some_and(|p| same(v, p)))
+            }
+        }
+    }
 
     #[test]
     fn round_trips_nested_document() {
@@ -298,36 +136,13 @@ mod tests {
             ),
             ("empty".into(), Json::Obj(vec![])),
         ]);
-        let text = doc.to_pretty();
-        assert_eq!(Json::parse(&text), Ok(doc));
+        let parsed = parse(&doc.to_pretty()).expect("emitted document parses");
+        assert!(same(&doc, &parsed), "{parsed:?}");
     }
 
     #[test]
     fn integers_emit_without_fraction() {
         assert_eq!(Json::Num(7.0).to_pretty(), "7");
         assert_eq!(Json::Num(2.5).to_pretty(), "2.5");
-    }
-
-    #[test]
-    fn rejects_trailing_garbage_and_bad_escapes() {
-        assert!(Json::parse("{} x").is_err());
-        assert!(Json::parse("\"\\q\"").is_err());
-        assert!(Json::parse("[1,").is_err());
-    }
-
-    #[test]
-    fn accessors() {
-        let doc = Json::parse("{\"a\": [1, 2], \"s\": \"x\"}").expect("valid");
-        assert_eq!(
-            doc.get("a").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(2)
-        );
-        assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
-        assert_eq!(
-            doc.get("a")
-                .and_then(Json::as_arr)
-                .and_then(|a| a[0].as_num()),
-            Some(1.0)
-        );
     }
 }

@@ -33,7 +33,9 @@
 //!
 //! The crate is deliberately std-only with **zero** dependencies — not
 //! even on the rest of the workspace — so the analysis pass satisfies
-//! its own `zero-deps-policy` and never waits on an engine rebuild.
+//! its own `zero-deps-policy` and never waits on an engine rebuild. Only
+//! its tests reach further: they parse the findings document with
+//! `rapid_experiments::json`, a dev-dependency.
 //!
 //! # Example
 //!

@@ -3,8 +3,8 @@
 //! the marker contract — if a rule's trigger or a marker's scope drifts,
 //! one of these fails before the live workspace does.
 
+use rapid_experiments::json::{parse, JsonValue};
 use rapid_lint::findings::Report;
-use rapid_lint::json::Json;
 use rapid_lint::rules;
 use rapid_lint::source::{FileKind, Manifest, SourceFile, Workspace};
 
@@ -277,11 +277,17 @@ fn json_document_round_trips_through_own_parser() {
         "let t = std::time::Instant::now();\nx.unwrap();\n",
     );
     let text = r.to_json().to_pretty();
-    let doc = Json::parse(&text).expect("emitted findings document parses");
+    let doc = parse(&text).expect("emitted findings document parses");
 
-    assert_eq!(doc.get("schema_version").and_then(Json::as_num), Some(1.0));
-    assert_eq!(doc.get("clean"), Some(&Json::Bool(false)));
-    let findings = doc.get("findings").and_then(Json::as_arr).expect("array");
+    assert_eq!(
+        doc.get("schema_version").and_then(JsonValue::as_f64),
+        Some(1.0)
+    );
+    assert!(matches!(doc.get("clean"), Some(JsonValue::Bool(false))));
+    let findings = doc
+        .get("findings")
+        .and_then(JsonValue::as_array)
+        .expect("array");
     assert_eq!(findings.len(), 2);
     for f in findings {
         for key in ["rule", "file", "line", "message", "snippet"] {
@@ -289,6 +295,6 @@ fn json_document_round_trips_through_own_parser() {
         }
     }
     let summary = doc.get("summary").expect("summary");
-    assert_eq!(summary.get("total").and_then(Json::as_num), Some(2.0));
+    assert_eq!(summary.get("total").and_then(JsonValue::as_f64), Some(2.0));
     assert!(summary.get("per_rule").is_some());
 }

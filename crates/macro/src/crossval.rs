@@ -151,15 +151,12 @@ fn fractions_at(snapshots: &[(f64, Vec<u64>)], t: f64, n: u64) -> Vec<f64> {
 }
 
 fn micro_trial(cfg: &CrossValConfig, seed: Seed, horizon: f64) -> Vec<(f64, Vec<u64>)> {
-    let mut builder = Sim::builder()
+    let builder = Sim::builder()
         .topology(Complete::new(cfg.n as usize))
         .counts(&cfg.counts)
         .seed(seed)
-        .stop(StopCondition::TimeHorizon(SimTime::from_secs(horizon)));
-    builder = match cfg.protocol {
-        MacroProtocol::Gossip(rule) => builder.gossip(rule),
-        MacroProtocol::Rapid(params) => builder.rapid(params),
-    };
+        .stop(StopCondition::TimeHorizon(SimTime::from_secs(horizon)))
+        .select(cfg.protocol.into());
     // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error
     let mut sim = builder.build().expect("validated micro assembly");
     let mut observer = TrajectoryObserver {
@@ -170,16 +167,13 @@ fn micro_trial(cfg: &CrossValConfig, seed: Seed, horizon: f64) -> Vec<(f64, Vec<
 }
 
 fn macro_trial(cfg: &CrossValConfig, seed: Seed, horizon: f64) -> Vec<(f64, Vec<u64>)> {
-    let mut builder = Sim::builder()
+    let builder = Sim::builder()
         .topology(Complete::new(cfg.n as usize))
         .counts(&cfg.counts)
         .engine(EngineKind::Macro)
         .seed(seed)
-        .stop(StopCondition::TimeHorizon(SimTime::from_secs(horizon)));
-    builder = match cfg.protocol {
-        MacroProtocol::Gossip(rule) => builder.gossip(rule),
-        MacroProtocol::Rapid(params) => builder.rapid(params),
-    };
+        .stop(StopCondition::TimeHorizon(SimTime::from_secs(horizon)))
+        .select(cfg.protocol.into());
     let mut sim = MacroSim::from_builder(builder)
         // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error
         .expect("validated macro assembly")

@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rapid_core::facade::{BuildError, EngineKind, MacroProtocol, MacroSpec, SimBuilder, Spec};
+use rapid_core::facade::{BuildError, EngineKind, MacroProtocol, MacroSpec, SimBuilder};
 use rapid_core::prelude::*;
 use rapid_obs::{Counter, Histogram, Obs, TraceEvent};
 use rapid_sim::rng::SimRng;
@@ -157,37 +157,18 @@ impl MacroSim {
     ///
     /// # Errors
     ///
-    /// Any [`BuildError`] from [`SimBuilder::build_spec`], plus
+    /// Any [`BuildError`] from [`SimBuilder::build_macro`], plus
     /// [`BuildError::EngineMismatch`] if the builder selected any other
     /// engine kind (use [`crate::MeanFieldSim`] for
     /// [`EngineKind::MeanField`]).
     pub fn from_builder(builder: SimBuilder) -> Result<Self, BuildError> {
-        // Dispatch on the kind before building: a mismatched micro
-        // assembly should fail fast, not materialise O(n) state first.
-        match builder.engine_kind() {
-            EngineKind::Macro => {}
-            EngineKind::MeanField => {
-                return Err(BuildError::EngineMismatch(
-                    "MeanFieldSim::from_builder for Engine::MeanField",
-                ))
-            }
-            EngineKind::Micro => {
-                return Err(BuildError::EngineMismatch(
-                    "SimBuilder::build for Engine::Micro",
-                ))
-            }
-            EngineKind::Net => {
-                return Err(BuildError::EngineMismatch(
-                    "SimBuilder::build_spec (run via rapid_net) for Engine::Net",
-                ))
-            }
+        let spec = builder.build_macro()?;
+        if spec.kind != EngineKind::Macro {
+            return Err(BuildError::EngineMismatch(
+                "MeanFieldSim::from_builder for Engine::MeanField",
+            ));
         }
-        match builder.build_spec()? {
-            Spec::Macro(spec) => Ok(Self::from_spec(spec)),
-            _ => Err(BuildError::EngineMismatch(
-                "MacroSim::from_builder for Engine::Macro assemblies",
-            )),
-        }
+        Ok(Self::from_spec(spec))
     }
 
     /// Builds the engine from an already validated spec.
@@ -1090,10 +1071,8 @@ mod tests {
                 .rapid(Params::for_network(1024, 2))
                 .engine(EngineKind::Macro)
                 .seed(Seed::new(9))
-                .build_spec()
-                .expect("valid")
-                .into_macro()
-                .expect("macro variant"),
+                .build_macro()
+                .expect("valid"),
         );
         let out = sim.run();
         // Either one side won the coin-flip (fine) or everyone halted.
@@ -1114,10 +1093,8 @@ mod tests {
                 .engine(EngineKind::Macro)
                 .seed(Seed::new(4))
                 .stop(StopCondition::StepBudget(1_000_000))
-                .build_spec()
-                .expect("valid")
-                .into_macro()
-                .expect("macro variant"),
+                .build_macro()
+                .expect("valid"),
         );
         let out = sim.run();
         assert_eq!(out.stop, StopReason::StepBudget);
@@ -1131,10 +1108,8 @@ mod tests {
                 .engine(EngineKind::Macro)
                 .seed(Seed::new(4))
                 .stop(StopCondition::TimeHorizon(SimTime::from_secs(2.0)))
-                .build_spec()
-                .expect("valid")
-                .into_macro()
-                .expect("macro variant"),
+                .build_macro()
+                .expect("valid"),
         );
         let out = sim.run();
         assert_eq!(out.stop, StopReason::TimeHorizon);
@@ -1160,10 +1135,8 @@ mod tests {
                 .faults(rapid_sim::fault::FaultPlan::none().with_loss(1.0))
                 .seed(Seed::new(6))
                 .stop(StopCondition::StepBudget(10_000))
-                .build_spec()
-                .expect("valid")
-                .into_macro()
-                .expect("macro variant"),
+                .build_macro()
+                .expect("valid"),
         );
         let out = sim.run();
         assert_eq!(out.stop, StopReason::StepBudget);

@@ -23,10 +23,10 @@
 //! predictions from [`rapid_urn::moments::fraction_variance`]). The
 //! endgame is the Two-Choices ODE from the post-amplification state.
 
-use rapid_core::facade::{BuildError, EngineKind, MacroProtocol, MacroSpec, SimBuilder, Spec};
+use rapid_core::facade::{BuildError, EngineKind, MacroProtocol, MacroSpec, SimBuilder};
 use rapid_core::prelude::*;
 
-/// RK4 time step (time units).
+/// RK4 step, in ticks of activation time (time units at rate 1).
 const RK4_STEP: f64 = 0.02;
 
 /// Mean-field prediction for one rapid-protocol phase.
@@ -116,36 +116,17 @@ impl MeanFieldSim {
     ///
     /// # Errors
     ///
-    /// Any [`BuildError`] from [`SimBuilder::build_spec`], plus
+    /// Any [`BuildError`] from [`SimBuilder::build_macro`], plus
     /// [`BuildError::EngineMismatch`] if the builder selected any other
     /// engine kind (use [`crate::MacroSim`] for [`EngineKind::Macro`]).
     pub fn from_builder(builder: SimBuilder) -> Result<Self, BuildError> {
-        // Dispatch on the kind before building: a mismatched micro
-        // assembly should fail fast, not materialise O(n) state first.
-        match builder.engine_kind() {
-            EngineKind::MeanField => {}
-            EngineKind::Macro => {
-                return Err(BuildError::EngineMismatch(
-                    "MacroSim::from_builder for Engine::Macro",
-                ))
-            }
-            EngineKind::Micro => {
-                return Err(BuildError::EngineMismatch(
-                    "SimBuilder::build for Engine::Micro",
-                ))
-            }
-            EngineKind::Net => {
-                return Err(BuildError::EngineMismatch(
-                    "SimBuilder::build_spec (run via rapid_net) for Engine::Net",
-                ))
-            }
+        let spec = builder.build_macro()?;
+        if spec.kind != EngineKind::MeanField {
+            return Err(BuildError::EngineMismatch(
+                "MacroSim::from_builder for Engine::Macro",
+            ));
         }
-        match builder.build_spec()? {
-            Spec::MeanField(spec) => Ok(Self::from_spec(spec)),
-            _ => Err(BuildError::EngineMismatch(
-                "MeanFieldSim::from_builder for Engine::MeanField assemblies",
-            )),
-        }
+        Ok(Self::from_spec(spec))
     }
 
     /// Builds the engine from an already validated spec.
@@ -185,7 +166,7 @@ impl MeanFieldSim {
                     self.spec.rate,
                     &mut x,
                     0.0,
-                    horizon,
+                    horizon * self.spec.rate,
                     threshold,
                     &mut trajectory,
                 );
@@ -242,8 +223,8 @@ impl MeanFieldSim {
                     }
                 }
                 // Endgame: plain Two-Choices from the amplified state.
-                let t0 = params.part1_len() as f64 / self.spec.rate;
-                let horizon = t0 + params.endgame_ticks as f64 / self.spec.rate;
+                let t0 = params.part1_len() as f64;
+                let horizon = t0 + params.endgame_ticks as f64;
                 let time = integrate_gossip(
                     GossipRule::TwoChoices,
                     self.spec.loss,
@@ -281,8 +262,8 @@ fn finish(
     }
 }
 
-/// The expected drift of one gossip rule at fractions `x` (per unit of
-/// *activation* time; the caller scales by the clock rate).
+/// The expected drift of one gossip rule at fractions `x`, per unit of
+/// *activation* time (one tick per node).
 fn gossip_drift(rule: GossipRule, s: f64, x: &[f64], out: &mut [f64]) {
     let k = x.len();
     match rule {
@@ -315,6 +296,10 @@ fn gossip_drift(rule: GossipRule, s: f64, x: &[f64], out: &mut [f64]) {
 
 /// RK4 integration of a gossip drift from `t0` until the leader crosses
 /// `threshold` or `horizon` is reached. Returns the crossing time.
+///
+/// `t0` and `horizon` count ticks of activation time (`rate · t`), so
+/// the number of steps does not grow as the clock slows; the crossing
+/// time and the trajectory are reported in time units.
 #[allow(clippy::too_many_arguments)]
 fn integrate_gossip(
     rule: GossipRule,
@@ -329,7 +314,7 @@ fn integrate_gossip(
     let s = 1.0 - loss;
     let k = x.len();
     if x.iter().any(|&f| f >= threshold) {
-        return Some(t0);
+        return Some(t0 / rate);
     }
     let mut t = t0;
     let mut k1 = vec![0.0; k];
@@ -337,46 +322,46 @@ fn integrate_gossip(
     let mut k3 = vec![0.0; k];
     let mut k4 = vec![0.0; k];
     let mut tmp = vec![0.0; k];
-    // Record a trajectory sample every ~0.1 time units: dense enough
-    // that nearest-left lookups stay within the drift over one sample.
+    // Record a trajectory sample every ~0.1 ticks: dense enough that
+    // nearest-left lookups stay within the drift over one sample.
     let samples_every = (0.1 / RK4_STEP).max(1.0) as u32;
     let mut since_sample = 0u32;
     while t < horizon {
         let h = RK4_STEP.min(horizon - t);
         gossip_drift(rule, s, x, &mut k1);
         for j in 0..k {
-            tmp[j] = x[j] + 0.5 * h * rate * k1[j];
+            tmp[j] = x[j] + 0.5 * h * k1[j];
         }
         gossip_drift(rule, s, &tmp, &mut k2);
         for j in 0..k {
-            tmp[j] = x[j] + 0.5 * h * rate * k2[j];
+            tmp[j] = x[j] + 0.5 * h * k2[j];
         }
         gossip_drift(rule, s, &tmp, &mut k3);
         for j in 0..k {
-            tmp[j] = x[j] + h * rate * k3[j];
+            tmp[j] = x[j] + h * k3[j];
         }
         gossip_drift(rule, s, &tmp, &mut k4);
         for j in 0..k {
-            x[j] += h * rate * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0;
+            x[j] += h * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0;
             x[j] = x[j].clamp(0.0, 1.0);
         }
         t += h;
         since_sample += 1;
         if since_sample >= samples_every {
-            trajectory.push((t, x.to_vec()));
+            trajectory.push((t / rate, x.to_vec()));
             since_sample = 0;
         }
         if x.iter().any(|&f| f >= threshold) {
-            trajectory.push((t, x.to_vec()));
-            return Some(t);
+            trajectory.push((t / rate, x.to_vec()));
+            return Some(t / rate);
         }
         // Voter (zero drift) would spin to the horizon pointlessly.
         if k1.iter().all(|&d| d == 0.0) && k4.iter().all(|&d| d == 0.0) {
-            trajectory.push((horizon, x.to_vec()));
+            trajectory.push((horizon / rate, x.to_vec()));
             return None;
         }
     }
-    trajectory.push((t, x.to_vec()));
+    trajectory.push((t / rate, x.to_vec()));
     None
 }
 
@@ -457,6 +442,33 @@ mod tests {
         .consensus_time
         .expect("still converges");
         assert!(lossy > 1.5 * clean, "loss 0.5: {lossy} vs clean {clean}");
+    }
+
+    #[test]
+    fn a_slow_clock_rescales_time_without_lengthening_the_run() {
+        // Integration counts ticks, so even a clock at MIN_RATE ends in
+        // as many steps as at rate 1, and the reported time is 1/rate
+        // times the rate-1 time.
+        let run = |rate| {
+            MeanFieldSim::from_builder(
+                Sim::builder()
+                    .topology(Complete::new(16))
+                    .counts(&[9, 7])
+                    .rapid(Params::for_network(16, 2))
+                    .clock(Clock::EventQueue { rate })
+                    .engine(EngineKind::MeanField),
+            )
+            .expect("valid")
+            .run()
+        };
+        let unit = run(1.0);
+        let t1 = unit.consensus_time.expect("converges");
+        for rate in [1e-6, rapid_core::facade::MIN_RATE] {
+            let slow = run(rate);
+            assert_eq!(slow.winner, unit.winner);
+            let t = slow.consensus_time.expect("converges");
+            assert!((t * rate / t1 - 1.0).abs() < 1e-12, "rate {rate}: {t}");
+        }
     }
 
     #[test]

@@ -103,15 +103,12 @@ fn zero_fault_macro_runs_are_bit_reproducible() {
         MacroProtocol::Rapid(Params::for_network_with_eps(1 << 12, 4, 0.5)),
     ] {
         let run = || {
-            let mut builder = Sim::builder()
+            let builder = Sim::builder()
                 .topology(Complete::new(1 << 12))
                 .counts(&biased_counts(1 << 12, 4, 0.5))
                 .engine(EngineKind::Macro)
-                .seed(Seed::new(0xBEEF));
-            builder = match protocol {
-                MacroProtocol::Gossip(rule) => builder.gossip(rule),
-                MacroProtocol::Rapid(params) => builder.rapid(params),
-            };
+                .seed(Seed::new(0xBEEF))
+                .select(protocol.into());
             let mut trace = Vec::new();
             let out = MacroSim::from_builder(builder)
                 .expect("valid")
@@ -138,15 +135,12 @@ fn attaching_obs_never_changes_a_macro_outcome() {
         MacroProtocol::Rapid(Params::for_network_with_eps(1 << 12, 4, 0.5)),
     ] {
         let build = || {
-            let mut builder = Sim::builder()
+            let builder = Sim::builder()
                 .topology(Complete::new(1 << 12))
                 .counts(&biased_counts(1 << 12, 4, 0.5))
                 .engine(EngineKind::Macro)
-                .seed(Seed::new(0xBEEF));
-            builder = match protocol {
-                MacroProtocol::Gossip(rule) => builder.gossip(rule),
-                MacroProtocol::Rapid(params) => builder.rapid(params),
-            };
+                .seed(Seed::new(0xBEEF))
+                .select(protocol.into());
             MacroSim::from_builder(builder).expect("valid")
         };
         let bare = build().run();

@@ -78,17 +78,14 @@ fn protocol_of(opts: &RunOpts) -> Result<MacroProtocol, String> {
 /// cannot be set up (e.g. sockets forbidden).
 pub fn execute(opts: &RunOpts) -> Result<NetRun, String> {
     let protocol = protocol_of(opts)?;
-    let mut builder = Sim::builder()
+    let builder = Sim::builder()
         .topology(Complete::new(opts.n))
         .distribution(rapid_core::InitialDistribution::multiplicative_bias(
             opts.k, opts.eps,
         ))
+        .select(protocol.into())
         .engine(EngineKind::Net)
         .seed(Seed::new(opts.seed));
-    builder = match protocol {
-        MacroProtocol::Gossip(rule) => builder.gossip(rule),
-        MacroProtocol::Rapid(params) => builder.rapid(params),
-    };
     let mut cluster = Cluster::from_builder(builder).map_err(|e| e.to_string())?;
     match opts.transport {
         TransportKind::Channel => Ok(cluster.run_channel()),

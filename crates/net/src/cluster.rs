@@ -36,11 +36,8 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rapid_core::asynchronous::{AsyncProtocol, Schedule};
-use rapid_core::facade::{
-    BuildError, EngineKind, MacroProtocol, NetSpec, Outcome, SimBuilder, Spec, StopCondition,
-    StopReason,
-};
+use rapid_core::asynchronous::AsyncProtocol;
+use rapid_core::facade::{BuildError, NetSpec, Outcome, SimBuilder, StopCondition, StopReason};
 use rapid_core::opinion::Color;
 use rapid_obs::{Counter, Gauge, Obs, TraceEvent};
 use rapid_sim::time::SimTime;
@@ -188,10 +185,7 @@ impl Cluster {
             Arc::from(spec.topology);
         let threshold = default_beacon_threshold(n);
         // One protocol, hence one Rapid schedule table, for every machine.
-        let protocol = match spec.protocol {
-            MacroProtocol::Gossip(rule) => AsyncProtocol::Gossip(rule),
-            MacroProtocol::Rapid(params) => AsyncProtocol::Rapid(Schedule::new(params)),
-        };
+        let protocol = AsyncProtocol::from(spec.protocol);
         let mut machines = Vec::with_capacity(n);
         for i in 0..n {
             machines.push(NodeMachine::new(
@@ -259,23 +253,11 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns the [`BuildError`] of [`SimBuilder::build_spec`] for
+    /// Returns the [`BuildError`] of [`SimBuilder::build_net`] for
     /// invalid assemblies, including [`BuildError::EngineMismatch`] when
     /// the builder selected a non-net engine kind.
     pub fn from_builder(builder: SimBuilder) -> Result<Self, BuildError> {
-        // Dispatch on the kind before building: a mismatched micro
-        // assembly should fail fast, not materialise O(n) state first.
-        if builder.engine_kind() != EngineKind::Net {
-            return Err(BuildError::EngineMismatch(
-                "SimBuilder::build / build_spec for non-net engines",
-            ));
-        }
-        match builder.build_spec()? {
-            Spec::Net(spec) => Ok(Cluster::from_spec(spec)),
-            _ => Err(BuildError::EngineMismatch(
-                "Cluster::from_builder for Engine::Net assemblies",
-            )),
-        }
+        builder.build_net().map(Cluster::from_spec)
     }
 
     /// Population size.
@@ -773,7 +755,7 @@ mod tests {
     use super::*;
     use crate::codec::Payload;
     use rapid_core::asynchronous::GossipRule;
-    use rapid_core::facade::Sim;
+    use rapid_core::facade::{EngineKind, Sim};
     use rapid_graph::complete::Complete;
     use rapid_sim::rng::Seed;
 

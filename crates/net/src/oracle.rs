@@ -102,14 +102,11 @@ impl OracleReport {
 
 /// The shared assembly both engines run from.
 fn builder(cfg: &OracleConfig, seed: Seed) -> SimBuilder {
-    let b = Sim::builder()
+    Sim::builder()
         .topology(Complete::new(cfg.n))
         .counts(&cfg.counts)
-        .seed(seed);
-    match cfg.protocol {
-        MacroProtocol::Gossip(rule) => b.gossip(rule),
-        MacroProtocol::Rapid(params) => b.rapid(params),
-    }
+        .select(cfg.protocol.into())
+        .seed(seed)
 }
 
 /// Runs the comparison.

@@ -19,12 +19,8 @@ fn base() -> SimBuilder {
         .seed(Seed::new(3))
 }
 
-/// Builds through the unified entry point and unwraps the net variant;
-/// validation errors pass through untouched.
 fn net_spec(builder: SimBuilder) -> Result<NetSpec, BuildError> {
-    builder
-        .build_spec()
-        .map(|spec| spec.into_net().expect("net assembly"))
+    builder.build_net()
 }
 
 #[test]

@@ -86,15 +86,6 @@ impl ActivationStats {
         self.now
     }
 
-    /// Minimum and maximum per-node tick counts.
-    pub fn count_range(&self) -> (u64, u64) {
-        // lint: allow(panic-hygiene): constructors reject n = 0, so the per-node collections are non-empty
-        let min = *self.counts.iter().min().expect("n > 0");
-        // lint: allow(panic-hygiene): constructors reject n = 0, so the per-node collections are non-empty
-        let max = *self.counts.iter().max().expect("n > 0");
-        (min, max)
-    }
-
     /// Maximum absolute deviation of any node's tick count from the mean.
     pub fn max_deviation(&self) -> f64 {
         let mean = self.total as f64 / self.n() as f64;
@@ -157,7 +148,8 @@ mod tests {
     #[test]
     fn count_range_brackets_mean() {
         let stats = run(10, 10_000, 2);
-        let (min, max) = stats.count_range();
+        let min = *stats.counts().iter().min().expect("n > 0");
+        let max = *stats.counts().iter().max().expect("n > 0");
         assert!(min <= 1000 && 1000 <= max);
         assert!(stats.max_deviation() >= (max as f64 - 1000.0).abs());
     }

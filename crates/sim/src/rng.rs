@@ -232,14 +232,6 @@ impl SimRng {
     }
 }
 
-impl SimRng {
-    /// Returns the next 32 random bits (the high half of one 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-}
-
 /// Below this expected value, binomial sampling uses CDF inversion
 /// (BINV); above it, the BTPE rejection sampler. BINV's loop runs ~`np`
 /// iterations, so the threshold trades a short loop against BTPE's setup.
@@ -622,13 +614,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), kids.len());
-    }
-
-    #[test]
-    fn next_u32_takes_the_high_bits() {
-        let mut a = SimRng::from_seed_value(Seed::new(8));
-        let mut b = SimRng::from_seed_value(Seed::new(8));
-        assert_eq!(a.next_u32(), (b.next_u64() >> 32) as u32);
     }
 
     #[test]

@@ -132,13 +132,6 @@ impl OnlineStats {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// A normal-approximation confidence interval for the mean at the given
-    /// z value (e.g. `1.96` for 95%).
-    pub fn mean_ci(&self, z: f64) -> (f64, f64) {
-        let half = z * self.std_err();
-        (self.mean - half, self.mean + half)
-    }
 }
 
 impl FromIterator<f64> for OnlineStats {
@@ -209,13 +202,6 @@ mod tests {
         let mut e = OnlineStats::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn ci_brackets_mean() {
-        let s: OnlineStats = (0..100).map(|i| i as f64).collect();
-        let (lo, hi) = s.mean_ci(1.96);
-        assert!(lo < s.mean() && s.mean() < hi);
     }
 
     #[test]

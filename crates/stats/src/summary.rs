@@ -61,11 +61,6 @@ impl Summary {
             max: stats.max(),
         }
     }
-
-    /// Formats as `mean ± stderr` with three significant digits.
-    pub fn mean_pm(&self) -> String {
-        format!("{:.3} ± {:.3}", self.mean, self.std_err)
-    }
 }
 
 impl std::fmt::Display for Summary {
@@ -97,7 +92,6 @@ mod tests {
     fn display_and_mean_pm_render() {
         let s = Summary::from_slice(&[1.0, 2.0, 3.0]);
         assert!(s.to_string().contains("n=3"));
-        assert!(s.mean_pm().contains('±'));
     }
 
     #[test]
