@@ -11,8 +11,6 @@
 //!   topology/urn/RNG primitives, stats accumulators, full consensus runs;
 //! * [`report`] — the `BENCH_<unix-ms>.json` trajectory document with
 //!   host/commit provenance, and the noise-aware regression gate;
-//! * [`harness`] — the `cargo bench` adapter, which drives the *same*
-//!   registry so the two entry points cannot disagree;
 //! * [`cli`] — the `xp` front end: one table-driven argument layer for
 //!   every subcommand (experiments, `bench`, `sweep`, `net`, `lint`),
 //!   with `xp bench`'s `list` / `run` / `all` implemented here.
@@ -23,7 +21,6 @@
 #![deny(missing_docs)]
 
 pub mod cli;
-pub mod harness;
 pub mod registry;
 pub mod report;
 pub mod sample;

@@ -1,9 +1,9 @@
 //! The static benchmark registry.
 //!
 //! One entry per hot path, mirroring the experiment registry one level
-//! down: the `xp bench` CLI, the `cargo bench` targets and the CI perf
-//! gate all enumerate the same list, so a kernel cannot silently drop out
-//! of the measured set. Groups:
+//! down: the `xp bench` CLI and the CI perf gate both enumerate the same
+//! list, so a kernel cannot silently drop out of the measured set.
+//! Groups:
 //!
 //! * `gossip` / `rapid` — single asynchronous protocol ticks on `K_n`,
 //!   clean and under the fault layer (loss + churn + adversary);

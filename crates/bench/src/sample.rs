@@ -43,12 +43,6 @@ impl BudgetCfg {
             ..BudgetCfg::default()
         }
     }
-
-    /// The CI-scale budget (50 ms — noisy runners want the generous gate,
-    /// not long budgets).
-    pub fn quick() -> Self {
-        BudgetCfg::from_millis(50)
-    }
 }
 
 /// One benchmark's measured result: iteration wall-clock quantiles.

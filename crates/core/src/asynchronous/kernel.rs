@@ -132,8 +132,8 @@ pub enum AsyncProtocol {
 
 impl AsyncProtocol {
     /// A conservative activation budget for `n` nodes: three times the
-    /// protocol length for every node under Rapid, `200·n·(ln n + 1)`
-    /// under a gossip rule.
+    /// protocol length for every node under Rapid (saturating at
+    /// `u64::MAX`), `200·n·(ln n + 1)` under a gossip rule.
     pub fn default_step_budget(&self, n: usize) -> u64 {
         let n = n as u64;
         match self {
@@ -141,7 +141,9 @@ impl AsyncProtocol {
                 let ln_n = (n.max(2) as f64).ln();
                 (n as f64 * (ln_n + 1.0) * 200.0) as u64
             }
-            AsyncProtocol::Rapid(schedule) => 3 * n * schedule.params().total_len(),
+            AsyncProtocol::Rapid(schedule) => 3u64
+                .saturating_mul(n)
+                .saturating_mul(schedule.params().total_len()),
         }
     }
 }

@@ -233,7 +233,8 @@ pub struct MacroSpec {
     pub loss: f64,
     /// Master seed (ignored by the deterministic mean-field engine).
     pub seed: Seed,
-    /// Stop conditions, checked on top of the implicit unanimity check.
+    /// Stop conditions, checked on top of the implicit unanimity check
+    /// (none on the mean-field engine, which rejects them).
     pub stops: Vec<StopCondition>,
 }
 
@@ -323,7 +324,8 @@ impl Default for Clock {
 }
 
 /// A composable stopping rule: a run stops on the first engine step at
-/// which one holds, on top of the implicit unanimity check.
+/// which one holds, on top of the implicit unanimity check. [`Stops`]
+/// says how a run's rules combine.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum StopCondition {
     /// Stop once simulation time reaches the horizon (absolute — measured
@@ -374,6 +376,121 @@ impl StopReason {
             StopReason::AllHalted => "all-halted",
             StopReason::DefaultBudget => "default-budget",
         }
+    }
+}
+
+/// A run's stop policy: its declared [`StopCondition`]s, the steps in one
+/// of its rounds and its engine's default budget.
+///
+/// Every engine's run loop asks it the same three questions: how far off
+/// the earliest horizon is, how many steps may run before the nearest
+/// budget, and why the run stops at a given point. So which stops
+/// combine, which replace the default budget and which reason wins a tie
+/// is decided here and nowhere else:
+///
+/// * the earliest horizon and the smallest budget bound the run, so the
+///   first stop to fire ends it;
+/// * a time horizon, a step budget or a round budget replaces the default
+///   budget. [`StopCondition::FirstHalt`] does not: it can never fire on
+///   some assemblies (synchronous engines, gossip without a halt budget)
+///   and must not remove the safety net;
+/// * a round is one step on a synchronous engine and `n` activations on
+///   the others;
+/// * when several stops hold at once, every node halting wins, then the
+///   first condition declared, then the default budget.
+///
+/// Each engine passes the step count its budgets count: [`Sim`] counts
+/// from the start of the `run` call, the macro engine and a deployment
+/// from their start.
+#[derive(Debug)]
+pub struct Stops {
+    conditions: Vec<StopCondition>,
+    round: u64,
+    default_budget: u64,
+}
+
+impl Stops {
+    /// The policy of a run declaring `conditions`, on an engine with
+    /// `round` steps per round and the fallback budget `default_budget`.
+    pub fn new(conditions: Vec<StopCondition>, round: u64, default_budget: u64) -> Self {
+        Stops {
+            conditions,
+            round,
+            default_budget,
+        }
+    }
+
+    /// Whether the default budget is in force: no time horizon, step
+    /// budget or round budget was declared.
+    fn default_in_force(&self) -> bool {
+        self.conditions
+            .iter()
+            .all(|c| matches!(c, StopCondition::FirstHalt))
+    }
+
+    /// The earliest time horizon; [`SimTime::MAX`] without one.
+    pub fn horizon(&self) -> SimTime {
+        self.conditions
+            .iter()
+            .filter_map(|c| match *c {
+                StopCondition::TimeHorizon(horizon) => Some(horizon),
+                _ => None,
+            })
+            .min()
+            .unwrap_or(SimTime::MAX)
+    }
+
+    /// The steps left, after `steps_run`, before the nearest step budget,
+    /// round budget or default budget runs out; `u64::MAX` when none
+    /// bounds the run.
+    pub fn steps_left(&self, steps_run: u64) -> u64 {
+        let mut left = if self.default_in_force() {
+            self.default_budget.saturating_sub(steps_run)
+        } else {
+            u64::MAX
+        };
+        for condition in &self.conditions {
+            let budget = match *condition {
+                StopCondition::StepBudget(budget) => budget,
+                StopCondition::RoundBudget(rounds) => rounds.saturating_mul(self.round),
+                _ => continue,
+            };
+            left = left.min(budget.saturating_sub(steps_run));
+        }
+        left
+    }
+
+    /// Why the run stops after `steps_run` steps at time `now`, if it
+    /// does: [`StopReason::AllHalted`] when every node has halted, else
+    /// the first declared condition that holds, else
+    /// [`StopReason::DefaultBudget`] once that budget is spent.
+    /// Unanimity is the engine's own check.
+    pub fn reason(
+        &self,
+        steps_run: u64,
+        now: SimTime,
+        any_halted: bool,
+        all_halted: bool,
+    ) -> Option<StopReason> {
+        if all_halted {
+            return Some(StopReason::AllHalted);
+        }
+        for condition in &self.conditions {
+            let (fired, reason) = match *condition {
+                StopCondition::TimeHorizon(horizon) => (now >= horizon, StopReason::TimeHorizon),
+                StopCondition::StepBudget(budget) => (steps_run >= budget, StopReason::StepBudget),
+                StopCondition::RoundBudget(rounds) => (
+                    steps_run >= rounds.saturating_mul(self.round),
+                    StopReason::RoundBudget,
+                ),
+                StopCondition::FirstHalt => (any_halted, StopReason::FirstHalt),
+            };
+            if fired {
+                return Some(reason);
+            }
+        }
+        (self.default_in_force() && steps_run >= self.default_budget)
+            .then_some(StopReason::DefaultBudget)
     }
 }
 
@@ -429,12 +546,14 @@ pub enum BuildError {
     MacroRequiresComplete,
     /// The selected axis combination has no population-level semantics;
     /// the payload names the axis (synchronous protocols, per-node halt
-    /// budgets, jitter, non-exchangeable clocks, per-node fault knobs).
+    /// budgets, jitter, non-exchangeable clocks, per-node fault knobs,
+    /// stop conditions on the mean-field engine).
     MacroUnsupported(&'static str),
     /// The selected axis combination has no meaning for a real
     /// message-passing deployment; the payload names the axis
     /// (synchronous protocols, injected faults, modeled jitter, skewed
-    /// clocks, simulator-only stop conditions).
+    /// clocks, simulator-only stop conditions, time horizons on the UDP
+    /// transport).
     NetUnsupported(&'static str),
     /// The wrong build entry point was called for the selected
     /// [`EngineKind`]: [`SimBuilder::build`] builds the micro engines,
@@ -561,6 +680,23 @@ impl Outcome {
     /// Whether the run reached unanimity.
     pub fn converged(&self) -> bool {
         self.stop == StopReason::Unanimity
+    }
+
+    /// The consensus verdict: the outcome itself if the run reached
+    /// unanimity.
+    ///
+    /// # Errors
+    ///
+    /// * [`ConvergenceError::AllHaltedWithoutConsensus`] if every node
+    ///   froze first;
+    /// * [`ConvergenceError::BudgetExhausted`] if any other stop fired
+    ///   before unanimity.
+    pub fn into_consensus(self) -> Result<Outcome, ConvergenceError> {
+        match self.stop {
+            StopReason::Unanimity => Ok(self),
+            StopReason::AllHalted => Err(ConvergenceError::AllHaltedWithoutConsensus),
+            _ => Err(ConvergenceError::BudgetExhausted { budget: self.steps }),
+        }
     }
 
     /// The legacy synchronous view, for round-based runs that converged.
@@ -1093,7 +1229,9 @@ impl SimBuilder {
     /// * of the fault axis only per-message **loss** composes (it scales
     ///   every interaction identically); latency, churn and adversaries
     ///   are per-node / per-edge and are rejected
-    ///   ([`BuildError::MacroUnsupported`]).
+    ///   ([`BuildError::MacroUnsupported`]);
+    /// * the mean-field engine takes no stop conditions: it integrates
+    ///   to a horizon of its own and reports no [`StopReason`].
     ///
     /// # Errors
     ///
@@ -1107,6 +1245,11 @@ impl SimBuilder {
         if a.parallelism.is_some() {
             return Err(BuildError::MacroUnsupported(
                 "parallelism (count-based state has no nodes to shard)",
+            ));
+        }
+        if a.kind == EngineKind::MeanField && !a.stops.is_empty() {
+            return Err(BuildError::MacroUnsupported(
+                "stop conditions on the mean-field engine (it integrates to its own horizon)",
             ));
         }
         let loss = match &a.faults {
@@ -1748,40 +1891,22 @@ impl Sim {
 
     /// Runs to completion with any number of observers.
     ///
-    /// Unanimity and the stop conditions are checked between batches of
-    /// engine steps, and each batch ends at the first step where one of
-    /// them could fire: a budget running out, an observer falling due
-    /// (with observers attached), or, inside the sequential engine, a
-    /// tick that creates unanimity, halts a node or reaches the earliest
-    /// time horizon. So a run stops on exactly the step a check after
-    /// every step would stop it on.
+    /// Unanimity and the stop conditions ([`Stops`]) are checked between
+    /// batches of engine steps, and each batch ends at the first step
+    /// where one of them could fire: a budget running out, an observer
+    /// falling due (with observers attached), or, inside the sequential
+    /// engine, a tick that creates unanimity, halts a node or reaches the
+    /// earliest time horizon. So a run stops on exactly the step a check
+    /// after every step would stop it on.
     pub fn run_with(&mut self, observers: &mut [&mut dyn Observer]) -> Outcome {
         let n = self.n() as u64;
-        let cadence = match self.engine {
+        // One round, which is also the observers' cadence.
+        let round = match self.engine {
             Engine::Sync { .. } => 1,
             _ => n,
         };
-        // Only budget-like stops replace the fallback budget; FirstHalt can
-        // never fire on some assemblies (sync engines, gossip without a
-        // halt budget) and must not remove the safety net.
-        let explicit = self.stops.iter().any(|s| {
-            matches!(
-                s,
-                StopCondition::TimeHorizon(_)
-                    | StopCondition::StepBudget(_)
-                    | StopCondition::RoundBudget(_)
-            )
-        });
-        let default_budget = self.default_budget();
-        let horizon = self
-            .stops
-            .iter()
-            .filter_map(|s| match *s {
-                StopCondition::TimeHorizon(horizon) => Some(horizon),
-                _ => None,
-            })
-            .min()
-            .unwrap_or(SimTime::MAX);
+        let stops = Stops::new(self.stops.clone(), round, self.default_budget());
+        let horizon = stops.horizon();
         let start_steps = self.steps();
         let mut last_notified = start_steps;
 
@@ -1793,34 +1918,26 @@ impl Sim {
                     break (StopReason::Unanimity, Some(winner));
                 }
             }
-            if let Some(reason) = self.stop_reason(start_steps) {
-                break (reason, None);
-            }
             let steps_run = self.steps() - start_steps;
-            if !explicit && steps_run >= default_budget {
-                break (StopReason::DefaultBudget, None);
+            // Synchronous protocols: one round = one time unit.
+            let now = self
+                .now()
+                .unwrap_or_else(|| SimTime::from_secs(self.steps() as f64));
+            let all_halted = self.halted_count() == Some(n as usize);
+            if let Some(reason) =
+                stops.reason(steps_run, now, self.first_halt().is_some(), all_halted)
+            {
+                break (reason, None);
             }
             // The steps until a budget runs out or an observer is due;
             // every one of them is at least 1, or its stop had fired. (A
             // synchronous round or an epoch ignores the batch size.)
-            let mut batch = if explicit {
-                u64::MAX
-            } else {
-                default_budget - steps_run
-            };
-            for stop in &self.stops {
-                let budget = match *stop {
-                    StopCondition::StepBudget(budget) => budget,
-                    StopCondition::RoundBudget(budget) => budget.saturating_mul(n),
-                    _ => continue,
-                };
-                batch = batch.min(budget - steps_run);
-            }
+            let mut batch = stops.steps_left(steps_run);
             if !observers.is_empty() {
-                batch = batch.min(cadence - steps_run % cadence);
+                batch = batch.min(round - steps_run % round);
             }
             let winner = self.advance(batch, horizon);
-            if (self.steps() - start_steps).is_multiple_of(cadence) {
+            if (self.steps() - start_steps).is_multiple_of(round) {
                 self.notify(observers);
                 last_notified = self.steps();
             }
@@ -1836,7 +1953,8 @@ impl Sim {
         self.outcome(reason.0, reason.1)
     }
 
-    /// Runs to completion, demanding unanimity.
+    /// Runs to completion, demanding unanimity
+    /// ([`Outcome::into_consensus`]).
     ///
     /// # Errors
     ///
@@ -1845,14 +1963,7 @@ impl Sim {
     /// * [`ConvergenceError::BudgetExhausted`] if any other stop fired
     ///   before unanimity.
     pub fn run_to_consensus(&mut self) -> Result<Outcome, ConvergenceError> {
-        let outcome = self.run();
-        match outcome.stop {
-            StopReason::Unanimity => Ok(outcome),
-            StopReason::AllHalted => Err(ConvergenceError::AllHaltedWithoutConsensus),
-            _ => Err(ConvergenceError::BudgetExhausted {
-                budget: outcome.steps,
-            }),
-        }
+        self.run().into_consensus()
     }
 
     fn notify(&self, observers: &mut [&mut dyn Observer]) {
@@ -1870,42 +1981,6 @@ impl Sim {
         for observer in observers.iter_mut() {
             observer.observe(&progress);
         }
-    }
-
-    /// Checks the configured stop conditions (and the halted population).
-    /// Budget-style conditions count steps executed since `start_steps`,
-    /// so a manually pre-stepped simulation still gets its full budget.
-    fn stop_reason(&self, start_steps: u64) -> Option<StopReason> {
-        let n = self.n();
-        if self.halted_count() == Some(n) {
-            return Some(StopReason::AllHalted);
-        }
-        let steps_run = self.steps() - start_steps;
-        for stop in &self.stops {
-            let fired = match *stop {
-                StopCondition::TimeHorizon(horizon) => match self.now() {
-                    Some(now) => now >= horizon,
-                    // Synchronous protocols: one round = one time unit.
-                    None => SimTime::from_secs(self.steps() as f64) >= horizon,
-                },
-                StopCondition::StepBudget(budget) => steps_run >= budget,
-                // Sync engines: one step = one round.
-                StopCondition::RoundBudget(budget) => match self.rounds() {
-                    Some(_) => steps_run >= budget,
-                    None => steps_run >= budget.saturating_mul(n as u64),
-                },
-                StopCondition::FirstHalt => self.first_halt().is_some(),
-            };
-            if fired {
-                return Some(match *stop {
-                    StopCondition::TimeHorizon(_) => StopReason::TimeHorizon,
-                    StopCondition::StepBudget(_) => StopReason::StepBudget,
-                    StopCondition::RoundBudget(_) => StopReason::RoundBudget,
-                    StopCondition::FirstHalt => StopReason::FirstHalt,
-                });
-            }
-        }
-        None
     }
 
     fn outcome(&self, stop: StopReason, winner: Option<Color>) -> Outcome {

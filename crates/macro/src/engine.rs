@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rapid_core::facade::{BuildError, EngineKind, MacroProtocol, MacroSpec, SimBuilder};
+use rapid_core::facade::{BuildError, EngineKind, MacroProtocol, MacroSpec, SimBuilder, Stops};
 use rapid_core::prelude::*;
 use rapid_obs::{Counter, Histogram, Obs, TraceEvent};
 use rapid_sim::rng::SimRng;
@@ -307,21 +307,6 @@ impl MacroSim {
         self.counts.iter().position(|&c| c == n).map(Color::new)
     }
 
-    /// The fallback activation budget when no explicit budget-style stop
-    /// is configured; mirrors the micro engines' defaults.
-    pub fn default_budget(&self) -> u64 {
-        let n = self.spec.n;
-        match &self.state {
-            State::Gossip { .. } => {
-                let ln_n = (n.max(2) as f64).ln();
-                (n as f64 * (ln_n + 1.0) * 200.0) as u64
-            }
-            State::Rapid { schedule, .. } => 3u64
-                .saturating_mul(n)
-                .saturating_mul(schedule.params().total_len()),
-        }
-    }
-
     /// Runs to completion without observation. See [`MacroSim::run_traced`].
     pub fn run(&mut self) -> Outcome {
         self.run_traced(|_, _| {})
@@ -332,15 +317,20 @@ impl MacroSim {
     /// τ-leap, i.e. several times per simulated time unit), and at the
     /// terminal state.
     pub fn run_traced(&mut self, mut observe: impl FnMut(SimTime, &[u64])) -> Outcome {
-        let explicit = self.spec.stops.iter().any(|s| {
-            matches!(
-                s,
-                StopCondition::TimeHorizon(_)
-                    | StopCondition::StepBudget(_)
-                    | StopCondition::RoundBudget(_)
-            )
-        });
-        let default_budget = self.default_budget();
+        let n = self.spec.n;
+        // The micro engines' fallback budget, for the same protocol.
+        let protocol = match &self.state {
+            State::Gossip { rule } => AsyncProtocol::Gossip(*rule),
+            State::Rapid { schedule, .. } => AsyncProtocol::Rapid(schedule.clone()),
+        };
+        let stops = Stops::new(
+            self.spec.stops.clone(),
+            n,
+            protocol.default_step_budget(n as usize),
+        );
+        // The earliest horizon as an activation count, so a batch never
+        // runs past it.
+        let horizon_steps = (stops.horizon().as_secs() * n as f64 * self.spec.rate).ceil() as u64;
         observe(self.now(), &self.counts);
 
         // Every break happens at the loop top, before any advance, so the
@@ -351,35 +341,18 @@ impl MacroSim {
             if let Some(winner) = self.unanimous() {
                 break (StopReason::Unanimity, Some(winner));
             }
-            if let Some(reason) = self.stop_reason() {
+            let all_halted = self.halted_count() == Some(n);
+            let any_halted = self.first_halt().is_some();
+            if let Some(reason) = stops.reason(self.steps, self.now(), any_halted, all_halted) {
                 break (reason, None);
             }
-            if !explicit && self.steps >= default_budget {
-                break (StopReason::DefaultBudget, None);
-            }
-            let budget = self.activations_until_stop(explicit, default_budget);
-            self.advance(budget);
+            let left = stops
+                .steps_left(self.steps)
+                .min(horizon_steps.saturating_sub(self.steps));
+            self.advance(left.max(1));
             observe(self.now(), &self.counts);
         };
         self.outcome(stop, winner)
-    }
-
-    /// Runs to completion, demanding unanimity (mirrors
-    /// [`Sim::run_to_consensus`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ConvergenceError::AllHaltedWithoutConsensus`] if every node froze
-    /// first; [`ConvergenceError::BudgetExhausted`] on any other stop.
-    pub fn run_to_consensus(&mut self) -> Result<Outcome, ConvergenceError> {
-        let outcome = self.run();
-        match outcome.stop {
-            StopReason::Unanimity => Ok(outcome),
-            StopReason::AllHalted => Err(ConvergenceError::AllHaltedWithoutConsensus),
-            _ => Err(ConvergenceError::BudgetExhausted {
-                budget: outcome.steps,
-            }),
-        }
     }
 
     /// One τ-leap of the default batch size, regardless of mode —
@@ -397,59 +370,6 @@ impl MacroSim {
             State::Gossip { rule } => Some(*rule),
             State::Rapid { .. } => None,
         }
-    }
-
-    /// How many activations may run before the nearest budget-style stop.
-    fn activations_until_stop(&self, explicit: bool, default_budget: u64) -> u64 {
-        let n = self.spec.n;
-        let mut cap = if explicit {
-            u64::MAX
-        } else {
-            default_budget.saturating_sub(self.steps)
-        };
-        for stop in &self.spec.stops {
-            let left = match *stop {
-                StopCondition::TimeHorizon(horizon) => {
-                    let horizon_steps =
-                        (horizon.as_secs() * n as f64 * self.spec.rate).ceil() as u64;
-                    horizon_steps.saturating_sub(self.steps)
-                }
-                StopCondition::StepBudget(budget) => budget.saturating_sub(self.steps),
-                StopCondition::RoundBudget(budget) => {
-                    budget.saturating_mul(n).saturating_sub(self.steps)
-                }
-                StopCondition::FirstHalt => continue,
-            };
-            cap = cap.min(left);
-        }
-        cap.max(1)
-    }
-
-    /// Checks the configured stop conditions (mirrors the micro loop).
-    fn stop_reason(&self) -> Option<StopReason> {
-        if let State::Rapid { halted, .. } = &self.state {
-            if halted.iter().sum::<u64>() == self.spec.n {
-                return Some(StopReason::AllHalted);
-            }
-        }
-        let n = self.spec.n;
-        for stop in &self.spec.stops {
-            let fired = match *stop {
-                StopCondition::TimeHorizon(horizon) => self.now() >= horizon,
-                StopCondition::StepBudget(budget) => self.steps >= budget,
-                StopCondition::RoundBudget(budget) => self.steps >= budget.saturating_mul(n),
-                StopCondition::FirstHalt => self.first_halt().is_some(),
-            };
-            if fired {
-                return Some(match *stop {
-                    StopCondition::TimeHorizon(_) => StopReason::TimeHorizon,
-                    StopCondition::StepBudget(_) => StopReason::StepBudget,
-                    StopCondition::RoundBudget(_) => StopReason::RoundBudget,
-                    StopCondition::FirstHalt => StopReason::FirstHalt,
-                });
-            }
-        }
-        None
     }
 
     fn outcome(&self, stop: StopReason, winner: Option<Color>) -> Outcome {

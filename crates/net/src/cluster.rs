@@ -37,7 +37,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rapid_core::asynchronous::AsyncProtocol;
-use rapid_core::facade::{BuildError, NetSpec, Outcome, SimBuilder, StopCondition, StopReason};
+use rapid_core::facade::{
+    BuildError, NetSpec, Outcome, SimBuilder, StopCondition, StopReason, Stops,
+};
 use rapid_core::opinion::Color;
 use rapid_obs::{Counter, Gauge, Obs, TraceEvent};
 use rapid_sim::time::SimTime;
@@ -390,44 +392,29 @@ impl Cluster {
         self.protocol.default_step_budget(self.n())
     }
 
-    /// The configured explicit budgets, if any.
-    fn explicit_stops(&self) -> (Option<u64>, Option<SimTime>) {
-        let mut budget = None;
-        let mut horizon = None;
-        for stop in &self.stops {
-            match stop {
-                StopCondition::StepBudget(b) => budget = Some(*b),
-                StopCondition::TimeHorizon(t) => horizon = Some(*t),
-                _ => {}
-            }
-        }
-        (budget, horizon)
-    }
-
-    /// Drives the deterministic channel transport to termination.
+    /// Drives the deterministic channel transport to termination, or to
+    /// the first stop that fires ([`Stops`], with the default budget
+    /// [`Cluster::default_budget`] and a round of `n` activations). Its
+    /// budgets count activations since boot, [`Cluster::step_channel`]'s
+    /// included.
     pub fn run_channel(&mut self) -> NetRun {
         // lint: allow(no-wall-clock): measurement only — feeds the reported wall_ms, never a control decision
         let start = std::time::Instant::now();
         let n = self.n();
-        let (budget, horizon) = self.explicit_stops();
-        let cap = budget.unwrap_or_else(|| self.default_budget());
+        let stops = Stops::new(self.stops.clone(), n as u64, self.default_budget());
+        let horizon = stops.horizon();
         let reason = loop {
-            if self.beacons == n || (self.halted == n && n > 0) {
-                break StopReason::AllHalted;
+            let all_halted = self.beacons == n || self.halted == n;
+            let any_halted = self.first_halt.is_some();
+            if let Some(reason) = stops.reason(self.steps, self.now, any_halted, all_halted) {
+                break reason;
             }
-            if self.steps >= cap {
-                break if budget.is_some() {
-                    StopReason::StepBudget
-                } else {
-                    StopReason::DefaultBudget
-                };
+            // Step until a budget runs out, the horizon passes or every
+            // beacon is up; `stops` then names the reason.
+            let end = self.steps.saturating_add(stops.steps_left(self.steps));
+            while self.steps < end && self.now < horizon && self.beacons != n && self.halted != n {
+                self.step_channel();
             }
-            if let Some(h) = horizon {
-                if self.now >= h {
-                    break StopReason::TimeHorizon;
-                }
-            }
-            self.step_channel();
         };
         NetRun {
             outcome: self.outcome(reason),
@@ -479,16 +466,26 @@ impl Cluster {
     /// Virtual per-node Poisson clocks still pace each node relative to
     /// its shard, but delivery order, cross-shard interleaving and drops
     /// are real. The run stops when every machine's beacon is up, the
-    /// step budget (explicit or default) is exhausted, or the wall-clock
-    /// safety net fires. Time-based [`Outcome`] fields are `None`: a
-    /// distributed run has no global clock.
+    /// step budget (explicit or default, counted from the start of this
+    /// run) is exhausted, or the wall-clock safety net fires. Time-based
+    /// [`Outcome`] fields are `None`: a distributed run has no global
+    /// clock.
     ///
     /// # Errors
     ///
-    /// [`NetError::Io`] when sockets cannot be bound (sandboxed
-    /// runners) — the channel driver remains available there.
+    /// * [`NetError::Build`] with [`BuildError::NetUnsupported`] when a
+    ///   time horizon was declared, before any socket is bound: no
+    ///   global clock can honour it;
+    /// * [`NetError::Io`] when sockets cannot be bound (sandboxed
+    ///   runners) — the channel driver remains available there.
     pub fn run_udp(&mut self, opts: &UdpOpts) -> Result<NetRun, NetError> {
         let n = self.n();
+        let stops = Stops::new(self.stops.clone(), n as u64, self.default_budget());
+        if stops.horizon() < SimTime::MAX {
+            return Err(NetError::Build(BuildError::NetUnsupported(
+                "time horizons on the UDP transport (a distributed run has no global clock)",
+            )));
+        }
         let workers = if opts.workers == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -506,8 +503,7 @@ impl Cluster {
                 .collect::<Vec<_>>(),
         );
 
-        let (budget, _) = self.explicit_stops();
-        let cap = budget.unwrap_or_else(|| self.default_budget());
+        let cap = stops.steps_left(0);
         let stop = AtomicBool::new(false);
         let steps = AtomicU64::new(0);
         let beacons = AtomicUsize::new(0);
@@ -599,17 +595,11 @@ impl Cluster {
             // unanimity point (the driver cannot observe an earlier one).
             self.unanimity = Some((self.steps, self.now));
         }
-        let reason = if self.beacons == n || self.halted == n {
-            StopReason::AllHalted
-        } else if steps.load(Ordering::Relaxed) >= cap {
-            if budget.is_some() {
-                StopReason::StepBudget
-            } else {
-                StopReason::DefaultBudget
-            }
-        } else {
-            StopReason::TimeHorizon
-        };
+        // What `stops` does not name is the wall-clock safety net.
+        let all_halted = self.beacons == n || self.halted == n;
+        let reason = stops
+            .reason(self.steps, self.now, self.halted > 0, all_halted)
+            .unwrap_or(StopReason::TimeHorizon);
         let mut outcome = self.outcome(reason);
         // A deployment has no global clock: never report virtual times,
         // and halt ordering relative to unanimity is unobservable.
@@ -793,5 +783,31 @@ mod tests {
         assert_eq!(cluster.decode_errors, 1);
         assert!(cluster.machines[0].color().index() < counts.len());
         assert_eq!(cluster.counts().iter().sum::<u64>(), 8);
+    }
+
+    #[test]
+    fn a_udp_run_rejects_a_time_horizon_before_binding_a_socket() {
+        let mut cluster = Cluster::from_builder(
+            Sim::builder()
+                .topology(Complete::new(8))
+                .counts(&[5, 3])
+                .gossip(GossipRule::Voter)
+                .engine(EngineKind::Net)
+                .seed(Seed::new(3))
+                .stop(StopCondition::TimeHorizon(SimTime::from_secs(1.0))),
+        )
+        .expect("the channel driver honours time horizons");
+        // Binding would fail with `NetError::Io` where sockets are
+        // forbidden; the horizon is refused before that.
+        match cluster.run_udp(&UdpOpts::default()) {
+            Err(NetError::Build(e)) => assert_eq!(
+                e,
+                BuildError::NetUnsupported(
+                    "time horizons on the UDP transport (a distributed run has no global clock)"
+                )
+            ),
+            other => panic!("want a build error, got {other:?}"),
+        }
+        assert_eq!(cluster.steps(), 0);
     }
 }

@@ -134,6 +134,8 @@ const SKEW: [&str; 3] = [
 const EPOCH_FAULTS: &str = "fault plans (crash/loss bookkeeping is per-activation, not per-epoch)";
 const NET_FAULTS: &str = "fault plans (a deployment's losses and delays are real, not injected)";
 const RATE: &str = "event-queue rate must be finite and at least MIN_RATE (1e-280)";
+const MEAN_FIELD_STOPS: &str =
+    "stop conditions on the mean-field engine (it integrates to its own horizon)";
 
 /// `Ok` on the micro engines, the per-engine `*Unsupported` otherwise.
 fn unsupported(what: [&'static str; 3]) -> [Result<(), BuildError>; 5] {
@@ -376,7 +378,7 @@ fn rows() -> Vec<Row> {
                 Ok(()),
                 Ok(()),
                 Ok(()),
-                Ok(()),
+                Err(BuildError::MacroUnsupported(MEAN_FIELD_STOPS)),
                 Err(BuildError::NetUnsupported(
                     "the first-halt stop (a deployment observes halts only via messages)",
                 )),
@@ -389,10 +391,32 @@ fn rows() -> Vec<Row> {
                 Ok(()),
                 Ok(()),
                 Ok(()),
-                Ok(()),
+                Err(BuildError::MacroUnsupported(MEAN_FIELD_STOPS)),
                 Err(BuildError::NetUnsupported(
                     "round budgets (a deployment has no synchronous rounds)",
                 )),
+            ],
+        ),
+        (
+            "step-budget stop",
+            || base().stop(StopCondition::StepBudget(5)),
+            [
+                Ok(()),
+                Ok(()),
+                Ok(()),
+                Err(BuildError::MacroUnsupported(MEAN_FIELD_STOPS)),
+                Ok(()),
+            ],
+        ),
+        (
+            "time-horizon stop",
+            || base().stop(StopCondition::TimeHorizon(SimTime::from_secs(5.0))),
+            [
+                Ok(()),
+                Ok(()),
+                Ok(()),
+                Err(BuildError::MacroUnsupported(MEAN_FIELD_STOPS)),
+                Ok(()),
             ],
         ),
     ]
