@@ -14,10 +14,10 @@
 //! occurrences override earlier ones; repeatable flags read every
 //! occurrence through [`Args::all`].
 //!
-//! Exit codes: `0` success; `1` lint findings, a failed `--gate`, failed
-//! sweep trials or a `net run` runtime error; `2` usage errors and the
-//! other runtime errors; `3` an unmet `--require-hit-rate`. A closed
-//! stdout (`xp … | head`) ends any command quietly with `0`.
+//! Exit codes: `0` success; `1` lint findings, failed sweep trials or a
+//! `net run` runtime error; `2` usage errors and the other runtime
+//! errors; `3` an unmet `--require-hit-rate`. A closed stdout
+//! (`xp … | head`) ends any command quietly with `0`.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -36,7 +36,6 @@ use rapid_sweep::cache::{detect_commit, ResultCache};
 use rapid_sweep::{run_sweep, SweepSpec, TrialStatus};
 
 use crate::registry;
-use crate::report::{gate, BenchReport, GateVerdict};
 use crate::sample::{Bench, BenchSample, BudgetCfg};
 
 /// One flag of one command, exactly as its help page shows it.
@@ -532,32 +531,13 @@ const TRACE_FLAGS: &[Flag] = &[
     ),
 ];
 
-const BENCH_FLAGS: &[Flag] = &[
+const KERNEL_FLAGS: &[Flag] = &[
     flag("--budget-ms", "N", "per-bench time budget (default: 300)"),
-    flag(
-        "--quick",
-        "",
-        "shorthand for --budget-ms 50 (the CI budget)",
-    ),
+    flag("--quick", "", "shorthand for --budget-ms 50"),
     flag(
         "--format",
         "table|json",
         "stdout rendering (default: table)",
-    ),
-    flag(
-        "--out",
-        "DIR",
-        "save directory (default: <workspace>/target/benchmarks)",
-    ),
-    flag(
-        "--baseline",
-        "FILE",
-        "diff this run against a previous BENCH_*.json",
-    ),
-    flag(
-        "--gate",
-        "PCT",
-        "with --baseline: exit 1 if any median is more than PCT percent slower",
     ),
 ];
 
@@ -676,7 +656,7 @@ pub static XP: Cmd = Cmd {
         },
         Cmd {
             name: "bench",
-            about: "registry-driven micro-benchmarks with a BENCH_*.json trajectory",
+            about: "registry-driven micro-benchmark kernels",
             subs: &[
                 Cmd {
                     name: "list",
@@ -688,20 +668,20 @@ pub static XP: Cmd = Cmd {
                     name: "run",
                     args: "<sel>...",
                     about: "run benches by id, group or substring",
-                    flags: BENCH_FLAGS,
+                    flags: KERNEL_FLAGS,
                     parse: Some(bench_run),
                     ..NONE
                 },
                 Cmd {
                     name: "all",
                     about: "run the full registry",
-                    flags: BENCH_FLAGS,
+                    flags: KERNEL_FLAGS,
                     parse: Some(bench_all),
                     ..NONE
                 },
             ],
-            note: "Every run saves a timestamped BENCH_<unix-ms>.json; commit one as\n\
-                   bench/baseline.json to give CI a regression reference.",
+            note: "One run is one sample on one host, not a verdict: compare two commits\n\
+                   with interleaved pairs, `python3 tools/ab.py PARENT CHANGE --kernel ID`.",
             ..NONE
         },
         Cmd {
@@ -1034,7 +1014,7 @@ enum BenchFormat {
     /// Aligned text table (the default).
     #[default]
     Table,
-    /// The full `BENCH_*.json` document (plus the gate verdict, if any).
+    /// One JSON document: the budget and every sample.
     Json,
 }
 
@@ -1045,12 +1025,6 @@ struct BenchOpts {
     budget_ms: u64,
     /// `--format table|json`.
     format: BenchFormat,
-    /// `--out DIR` overrides the save directory.
-    out: Option<PathBuf>,
-    /// `--baseline FILE` to diff against.
-    baseline: Option<PathBuf>,
-    /// `--gate PCT`: fail (exit 1) on medians > PCT percent slower.
-    gate: Option<f64>,
 }
 
 impl Default for BenchOpts {
@@ -1058,15 +1032,12 @@ impl Default for BenchOpts {
         BenchOpts {
             budget_ms: 300,
             format: BenchFormat::default(),
-            out: None,
-            baseline: None,
-            gate: None,
         }
     }
 }
 
 fn bench_opts(a: &Args) -> Result<BenchOpts, CliError> {
-    let opts = BenchOpts {
+    Ok(BenchOpts {
         budget_ms: a
             .last(&["--budget-ms", "--quick"], |f, v| match f.name {
                 "--quick" => Ok(50),
@@ -1077,18 +1048,7 @@ fn bench_opts(a: &Args) -> Result<BenchOpts, CliError> {
             Some("json") => BenchFormat::Json,
             _ => BenchFormat::Table,
         },
-        out: a.last(&["--out"], path)?,
-        baseline: a.last(&["--baseline"], path)?,
-        gate: a.last(&["--gate"], |f, v| {
-            float_in(f, v, |pct| pct.is_finite() && pct > 0.0)
-        })?,
-    };
-    if opts.gate.is_some() && opts.baseline.is_none() {
-        return Err(CliError::Invalid(
-            "--gate needs --baseline FILE to compare against".to_string(),
-        ));
-    }
-    Ok(opts)
+    })
 }
 
 fn bench_list(_: &Args) -> Result<Action, CliError> {
@@ -1149,7 +1109,7 @@ fn render_table(samples: &[BenchSample]) -> String {
 }
 
 /// Formats nanoseconds human-readably (`432 ns`, `1.4 µs`, `2.3 ms`).
-pub fn format_ns(ns: f64) -> String {
+fn format_ns(ns: f64) -> String {
     if ns < 10_000.0 {
         format!("{ns:.0} ns")
     } else if ns < 10_000_000.0 {
@@ -1162,7 +1122,7 @@ pub fn format_ns(ns: f64) -> String {
 }
 
 /// Formats a per-second rate (`53.3 M`, `1.2 G`).
-pub fn format_rate(rate: f64) -> String {
+fn format_rate(rate: f64) -> String {
     if rate >= 1e9 {
         format!("{:.2} G", rate / 1e9)
     } else if rate >= 1e6 {
@@ -1174,87 +1134,32 @@ pub fn format_rate(rate: f64) -> String {
     }
 }
 
-/// Runs `benches` under `opts`; exit code 1 when an enforced gate fails.
+/// Runs `benches` under `opts` and prints their samples.
 fn run_benches(
     w: &mut dyn Write,
     benches: &[&'static dyn Bench],
     opts: &BenchOpts,
 ) -> Result<i32, CliError> {
-    // Load the baseline *before* spending the measurement budget: a bad
-    // path must fail fast.
-    let baseline = match &opts.baseline {
-        Some(path) => {
-            Some(BenchReport::load(path).map_err(|e| CliError::Failed(format!("baseline: {e}")))?)
-        }
-        None => None,
-    };
     let cfg = BudgetCfg::from_millis(opts.budget_ms);
     let mut samples = Vec::with_capacity(benches.len());
     for b in benches {
         eprintln!("[bench {} ...]", b.id());
         samples.push(b.run(&cfg));
     }
-    let report = BenchReport::new(opts.budget_ms, samples);
-    let verdict: Option<GateVerdict> = baseline
-        .as_ref()
-        .map(|base| gate(&report, base, opts.gate.unwrap_or(100.0)));
-
     match opts.format {
-        BenchFormat::Table => {
-            write!(w, "{}", render_table(&report.samples))?;
-            if let Some(v) = &verdict {
-                writeln!(w)?;
-                if opts.gate.is_some() {
-                    // Enforced: the PASS/FAIL line matches the exit code.
-                    writeln!(w, "{v}")?;
-                } else {
-                    // Informational diff: no PASS/FAIL claim, since the
-                    // exit code will be 0 regardless.
-                    write!(w, "{}", v.comparison_table())?;
-                    writeln!(
-                        w,
-                        "baseline diff is informational; pass --gate PCT to enforce"
-                    )?;
-                }
-            }
-        }
+        BenchFormat::Table => write!(w, "{}", render_table(&samples))?,
         BenchFormat::Json => {
-            // One JSON document on stdout: the BENCH report, with the gate
-            // verdict embedded when a baseline was given. `enforced`
-            // records whether the verdict drives the exit code.
-            let mut doc = report.to_json_value();
-            if let (JsonValue::Object(map), Some(v)) = (&mut doc, &verdict) {
-                let mut gate_doc = v.to_json_value();
-                if let JsonValue::Object(g) = &mut gate_doc {
-                    g.insert("enforced".to_string(), JsonValue::Bool(opts.gate.is_some()));
-                }
-                map.insert("gate".to_string(), gate_doc);
-            }
+            let doc = JsonValue::object([
+                ("budget_ms", JsonValue::U64(opts.budget_ms)),
+                (
+                    "samples",
+                    JsonValue::Array(samples.iter().map(BenchSample::to_json_value).collect()),
+                ),
+            ]);
             writeln!(w, "{}", doc.to_pretty())?;
         }
     }
-
-    let out = opts.out.clone();
-    let out = out.unwrap_or_else(|| workspace_root().join("target/benchmarks"));
-    match report.save(&out) {
-        Ok(path) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("[warning: could not save BENCH json: {e}]"),
-    }
-
-    let Some(v) = verdict.filter(|_| opts.gate.is_some()) else {
-        return Ok(0);
-    };
-    for r in v.regressions() {
-        eprintln!(
-            "xp bench: REGRESSION {} — {} → {} ({:.2}x, gate {:.0}%)",
-            r.id,
-            format_ns(r.baseline_ns),
-            format_ns(r.current_ns),
-            r.ratio,
-            v.gate_pct
-        );
-    }
-    Ok(if v.passed() { 0 } else { 1 })
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -1472,36 +1377,18 @@ mod tests {
                 BenchOpts {
                     budget_ms: 25,
                     format: BenchFormat::Json,
-                    ..BenchOpts::default()
                 }
             )
         );
         assert_eq!(
-            bench_cmd(&[
-                "bench",
-                "all",
-                "--quick",
-                "--baseline",
-                "b.json",
-                "--gate",
-                "100"
-            ]),
+            bench_cmd(&["bench", "all", "--quick"]),
             (
                 vec![],
                 BenchOpts {
                     budget_ms: 50,
-                    baseline: Some(PathBuf::from("b.json")),
-                    gate: Some(100.0),
                     ..BenchOpts::default()
                 }
             )
-        );
-        assert_eq!(
-            bench_cmd(&["bench", "all", "--out", "/tmp/x"]).1,
-            BenchOpts {
-                out: Some(PathBuf::from("/tmp/x")),
-                ..BenchOpts::default()
-            }
         );
 
         // Lint.
@@ -1577,14 +1464,8 @@ mod tests {
                 &["bench", "all", "--format", "xml"],
                 "invalid value \"xml\" for --format table|json",
             ),
-            (
-                &["bench", "all", "--gate", "100"],
-                "--gate needs --baseline FILE to compare against",
-            ),
-            (
-                &["bench", "all", "--baseline", "b.json", "--gate", "-5"],
-                "invalid value \"-5\" for --gate PCT",
-            ),
+            // Speed verdicts are tools/ab.py's; `xp bench` has no gate.
+            (&["bench", "all", "--gate", "100"], "unknown flag --gate"),
             // Lint.
             (&["lint", "bogus"], "unknown command \"bogus\""),
             (&["lint", "--nope"], "unknown flag --nope"),
@@ -1822,6 +1703,44 @@ mod tests {
             .expect("root")
             .join("Cargo.toml")
             .exists());
+    }
+
+    #[test]
+    fn bench_json_carries_what_the_ab_driver_reads() {
+        // tools/ab.py reads `samples[id == ID].ns_per_iter.p50` from this
+        // document, at every commit it compares.
+        let action = parse(
+            &argv(&[
+                "bench",
+                "run",
+                "rng/next_u64",
+                "--budget-ms",
+                "1",
+                "--format",
+                "json",
+            ]),
+            &mut Vec::new(),
+        )
+        .expect("parses");
+        let mut out = Vec::new();
+        assert_eq!(action(&mut out), Ok(0));
+        let doc = rapid_experiments::json::parse(std::str::from_utf8(&out).expect("utf-8"))
+            .expect("one JSON document");
+        let samples = doc
+            .get("samples")
+            .and_then(JsonValue::as_array)
+            .expect("samples array");
+        assert_eq!(samples.len(), 1);
+        assert_eq!(
+            samples[0].get("id").and_then(JsonValue::as_str),
+            Some("rng/next_u64")
+        );
+        let p50 = samples[0]
+            .get("ns_per_iter")
+            .and_then(|ns| ns.get("p50"))
+            .and_then(JsonValue::as_f64)
+            .expect("ns_per_iter.p50");
+        assert!(p50 > 0.0);
     }
 
     #[test]

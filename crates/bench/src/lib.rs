@@ -9,24 +9,24 @@
 //! * [`registry`] — the static list of hot-path kernels
 //!   ([`registry::bench_registry`]): protocol ticks, scheduler hand-out,
 //!   topology/urn/RNG primitives, stats accumulators, full consensus runs;
-//! * [`report`] — the `BENCH_<unix-ms>.json` trajectory document with
-//!   host/commit provenance, and the noise-aware regression gate;
 //! * [`cli`] — the `xp` front end: one table-driven argument layer for
 //!   every subcommand (experiments, `bench`, `sweep`, `net`, `lint`),
 //!   with `xp bench`'s `list` / `run` / `all` implemented here.
 //!
 //! The single `xp` binary (`src/bin/xp.rs`) hands argv to [`cli::main`].
+//!
+//! One `xp bench` run is one sample on one host, not a speed verdict: a
+//! change counts as faster or slower only when `tools/ab.py` says so from
+//! interleaved pairs of the two commits (README § Performance).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cli;
 pub mod registry;
-pub mod report;
 pub mod sample;
 
 pub use registry::bench_registry;
-pub use report::{gate, BenchReport, GateVerdict};
 pub use sample::{Bench, BenchSample, BudgetCfg};
 
 /// Standard workload used by benches: multiplicative bias counts.

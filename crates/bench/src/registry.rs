@@ -1,8 +1,8 @@
 //! The static benchmark registry.
 //!
 //! One entry per hot path, mirroring the experiment registry one level
-//! down: the `xp bench` CLI and the CI perf gate both enumerate the same
-//! list, so a kernel cannot silently drop out of the measured set.
+//! down: `xp bench` enumerates this list, and `tools/ab.py --kernel ID`
+//! compares any entry across two commits.
 //! Groups:
 //!
 //! * `gossip` / `rapid` — single asynchronous protocol ticks on `K_n`,
@@ -696,7 +696,7 @@ fn obs_trace_event_disabled() -> Box<dyn FnMut()> {
     // The branch-away fast path every engine takes when no Obs is
     // attached: one `Option` test, no event construction. black_box
     // keeps the optimizer from deleting the check outright — this is the
-    // kernel the zero-overhead contract is gated on.
+    // kernel that times the zero-overhead contract.
     let obs: ObsHandle = None;
     let mut t = 0u64;
     Box::new(move || {

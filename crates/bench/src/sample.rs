@@ -4,9 +4,8 @@
 //! a trait object with a stable id, a human title and a group, and running
 //! it under a time budget yields a machine-readable [`BenchSample`] —
 //! per-iteration wall-clock quantiles (via `rapid-stats`) plus element
-//! throughput. Samples serialise to the `BENCH_*.json` trajectory format
-//! (see [`crate::report`]) and parse back, so two runs can be diffed into
-//! a regression verdict.
+//! throughput. `xp bench --format json` prints samples as JSON, which
+//! `tools/ab.py` reads to compare two commits in interleaved pairs.
 
 use std::time::{Duration, Instant};
 
@@ -48,8 +47,8 @@ impl BudgetCfg {
 /// One benchmark's measured result: iteration wall-clock quantiles.
 ///
 /// All durations are nanoseconds per iteration. `p50_ns` (the median) is
-/// the headline figure — it is what the regression gate compares, being
-/// far less noise-sensitive than the mean on shared runners.
+/// the headline figure — it is what `tools/ab.py` compares, being far
+/// less noise-sensitive than the mean on shared runners.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchSample {
     /// The benchmark's stable id (`"scheduler/event_queue/1024"`).
@@ -68,7 +67,7 @@ pub struct BenchSample {
     pub min_ns: f64,
     /// 10th percentile ns/iter.
     pub p10_ns: f64,
-    /// Median ns/iter — the regression gate's comparison key.
+    /// Median ns/iter — the A/B driver's comparison key.
     pub p50_ns: f64,
     /// 90th percentile ns/iter.
     pub p90_ns: f64,
@@ -90,7 +89,7 @@ impl BenchSample {
         self.p50_ns / self.elements as f64
     }
 
-    /// The sample as a `BENCH_*.json` fragment.
+    /// The sample as the JSON object `xp bench --format json` prints.
     pub fn to_json_value(&self) -> JsonValue {
         JsonValue::object([
             ("id", JsonValue::String(self.id.clone())),
@@ -115,74 +114,7 @@ impl BenchSample {
             ),
         ])
     }
-
-    /// Parses a sample from a `BENCH_*.json` fragment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemaError`] naming the first missing or mistyped field.
-    pub fn from_json_value(v: &JsonValue) -> Result<BenchSample, SchemaError> {
-        let str_field = |key: &'static str| {
-            v.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or(SchemaError {
-                    path: key,
-                    expected: "string",
-                })
-        };
-        let u64_field = |key: &'static str| {
-            v.get(key).and_then(JsonValue::as_u64).ok_or(SchemaError {
-                path: key,
-                expected: "unsigned integer",
-            })
-        };
-        let ns = v.get("ns_per_iter").ok_or(SchemaError {
-            path: "ns_per_iter",
-            expected: "object",
-        })?;
-        let ns_field = |key: &'static str| {
-            ns.get(key).and_then(JsonValue::as_f64).ok_or(SchemaError {
-                path: key,
-                expected: "number in ns_per_iter",
-            })
-        };
-        Ok(BenchSample {
-            id: str_field("id")?,
-            group: str_field("group")?,
-            elements: u64_field("elements")?,
-            iters: u64_field("iters")?,
-            total_ns: u64_field("total_ns")?,
-            mean_ns: ns_field("mean")?,
-            min_ns: ns_field("min")?,
-            p10_ns: ns_field("p10")?,
-            p50_ns: ns_field("p50")?,
-            p90_ns: ns_field("p90")?,
-            max_ns: ns_field("max")?,
-        })
-    }
 }
-
-/// A malformed `BENCH_*.json` document.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct SchemaError {
-    /// The offending field.
-    pub path: &'static str,
-    /// What the schema expected there.
-    pub expected: &'static str,
-}
-
-impl std::fmt::Display for SchemaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "field {:?} missing or not a {}",
-            self.path, self.expected
-        )
-    }
-}
-
-impl std::error::Error for SchemaError {}
 
 /// One registered micro-benchmark.
 ///
@@ -192,7 +124,7 @@ impl std::error::Error for SchemaError {}
 /// budget.
 pub trait Bench: Sync {
     /// Stable id (`"scheduler/event_queue/1024"`), the CLI handle and the
-    /// key the regression gate joins runs on.
+    /// key the A/B driver reads a sample by.
     fn id(&self) -> &'static str;
 
     /// Human-readable description of what one iteration does.
@@ -280,46 +212,6 @@ mod tests {
         assert!(s.mean_ns >= s.min_ns && s.mean_ns <= s.max_ns);
         assert_eq!(s.elements, 10);
         assert_eq!(s.group, "t");
-    }
-
-    #[test]
-    fn sample_json_round_trips_exactly() {
-        let s = BenchSample {
-            id: "g/x/1".into(),
-            group: "g".into(),
-            elements: 10_000,
-            iters: 321,
-            total_ns: 300_000_111,
-            mean_ns: 934_579.25,
-            min_ns: 900_000.0,
-            p10_ns: 910_000.5,
-            p50_ns: 930_000.0,
-            p90_ns: 960_000.0,
-            max_ns: 1_200_000.0,
-        };
-        let doc = s.to_json_value().to_pretty();
-        let parsed =
-            BenchSample::from_json_value(&rapid_experiments::json::parse(&doc).expect("valid"))
-                .expect("schema");
-        assert_eq!(parsed, s);
-    }
-
-    #[test]
-    fn schema_errors_name_the_field() {
-        // No quantile block at all: reported before the scalar fields.
-        let doc = rapid_experiments::json::parse(r#"{"id": "x"}"#).expect("valid JSON");
-        let err = BenchSample::from_json_value(&doc).expect_err("incomplete");
-        assert_eq!(err.path, "ns_per_iter");
-
-        // Quantile block present but a field missing inside it.
-        let doc = rapid_experiments::json::parse(
-            r#"{"id": "x", "ns_per_iter": {"mean": 1.0}, "elements": 1,
-                "iters": 1, "total_ns": 1}"#,
-        )
-        .expect("valid JSON");
-        let err = BenchSample::from_json_value(&doc).expect_err("incomplete");
-        assert_eq!(err.path, "group");
-        assert!(err.to_string().contains("group"));
     }
 
     #[test]
