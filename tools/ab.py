@@ -23,33 +23,42 @@ side's median [Q1, Q3], the ratio of medians change/parent with a
 bootstrap 95 % CI over pairs, the pairs each side won (ties count for
 neither) and a verdict, the first of:
 
-  worse than bound   the change's median is worse than the parent's by
-                     more than the metric's bound in BENCHMARK.json
+  worse than bound   the change's median, and the near end of the CI,
+                     are worse than the parent's by more than the
+                     metric's bound in BENCHMARK.json
   gain / slower      one side won at least 9/10 of the pairs and the
                      medians differ by more than the parent's Q3 - Q1
-  unresolved         the parent's Q3 - Q1 exceeds the bound
+  unresolved         the parent's Q3 - Q1 exceeds the bound, or a
+                     difference the 9/10 rule does not confirm: medians
+                     further apart than the parent's Q3 - Q1, or a CI
+                     that excludes 1
   no change          otherwise
 
-Directions and bounds come from BENCHMARK.json; a kernel has no bound, so
-it reads gain, slower or no change.
+So a median past the bound whose CI reaches back within it reads slower
+or unresolved, never worse than bound.
+
+Directions and bounds come from BENCHMARK.json; a kernel has no bound.
 
 Exit codes: 0 measured; 1 an end-to-end metric is worse than its bound;
-2 a usage, build or run failure; 3 the work counts differ.
+2 a usage, build or run failure, or any unexpected error; 3 the work
+counts differ.
 """
 
 import argparse
-import io
 import json
 import os
-import platform
 import random
 import shutil
 import subprocess
 import sys
-import tarfile
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.dont_write_bytecode = True  # no __pycache__ inside the benchmark's directory
+import run as perfbench  # noqa: E402  (its host() describes where a run was measured)
+
 TREES = ROOT / "target" / "ab"
 SEEDS = (1, 424242)
 KERNEL_METRIC = {"name": "ns_per_iter.p50", "unit": "ns", "better": "lower"}
@@ -111,15 +120,21 @@ def judge(parent, change, better, bound=None):
     c_q1, c_med, c_q3 = quartiles(change)
     won, lost = wins(parent, change, better)
     n = len(parent)
+    ci = bootstrap_ci(parent, change)
     spread = p_q3 - p_q1
-    worse_by = (c_med - p_med) if better == "lower" else (p_med - c_med)
-    if bound is not None and worse_by > bound * abs(p_med):
+    moved = abs(c_med - p_med) > spread
+    noisy = bound is not None and spread > bound * abs(p_med)
+    if better == "lower":
+        worse_by, ci_worse_by = c_med - p_med, ci[0] - 1
+    else:
+        worse_by, ci_worse_by = p_med - c_med, 1 - ci[1]
+    if bound is not None and worse_by > bound * abs(p_med) and ci_worse_by > bound:
         verdict = "worse than bound"
-    elif abs(c_med - p_med) > spread and 10 * won >= 9 * n and worse_by < 0:
+    elif moved and 10 * won >= 9 * n and worse_by < 0:
         verdict = "gain"
-    elif abs(c_med - p_med) > spread and 10 * lost >= 9 * n and worse_by > 0:
+    elif moved and 10 * lost >= 9 * n and worse_by > 0:
         verdict = "slower"
-    elif bound is not None and spread > bound * abs(p_med):
+    elif noisy or moved or not ci[0] <= 1 <= ci[1]:
         verdict = "unresolved"
     else:
         verdict = "no change"
@@ -127,7 +142,7 @@ def judge(parent, change, better, bound=None):
         "parent": (p_med, p_q1, p_q3),
         "change": (c_med, c_q1, c_q3),
         "ratio": ratio(c_med, p_med),
-        "ci": bootstrap_ci(parent, change),
+        "ci": ci,
         "won": won,
         "lost": lost,
         "pairs": n,
@@ -180,8 +195,10 @@ def materialise(commitish):
                                  capture_output=True)
         if archive.returncode != 0:
             fail(f"git archive {sha} failed: {archive.stderr.decode()[-2000:]}")
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(partial, filter="data")
+        extract = subprocess.run(["tar", "-x", "-C", str(partial)], input=archive.stdout,
+                                 capture_output=True)
+        if extract.returncode != 0:
+            fail(f"extracting {sha} failed: {extract.stderr.decode()[-2000:]}")
         partial.rename(tree)
     return sha, tree
 
@@ -233,19 +250,6 @@ class Side:
 # -------------------------------------------------------------------- report
 
 
-def host():
-    model = "unknown cpu"
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                model = line.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
-    rustc = subprocess.run(["rustc", "-V"], capture_output=True, text=True).stdout.strip()
-    return f"{model}, {len(os.sched_getaffinity(0))} cpus, kernel {platform.release()}, {rustc}"
-
-
 def fmt(x):
     return f"{x:.0f}" if 1e4 <= abs(x) < 1e12 else f"{x:.4g}"
 
@@ -279,12 +283,19 @@ def compare_and_print(parent_samples, change_samples, specs):
     """Judges and prints every metric; True if an end-to-end one is worse than its bound."""
     rows = []
     for name, values in parent_samples.items():
+        if name not in change_samples:
+            continue
         if name not in specs:
             fail(f"metric {name} is not in BENCHMARK.json, so its direction is unknown")
         spec = specs[name]
         rows.append((name, spec["unit"],
                      judge(values, change_samples[name], spec["better"], spec.get("bound"))))
     print(table(rows))
+    for label, mine, theirs in (("parent", parent_samples, change_samples),
+                                ("change", change_samples, parent_samples)):
+        only = [name for name in mine if name not in theirs]
+        if only:
+            print(f"only the {label} reports: {', '.join(only)}")
     return any(r["verdict"] == "worse than bound" for _, _, r in rows)
 
 
@@ -301,13 +312,25 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.pairs < 10:
         parser.error("--pairs must be at least 10: the verdict counts wins out of ten")
+    try:
+        return measure(args)
+    except Exception:
+        # Whatever went wrong, no verdict was reached: never exit 1 for it.
+        traceback.print_exc()
+        print("ab: unexpected error; no verdict", file=sys.stderr)
+        return 2
 
+
+def measure(args):
+    """Builds both sides, runs the pairs and prints the report; the exit code."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     specs = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
     kernel = args.kernel is not None
     parent = Side("parent", args.parent, kernel)
     change = Side("change", args.change, kernel)
-    print(f"host: {host()}")
+    stamp = perfbench.host()
+    stamp.pop("commit")  # the driver's own checkout, neither side's
+    print("host " + json.dumps(stamp, sort_keys=True))
     print(f"parent {parent.sha[:12]}, change {change.sha[:12]}")
 
     if kernel:

@@ -3,7 +3,13 @@
     python3 -m unittest discover -s tools
 """
 
+import contextlib
+import io
+import subprocess
+import tempfile
 import unittest
+from pathlib import Path
+from unittest import mock
 
 import ab
 
@@ -97,16 +103,52 @@ class Verdicts(unittest.TestCase):
         # The same samples with no bound to exceed.
         self.assertEqual(ab.judge(wide, list(reversed(wide)), "lower")["verdict"], "no change")
 
+    def test_a_wide_spread_with_the_median_past_the_bound_is_unresolved(self):
+        # The parent's own noise exceeds the bound, and the CI reaches back
+        # below it: the median's move alone is no regression.
+        wide = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.65, 1.35, 0.9, 1.1]
+        r = ab.judge(wide, scaled(list(reversed(wide)), 1.3), "lower", 0.25)
+        self.assertGreater(r["ratio"], 1.25)
+        self.assertLess(r["ci"][0], 1.25)
+        self.assertLess(r["lost"], 9)
+        self.assertEqual(r["verdict"], "unresolved")
+        # The parent's Q3 - Q1 within the bound, the change's median x1.35,
+        # but four pairs back at the parent's level keep the CI below 1.25.
+        split = [1.35] * 6 + [0.9] * 4
+        r = ab.judge(BASE, split, "lower", 0.25)
+        self.assertGreater(r["ratio"], 1.25)
+        self.assertLess(r["ci"][0], 1.25)
+        self.assertEqual(r["verdict"], "unresolved")
+        # A regression the whole CI confirms stays worse than bound.
+        self.assertEqual(ab.judge(wide, scaled(wide, 2.0), "lower", 0.25)["verdict"],
+                         "worse than bound")
+        self.assertEqual(ab.judge(wide, scaled(wide, 0.5), "higher", 0.25)["verdict"],
+                         "worse than bound")
+
+    def test_a_move_without_nine_pairs_in_ten_is_unresolved(self):
+        # The medians differ by far more than the parent's Q3 - Q1, yet the
+        # change lost only 6 of the 10 pairs: no bound is needed to doubt it.
+        mixed = [0.9, 0.9, 1.2, 1.2, 1.2, 1.2, 1.2, 1.2, 0.9, 0.9]
+        self.assertEqual(ab.wins(BASE, mixed, "lower"), (4, 6))
+        self.assertEqual(ab.judge(BASE, mixed, "lower")["verdict"], "unresolved")
+        self.assertEqual(ab.judge(BASE, mixed, "lower", 0.25)["verdict"], "unresolved")
+        # Every pair lost by 1.5 %, less than the parent's Q3 - Q1 of 2 %:
+        # too small for slower, yet the CI excludes 1, so not no change.
+        r = ab.judge(BASE, scaled(BASE, 1.015), "lower")
+        self.assertEqual((r["lost"], r["verdict"]), (10, "unresolved"))
+        self.assertGreater(r["ci"][0], 1.0)
+
     def test_ties_count_for_neither_side(self):
         self.assertEqual(ab.wins(BASE, BASE, "lower"), (0, 0))
         self.assertEqual(ab.judge(BASE, BASE, "lower", 0.25)["verdict"], "no change")
-        # Nine wins and a tie are 9/10, a gain; eight wins and two ties are not.
+        # Nine wins and a tie are 9/10, a gain; eight wins and two ties are
+        # not, and the medians' move stays unresolved.
         nine = scaled(BASE[:9], 0.8) + BASE[9:]
         self.assertEqual(ab.wins(BASE, nine, "lower"), (9, 0))
         self.assertEqual(ab.judge(BASE, nine, "lower", 0.25)["verdict"], "gain")
         eight = scaled(BASE[:8], 0.8) + BASE[8:]
         self.assertEqual(ab.wins(BASE, eight, "lower"), (8, 0))
-        self.assertEqual(ab.judge(BASE, eight, "lower", 0.25)["verdict"], "no change")
+        self.assertEqual(ab.judge(BASE, eight, "lower", 0.25)["verdict"], "unresolved")
 
     def test_quartiles_interpolate_between_ranks(self):
         self.assertEqual(ab.quartiles([4, 1, 3, 2]), (1.75, 2.5, 3.25))
@@ -130,6 +172,45 @@ class Parsing(unittest.TestCase):
         self.assertEqual(ab.kernel_p50(KERNEL_DOC, "sync/two_choices_round/4096"), 33004.0)
         with self.assertRaises(ValueError):
             ab.kernel_p50(KERNEL_DOC, "sync/voter_round/4096")
+
+
+class Report(unittest.TestCase):
+    def test_metrics_only_one_side_reports_are_named_not_judged(self):
+        specs = {"a": {"unit": "s", "better": "lower"}}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            worse = ab.compare_and_print({"a": BASE, "b": BASE}, {"a": BASE, "c": BASE}, specs)
+        self.assertFalse(worse)
+        self.assertIn("only the parent reports: b", out.getvalue())
+        self.assertIn("only the change reports: c", out.getvalue())
+
+    def test_an_unexpected_error_exits_2_not_1(self):
+        with mock.patch.object(ab, "Side", side_effect=KeyError("boom")), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            self.assertEqual(ab.main(["HEAD", "HEAD", "--kernel", "rng/next_u64"]), 2)
+        self.assertIn("KeyError", err.getvalue())
+
+
+class Checkouts(unittest.TestCase):
+    def test_materialise_extracts_head_once(self):
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ab.ROOT, capture_output=True,
+                              text=True, check=True).stdout.strip()
+        with tempfile.TemporaryDirectory() as trees, \
+                mock.patch.object(ab, "TREES", Path(trees)):
+            sha, tree = ab.materialise("HEAD")
+            self.assertEqual((sha, tree), (head, Path(trees) / head))
+            self.assertTrue((tree / "Cargo.toml").is_file())
+            self.assertTrue((tree / "tools" / "ab.py").is_file())
+            self.assertFalse((tree / ".git").exists())
+            # A second call reuses the tree as it stands.
+            (tree / "marker").write_text("kept")
+            self.assertEqual(ab.materialise("HEAD"), (sha, tree))
+            self.assertTrue((tree / "marker").is_file())
+
+    def test_a_name_that_is_no_commit_is_a_usage_error(self):
+        with contextlib.redirect_stderr(io.StringIO()), self.assertRaises(SystemExit) as e:
+            ab.materialise("no-such-ref-anywhere")
+        self.assertEqual(e.exception.code, 2)
 
 
 if __name__ == "__main__":
