@@ -31,7 +31,7 @@ use rapid_lint::rules::{self, RULE_IDS};
 use rapid_lint::source::Workspace;
 use rapid_net::cli::{RunOpts as NetOpts, TransportKind};
 use rapid_obs::EventKind;
-use rapid_sim::parallelism::{Parallelism, Workers};
+use rapid_sim::parallelism::Parallelism;
 use rapid_sweep::cache::{detect_commit, ResultCache};
 use rapid_sweep::{run_sweep, SweepSpec, TrialStatus};
 
@@ -107,7 +107,7 @@ impl Args {
 
     /// Parses every occurrence of the flags in `names`, left to right,
     /// and returns the last: a later flag overrides an earlier one, as
-    /// `--threads` does `--parallelism`.
+    /// `--no-cache` does `--cache-dir`.
     ///
     /// # Errors
     ///
@@ -254,14 +254,6 @@ fn key_value(f: &'static Flag, v: &str) -> Result<(String, String), CliError> {
 /// The shared worker grammar: `N`, `TRIALSxSHARDS` or `auto`.
 fn workers(f: &'static Flag, v: &str) -> Result<Parallelism, CliError> {
     Parallelism::parse(v).map_err(|_| bad(f, v))
-}
-
-/// `n` trial workers, shards left at the default (`--threads`, `--workers`).
-fn trial_workers(n: usize) -> Parallelism {
-    Parallelism {
-        trial_workers: Workers::fixed(n),
-        ..Parallelism::default()
-    }
 }
 
 /// The checkout this binary was built from: every default path hangs
@@ -487,11 +479,6 @@ const PARALLELISM: Flag = flag(
     "SPEC",
     "workers: N, TRIALSxSHARDS or auto, each axis a count or `auto` (default: autox1)",
 );
-const THREADS: Flag = flag(
-    "--threads",
-    "N",
-    "alias for `--parallelism N` (trial workers only)",
-);
 const FORMAT: Flag = flag(
     "--format",
     "table|json|csv",
@@ -503,7 +490,6 @@ const RUN_FLAGS: &[Flag] = &[
     SET,
     SEED,
     PARALLELISM,
-    THREADS,
     FORMAT,
     flag(
         "--out",
@@ -517,7 +503,6 @@ const TRACE_FLAGS: &[Flag] = &[
     SET,
     SEED,
     PARALLELISM,
-    THREADS,
     FORMAT,
     flag(
         "--out",
@@ -557,7 +542,6 @@ const NET_FLAGS: &[Flag] = &[
         "SPEC",
         "udp worker threads: a count or `auto` (default: one per core)",
     ),
-    flag("--workers", "W", "alias for `--parallelism W` (0 = auto)"),
 ];
 
 const SWEEP_FLAGS: &[Flag] = &[
@@ -754,12 +738,7 @@ fn run_opts(a: &Args) -> Result<RunOpts, CliError> {
         },
         sets: a.all("--set", key_value)?,
         seed: a.last(&["--seed"], int)?,
-        parallelism: a
-            .last(&["--parallelism", "--threads"], |f, v| match f.name {
-                "--threads" => positive(f, v).map(trial_workers),
-                _ => workers(f, v),
-            })?
-            .unwrap_or_default(),
+        parallelism: a.last(&["--parallelism"], workers)?.unwrap_or_default(),
         format: match a.last(&["--format"], choice)? {
             Some("json") => OutputFormat::Json,
             Some("csv") => OutputFormat::Csv,
@@ -947,10 +926,7 @@ fn net_opts(a: &Args) -> Result<NetOpts, CliError> {
         },
         seed: a.last(&["--seed"], int)?.unwrap_or(d.seed),
         parallelism: a
-            .last(&["--parallelism", "--workers"], |f, v| match f.name {
-                "--workers" => int(f, v).map(trial_workers),
-                _ => workers(f, v),
-            })?
+            .last(&["--parallelism"], workers)?
             .unwrap_or(d.parallelism),
     };
     if opts.n < 2 || opts.k < 2 {
@@ -1165,6 +1141,7 @@ fn run_benches(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapid_sim::parallelism::Workers;
 
     fn argv(a: &[&str]) -> Vec<String> {
         a.iter().map(|s| s.to_string()).collect()
@@ -1218,6 +1195,14 @@ mod tests {
         sweep_opts(&args(a))
     }
 
+    /// `n` trial workers, shards at the default.
+    fn trials(n: usize) -> Parallelism {
+        Parallelism {
+            trial_workers: Workers::fixed(n),
+            ..Parallelism::default()
+        }
+    }
+
     #[test]
     fn golden_parse_table() {
         // Experiments.
@@ -1258,7 +1243,7 @@ mod tests {
                 "e02",
                 "--seed",
                 "7",
-                "--threads",
+                "--parallelism",
                 "2",
                 "--format",
                 "csv",
@@ -1269,7 +1254,7 @@ mod tests {
                 vec!["e01".into(), "e02".into()],
                 RunOpts {
                     seed: Some(7),
-                    parallelism: trial_workers(2),
+                    parallelism: trials(2),
                     format: OutputFormat::Csv,
                     out: Some(PathBuf::from("/tmp/x")),
                     ..RunOpts::default()
@@ -1282,9 +1267,9 @@ mod tests {
             Some(1000)
         );
         // `--parallelism` accepts a bare trial count, a TRIALSxSHARDS
-        // pair, and `auto` on either axis; `--threads N` is its alias.
+        // pair, and `auto` on either axis.
         for (spec, expected) in [
-            ("4", trial_workers(4)),
+            ("4", trials(4)),
             (
                 "2x4",
                 Parallelism {
@@ -1304,13 +1289,9 @@ mod tests {
             let (_, opts) = run_cmd(&["run", "e06", "--parallelism", spec]);
             assert_eq!(opts.parallelism, expected, "--parallelism {spec}");
         }
+        // The later of two occurrences wins.
         assert_eq!(
-            run_cmd(&["run", "e06", "--threads", "2"]),
-            run_cmd(&["run", "e06", "--parallelism", "2"])
-        );
-        // The later of two flags with one destination wins.
-        assert_eq!(
-            run_cmd(&["run", "e06", "--threads", "2", "--parallelism", "auto"])
+            run_cmd(&["run", "e06", "--parallelism", "2", "--parallelism", "auto"])
                 .1
                 .parallelism,
             Parallelism::auto()
@@ -1417,10 +1398,8 @@ mod tests {
                 &["run", "e06", "--seed", "abc"],
                 "invalid value \"abc\" for --seed N",
             ),
-            (
-                &["run", "e06", "--threads", "0"],
-                "invalid value \"0\" for --threads N",
-            ),
+            (&["run", "e06", "--threads", "2"], "unknown flag --threads"),
+            (&["net", "run", "--workers", "2"], "unknown flag --workers"),
             (
                 &["run", "e06", "--format", "xml"],
                 "invalid value \"xml\" for --format table|json|csv",
@@ -1595,7 +1574,7 @@ mod tests {
             "udp",
             "--seed",
             "11",
-            "--workers",
+            "--parallelism",
             "2",
         ])
         .expect("parses");
@@ -1612,14 +1591,11 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_flag_and_workers_alias_agree() {
-        let via_alias = net(&["net", "run", "--workers", "3"]);
-        let via_spec = net(&["net", "run", "--parallelism", "3"]);
-        assert_eq!(via_alias, via_spec);
-        // 0 and `auto` both mean one worker per core.
-        let zero = net(&["net", "run", "--workers", "0"]).expect("parses");
+    fn net_parallelism_takes_the_shared_worker_grammar() {
+        let fixed = net(&["net", "run", "--parallelism", "3"]).expect("parses");
+        assert_eq!(fixed.parallelism, trials(3));
+        // `auto` means one worker per core.
         let auto = net(&["net", "run", "--parallelism", "auto"]).expect("parses");
-        assert_eq!(zero.parallelism.trial_workers, Workers::Auto);
         assert_eq!(auto.parallelism.trial_workers, Workers::Auto);
         assert!(net(&["net", "run", "--parallelism", "fast"]).is_err());
         assert!(net(&["net", "run", "--parallelism", "0"]).is_err());
@@ -1671,7 +1647,7 @@ mod tests {
         assert_eq!(opts.spec.grid[0].1, vec!["2", "3"]);
         assert_eq!(opts.cache_dir, None);
         assert_eq!(opts.require_hit_rate, Some(90.0));
-        assert_eq!(opts.parallelism, trial_workers(4));
+        assert_eq!(opts.parallelism, trials(4));
         // `--cache-dir` after `--no-cache` turns the cache back on.
         let opts = sweep_cmd(&["sweep", "e06", "--no-cache", "--cache-dir", "c"]);
         assert_eq!(opts.expect("parses").cache_dir, Some(PathBuf::from("c")));

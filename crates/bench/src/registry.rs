@@ -174,7 +174,7 @@ fn sync_two_choices_round_4096() -> Box<dyn FnMut()> {
     // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error
     let mut config = Configuration::from_counts(&counts).expect("valid");
     let mut rng = SimRng::from_seed_value(Seed::new(1));
-    let mut proto = TwoChoices::new();
+    let mut proto = GossipRule::TwoChoices;
     Box::new(move || proto.round(&g, &mut config, &mut rng))
 }
 
@@ -185,7 +185,7 @@ fn sync_three_majority_round_4096() -> Box<dyn FnMut()> {
     // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error
     let mut config = Configuration::from_counts(&counts).expect("valid");
     let mut rng = SimRng::from_seed_value(Seed::new(2));
-    let mut proto = ThreeMajority::new();
+    let mut proto = GossipRule::ThreeMajority;
     Box::new(move || proto.round(&g, &mut config, &mut rng))
 }
 
@@ -196,7 +196,7 @@ fn sync_voter_round_4096() -> Box<dyn FnMut()> {
     // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error
     let mut config = Configuration::from_counts(&counts).expect("valid");
     let mut rng = SimRng::from_seed_value(Seed::new(3));
-    let mut proto = Voter::new();
+    let mut proto = GossipRule::Voter;
     Box::new(move || proto.round(&g, &mut config, &mut rng))
 }
 
@@ -648,7 +648,7 @@ fn consensus_sync_two_choices_run() -> Box<dyn FnMut()> {
         let out = Sim::builder()
             .topology(Complete::new(4096))
             .counts(&counts)
-            .protocol(TwoChoices::new())
+            .protocol(GossipRule::TwoChoices)
             .seed(Seed::new(seed))
             .stop(StopCondition::RoundBudget(100_000))
             .build()

@@ -55,7 +55,8 @@ pub(crate) const NO_COLOR: u32 = u32::MAX;
 /// Sentinel for "never jumped" in `RapidView::last_jump_phase`.
 pub(crate) const NO_PHASE: u32 = u32::MAX;
 
-/// The update rule applied on each tick.
+/// The update rule applied on each tick, or to every node in each
+/// synchronous round (it is a [`SyncProtocol`](crate::sync::SyncProtocol)).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum GossipRule {
     /// Sample one neighbor, adopt its color.

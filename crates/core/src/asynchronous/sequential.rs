@@ -63,11 +63,11 @@ use rapid_sim::time::SimTime;
 use crate::asynchronous::kernel::{resolve_all, AsyncProtocol, Peer, Step, MAX_PULLS};
 use crate::asynchronous::node::NodeState;
 use crate::asynchronous::schedule::Action;
-use crate::convergence::ConvergenceError;
 use crate::faults::pull;
 use crate::opinion::{Color, Configuration};
 
-/// Outcome of a run to consensus.
+/// A converged run of a halting engine, as
+/// [`Outcome::as_rapid`](crate::facade::Outcome::as_rapid) reads it.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RapidOutcome {
     /// The color every node ended up with.
@@ -460,46 +460,6 @@ impl<G: Topology, S: ActivationSource> SeqSim<G, S> {
         }
         None
     }
-
-    /// Runs until unanimity, all nodes halted, or `max_steps`.
-    ///
-    /// # Errors
-    ///
-    /// * [`ConvergenceError::BudgetExhausted`] after `max_steps`
-    ///   activations without unanimity;
-    /// * [`ConvergenceError::AllHaltedWithoutConsensus`] if every node
-    ///   halted (or froze) first.
-    pub fn run_until_consensus(
-        &mut self,
-        max_steps: u64,
-    ) -> Result<RapidOutcome, ConvergenceError> {
-        if let Some(winner) = self.config.unanimous() {
-            return Ok(self.outcome(winner));
-        }
-        let end = self.steps.saturating_add(max_steps);
-        while self.steps < end {
-            if let Some(winner) = self.run_batch(end - self.steps, SimTime::MAX) {
-                return Ok(self.outcome(winner));
-            }
-            if self.halted_count == self.config.n() {
-                return Err(ConvergenceError::AllHaltedWithoutConsensus);
-            }
-        }
-        Err(ConvergenceError::BudgetExhausted { budget: max_steps })
-    }
-
-    fn outcome(&self, winner: Color) -> RapidOutcome {
-        RapidOutcome {
-            winner,
-            time: self.now,
-            steps: self.steps,
-            first_halt: self.first_halt,
-            before_first_halt: match self.first_halt {
-                None => true,
-                Some(t) => self.now < t,
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -507,7 +467,8 @@ mod tests {
     use super::*;
     use crate::asynchronous::kernel::GossipRule;
     use crate::asynchronous::params::Params;
-    use crate::facade::{BoxedSource, BoxedTopology, Sim, SimBuilder};
+    use crate::convergence::ConvergenceError;
+    use crate::facade::{BoxedSource, BoxedTopology, Outcome, Sim, SimBuilder, StopCondition};
 
     type Engine = SeqSim<BoxedTopology, BoxedSource>;
 
@@ -518,6 +479,14 @@ mod tests {
             .topology(rapid_graph::complete::Complete::new(n as usize))
             .counts(counts)
             .seed(seed)
+    }
+
+    /// Runs the assembly to its end through the façade's run loop.
+    fn run(builder: SimBuilder) -> Result<Outcome, ConvergenceError> {
+        builder
+            .build()
+            .expect("valid configuration")
+            .run_to_consensus()
     }
 
     fn clique_gossip(counts: &[u64], rule: GossipRule, seed: Seed) -> Engine {
@@ -550,9 +519,11 @@ mod tests {
     fn two_choices_converges_to_strong_plurality() {
         let mut wins = 0;
         for seed in 0..10 {
-            let mut sim = clique_gossip(&[400, 100], GossipRule::TwoChoices, Seed::new(seed));
-            let out = sim.run_until_consensus(20_000_000).expect("converges");
-            if out.winner == Color::new(0) {
+            let out = run(clique(&[400, 100], Seed::new(seed))
+                .gossip(GossipRule::TwoChoices)
+                .stop(StopCondition::StepBudget(20_000_000)))
+            .expect("converges");
+            if out.winner == Some(Color::new(0)) {
                 wins += 1;
             }
         }
@@ -564,26 +535,33 @@ mod tests {
         // c1 = 0.95n: the paper's endgame precondition.
         let n = 2000u64;
         let c1 = (0.95 * n as f64) as u64;
-        let mut sim =
-            clique_gossip(&[c1, n - c1], GossipRule::TwoChoices, Seed::new(3)).with_halt_after(100); // ≈ 8 ln n ticks each
-        let out = sim.run_until_consensus(50_000_000).expect("converges");
-        assert_eq!(out.winner, Color::new(0));
-        assert!(
+        let out = run(clique(&[c1, n - c1], Seed::new(3))
+            .gossip(GossipRule::TwoChoices)
+            .halt_after(100) // ≈ 8 ln n ticks each
+            .stop(StopCondition::StepBudget(50_000_000)))
+        .expect("converges");
+        assert_eq!(out.winner, Some(Color::new(0)));
+        assert_eq!(
             out.before_first_halt,
-            "consensus at {} vs first halt {:?}",
+            Some(true),
+            "consensus at {:?} vs first halt {:?}",
             out.time,
-            sim.first_halt()
+            out.first_halt
         );
     }
 
     #[test]
     fn all_halted_error_when_budget_is_tiny() {
-        let mut sim = clique_gossip(&[50, 50], GossipRule::Voter, Seed::new(4)).with_halt_after(1);
-        let err = sim
-            .run_until_consensus(10_000_000)
-            .expect_err("cannot finish");
+        let out = clique(&[50, 50], Seed::new(4))
+            .gossip(GossipRule::Voter)
+            .halt_after(1)
+            .stop(StopCondition::StepBudget(10_000_000))
+            .build()
+            .expect("valid configuration")
+            .run();
+        assert!(out.first_halt.is_some());
+        let err = out.into_consensus().expect_err("cannot finish");
         assert_eq!(err, ConvergenceError::AllHaltedWithoutConsensus);
-        assert!(sim.first_halt().is_some());
     }
 
     #[test]
@@ -600,22 +578,28 @@ mod tests {
 
     #[test]
     fn three_majority_converges() {
-        let mut sim = clique_gossip(&[300, 100, 100], GossipRule::ThreeMajority, Seed::new(6));
-        let out = sim.run_until_consensus(20_000_000).expect("converges");
-        assert_eq!(out.winner, Color::new(0));
+        let out = run(clique(&[300, 100, 100], Seed::new(6))
+            .gossip(GossipRule::ThreeMajority)
+            .stop(StopCondition::StepBudget(20_000_000)))
+        .expect("converges");
+        assert_eq!(out.winner, Some(Color::new(0)));
     }
 
     #[test]
     fn already_unanimous_returns_immediately() {
-        let mut sim = clique_gossip(&[100, 0], GossipRule::TwoChoices, Seed::new(7));
-        let out = sim.run_until_consensus(10).expect("already done");
+        let out = run(clique(&[100, 0], Seed::new(7))
+            .gossip(GossipRule::TwoChoices)
+            .stop(StopCondition::StepBudget(10)))
+        .expect("already done");
         assert_eq!(out.steps, 0);
     }
 
     #[test]
     fn budget_exhaustion_is_reported() {
-        let mut sim = clique_gossip(&[50, 50], GossipRule::TwoChoices, Seed::new(8));
-        let err = sim.run_until_consensus(10).expect_err("too few steps");
+        let err = run(clique(&[50, 50], Seed::new(8))
+            .gossip(GossipRule::TwoChoices)
+            .stop(StopCondition::StepBudget(10)))
+        .expect_err("too few steps");
         assert_eq!(err, ConvergenceError::BudgetExhausted { budget: 10 });
     }
 
@@ -630,11 +614,13 @@ mod tests {
     fn converges_to_plurality_before_first_halt() {
         let counts = biased_counts(1024, 4, 0.5);
         let params = Params::for_network(1024, 4);
-        let mut sim = clique_rapid(&counts, params, Seed::new(1));
-        let budget = sim.default_step_budget();
-        let out = sim.run_until_consensus(budget).expect("converges");
-        assert_eq!(out.winner, Color::new(0));
-        assert!(out.before_first_halt, "must finish before any node halts");
+        let out = run(clique(&counts, Seed::new(1)).rapid(params)).expect("converges");
+        assert_eq!(out.winner, Some(Color::new(0)));
+        assert_eq!(
+            out.before_first_halt,
+            Some(true),
+            "must finish before any node halts"
+        );
     }
 
     #[test]
@@ -643,10 +629,8 @@ mod tests {
         let params = Params::for_network(512, 4);
         let mut wins = 0;
         for seed in 0..8 {
-            let mut sim = clique_rapid(&counts, params, Seed::new(seed));
-            let budget = sim.default_step_budget();
-            if let Ok(out) = sim.run_until_consensus(budget) {
-                if out.winner == Color::new(0) {
+            if let Ok(out) = run(clique(&counts, Seed::new(seed)).rapid(params)) {
+                if out.winner == Some(Color::new(0)) {
                     wins += 1;
                 }
             }
@@ -717,11 +701,8 @@ mod tests {
         // must finish it.
         let params = Params::for_network(256, 2);
         let counts = [250u64, 6];
-        let mut sim = clique_rapid(&counts, params, Seed::new(5));
-        let out = sim
-            .run_until_consensus(sim.default_step_budget())
-            .expect("converges");
-        assert_eq!(out.winner, Color::new(0));
+        let out = run(clique(&counts, Seed::new(5)).rapid(params)).expect("converges");
+        assert_eq!(out.winner, Some(Color::new(0)));
     }
 
     #[test]
@@ -744,17 +725,21 @@ mod tests {
     #[test]
     fn unanimous_start_returns_instantly() {
         let params = Params::for_network(64, 2);
-        let mut sim = clique_rapid(&[64, 0], params, Seed::new(7));
-        let out = sim.run_until_consensus(1).expect("already unanimous");
+        let out = run(clique(&[64, 0], Seed::new(7))
+            .rapid(params)
+            .stop(StopCondition::StepBudget(1)))
+        .expect("already unanimous");
         assert_eq!(out.steps, 0);
-        assert_eq!(out.winner, Color::new(0));
+        assert_eq!(out.winner, Some(Color::new(0)));
     }
 
     #[test]
     fn budget_exhaustion_reports_error() {
         let params = Params::for_network(64, 2);
-        let mut sim = clique_rapid(&[40, 24], params, Seed::new(8));
-        let err = sim.run_until_consensus(5).expect_err("budget too small");
+        let err = run(clique(&[40, 24], Seed::new(8))
+            .rapid(params)
+            .stop(StopCondition::StepBudget(5)))
+        .expect_err("budget too small");
         assert_eq!(err, ConvergenceError::BudgetExhausted { budget: 5 });
     }
 }

@@ -545,24 +545,6 @@ impl ShardedSim {
             );
         }
     }
-
-    /// Runs epochs until unanimity, all nodes halted, or `max_epochs`.
-    /// Returns the winner on unanimity, `None` otherwise.
-    pub fn run_until_consensus(&mut self, max_epochs: u64) -> Option<Color> {
-        if let Some(w) = self.config.counts().unanimous() {
-            return Some(w);
-        }
-        for _ in 0..max_epochs {
-            self.run_epoch();
-            if let Some(w) = self.config.counts().unanimous() {
-                return Some(w);
-            }
-            if self.halted_count == self.config.n() {
-                return None;
-            }
-        }
-        None
-    }
 }
 
 /// Executes one closure per shard, inline for one worker and on scoped
@@ -728,7 +710,9 @@ fn rapid_epoch_shard(
 mod tests {
     use super::*;
     use crate::asynchronous::params::Params;
+    use crate::facade::{Sim, SimBuilder};
     use rapid_graph::complete::Complete;
+    use rapid_sim::parallelism::{Parallelism, Workers};
 
     fn gossip_sim(n: usize, workers: usize, seed: u64) -> ShardedSim {
         let topology = Box::new(Complete::new(n));
@@ -755,37 +739,44 @@ mod tests {
         }
     }
 
+    /// The façade's epoch engine on `K_n` at `shard_workers` workers.
+    fn built(n: usize, counts: &[u64], shard_workers: usize, seed: u64) -> SimBuilder {
+        Sim::builder()
+            .topology(Complete::new(n))
+            .counts(counts)
+            .seed(Seed::new(seed))
+            .parallelism(Parallelism {
+                trial_workers: Workers::Fixed(1),
+                shard_workers: Workers::Fixed(shard_workers),
+            })
+    }
+
     #[test]
     fn gossip_converges_and_is_worker_independent() {
-        let mut a = gossip_sim(512, 1, 42);
-        let mut b = gossip_sim(512, 4, 42);
-        let wa = a.run_until_consensus(10_000).expect("consensus");
-        let wb = b.run_until_consensus(10_000).expect("consensus");
-        assert_eq!(wa, wb);
-        assert_eq!(a.epoch(), b.epoch());
-        assert_eq!(a.steps(), b.steps());
-        assert_eq!(a.config().colors(), b.config().colors());
+        let run = |workers| {
+            let mut sim = built(512, &[320, 192], workers, 42)
+                .gossip(GossipRule::TwoChoices)
+                .build()
+                .expect("valid configuration");
+            let out = sim.run_to_consensus().expect("consensus");
+            (out, sim.config().colors().to_vec())
+        };
+        // Equal times are equal epoch counts: each epoch lasts τ = 1.
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
     fn rapid_run_reaches_consensus() {
         let n = 512;
-        let params = Params::for_network(n, 2);
-        let schedule = Schedule::new(params);
-        let topology = Box::new(Complete::new(n));
-        let config = Configuration::from_counts(&[320, 192]).expect("valid");
-        let mut sim = ShardedSim::new(
-            topology,
-            config,
-            AsyncProtocol::Rapid(schedule),
-            Seed::new(7),
-            1.0,
-            2,
-        );
-        let winner = sim.run_until_consensus(100_000).expect("consensus");
-        assert_eq!(winner, Color::new(0));
-        assert!(sim.steps() > 0);
-        assert!(sim.now().as_secs() > 0.0);
+        let out = built(n, &[320, 192], 2, 7)
+            .rapid(Params::for_network(n, 2))
+            .build()
+            .expect("valid configuration")
+            .run_to_consensus()
+            .expect("consensus");
+        assert_eq!(out.winner, Some(Color::new(0)));
+        assert!(out.steps > 0);
+        assert!(out.time.expect("asynchronous").as_secs() > 0.0);
     }
 
     #[test]

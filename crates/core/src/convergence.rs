@@ -12,13 +12,6 @@ pub enum ConvergenceError {
     },
     /// Every node halted (froze its color) without unanimity.
     AllHaltedWithoutConsensus,
-    /// Topology and configuration disagree on the population size.
-    SizeMismatch {
-        /// `n` according to the topology.
-        topology_n: usize,
-        /// `n` according to the configuration.
-        config_n: usize,
-    },
 }
 
 impl std::fmt::Display for ConvergenceError {
@@ -30,13 +23,6 @@ impl std::fmt::Display for ConvergenceError {
             ConvergenceError::AllHaltedWithoutConsensus => {
                 write!(f, "all nodes halted without reaching consensus")
             }
-            ConvergenceError::SizeMismatch {
-                topology_n,
-                config_n,
-            } => write!(
-                f,
-                "topology ({topology_n} nodes) and configuration ({config_n} nodes) disagree on n"
-            ),
         }
     }
 }

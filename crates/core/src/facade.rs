@@ -16,7 +16,7 @@
 //! let outcome = Sim::builder()
 //!     .topology(Complete::new(200))
 //!     .counts(&[150, 50])
-//!     .protocol(TwoChoices::new())
+//!     .protocol(GossipRule::TwoChoices)
 //!     .seed(Seed::new(1))
 //!     .stop(StopCondition::RoundBudget(10_000))
 //!     .build()
@@ -43,8 +43,9 @@
 //! * **topology** — any [`Topology`];
 //! * **initial state** — explicit counts, a full [`Configuration`], or an
 //!   [`InitialDistribution`] recipe materialised against the topology;
-//! * **protocol** — any [`SyncProtocol`], a [`GossipRule`], or the full
-//!   rapid protocol via [`Params`] (one [`Protocol`] selector);
+//! * **protocol** — any [`SyncProtocol`] in rounds (a [`GossipRule`]
+//!   among them), a [`GossipRule`] under a clock, or the full rapid
+//!   protocol via [`Params`] (one [`Protocol`] selector);
 //! * **clock** — the sequential model, per-node Poisson clocks, skewed
 //!   clock rates, optionally wrapped in exponential response delays
 //!   ([`SimBuilder::jitter`]);
@@ -92,31 +93,15 @@ pub type BoxedSource = Box<dyn ActivationSource + Send>;
 
 /// The protocol axis: every consensus dynamic in this crate behind one
 /// selector.
+#[derive(Debug)]
 pub enum Protocol {
-    /// A synchronous-round protocol (Two-Choices, Voter, 3-Majority,
-    /// OneExtraBit, or anything implementing [`SyncProtocol`]).
+    /// A synchronous-round protocol (a [`GossipRule`], OneExtraBit, or
+    /// anything implementing [`SyncProtocol`]).
     Sync(Box<dyn SyncProtocol + Send>),
     /// Plain asynchronous gossip under one update rule.
     Gossip(GossipRule),
     /// The paper's full working-time-scheduled protocol (Theorem 1.3).
     Rapid(Params),
-}
-
-impl Protocol {
-    /// Short human-readable name for tables and logs.
-    pub fn name(&self) -> String {
-        match self {
-            Protocol::Sync(p) => p.name().to_string(),
-            Protocol::Gossip(rule) => rule.name().to_string(),
-            Protocol::Rapid(_) => "rapid".to_string(),
-        }
-    }
-}
-
-impl std::fmt::Debug for Protocol {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Protocol({})", self.name())
-    }
 }
 
 /// The engine axis: at what resolution the dynamics are simulated.
@@ -699,7 +684,8 @@ impl Outcome {
         }
     }
 
-    /// The legacy synchronous view, for round-based runs that converged.
+    /// The synchronous view, for round-based runs that converged: a
+    /// winner and a round count, both certain.
     pub fn as_sync(&self) -> Option<SyncOutcome> {
         match (self.winner, self.rounds) {
             (Some(winner), Some(rounds)) if self.converged() => {
@@ -709,8 +695,9 @@ impl Outcome {
         }
     }
 
-    /// The legacy rapid-protocol view, for halting asynchronous runs that
-    /// converged.
+    /// The rapid-protocol view, for halting asynchronous runs that
+    /// converged: a winner, a time and the first-halt verdict, all
+    /// certain.
     pub fn as_rapid(&self) -> Option<RapidOutcome> {
         match (self.winner, self.time, self.before_first_halt) {
             (Some(winner), Some(time), Some(before_first_halt)) if self.converged() => {
@@ -1659,14 +1646,14 @@ pub struct Sim {
 impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let engine = match &self.engine {
-            Engine::Sync { proto, .. } => proto.name(),
+            Engine::Sync { proto, .. } => format!("{proto:?}"),
             Engine::Seq(sim) => match sim.protocol() {
-                AsyncProtocol::Gossip(rule) => rule.name(),
-                AsyncProtocol::Rapid(_) => "rapid",
+                AsyncProtocol::Gossip(rule) => rule.name().to_string(),
+                AsyncProtocol::Rapid(_) => "rapid".to_string(),
             },
             Engine::Sharded(sim) => match sim.protocol() {
-                AsyncProtocol::Gossip(_) => "sharded-gossip",
-                AsyncProtocol::Rapid(_) => "sharded-rapid",
+                AsyncProtocol::Gossip(_) => "sharded-gossip".to_string(),
+                AsyncProtocol::Rapid(_) => "sharded-rapid".to_string(),
             },
         };
         f.debug_struct("Sim")

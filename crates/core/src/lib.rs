@@ -13,11 +13,11 @@
 //!
 //! **What's here.**
 //!
-//! * [`sync`] — the synchronous protocols: [`sync::TwoChoices`]
-//!   (Theorem 1.1: `O(n/c_1 · log n)` rounds, but `Ω(k)` in general),
-//!   [`sync::OneExtraBit`] (Theorem 1.2: polylogarithmic via an extra bit
-//!   and Bit-Propagation), and the [`sync::Voter`] / [`sync::ThreeMajority`]
-//!   baselines.
+//! * [`sync`] — the synchronous protocols: [`GossipRule::TwoChoices`]
+//!   in rounds (Theorem 1.1: `O(n/c_1 · log n)` rounds, but `Ω(k)` in
+//!   general), [`sync::OneExtraBit`] (Theorem 1.2: polylogarithmic via an
+//!   extra bit and Bit-Propagation), and the [`GossipRule::Voter`] /
+//!   [`GossipRule::ThreeMajority`] baselines.
 //! * [`asynchronous`] — the paper's headline contribution: nodes driven
 //!   by Poisson clocks schedule Two-Choices, Bit-Propagation and
 //!   Sync-Gadget sub-phases by *working time*, achieving consensus in
@@ -80,7 +80,7 @@ pub use facade::{
     Outcome, Progress, Protocol, Sim, SimBuilder, SpreadTrace, StopCondition, StopReason,
 };
 pub use opinion::{Color, ColorCounts, ConfigError, Configuration, TopTwo};
-pub use sync::{OneExtraBit, OneExtraBitParams, SyncProtocol, ThreeMajority, TwoChoices, Voter};
+pub use sync::{OneExtraBit, OneExtraBitParams, SyncProtocol};
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
@@ -95,9 +95,6 @@ pub mod prelude {
         Outcome, Progress, Protocol, Sim, SimBuilder, SpreadTrace, StopCondition, StopReason,
     };
     pub use crate::opinion::{Color, ColorCounts, Configuration, TopTwo};
-    pub use crate::sync::engine::{run_sync_traced, RoundTrace, SyncProtocol};
+    pub use crate::sync::engine::{RoundTrace, SyncProtocol};
     pub use crate::sync::one_extra_bit::{OneExtraBit, OneExtraBitParams};
-    pub use crate::sync::three_majority::ThreeMajority;
-    pub use crate::sync::two_choices::TwoChoices;
-    pub use crate::sync::voter::Voter;
 }

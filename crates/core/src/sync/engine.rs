@@ -4,8 +4,7 @@ use rapid_graph::topology::Topology;
 use rapid_sim::node::NodeId;
 use rapid_sim::rng::SimRng;
 
-use crate::asynchronous::kernel::{resolve_all, GossipRule, MAX_PULLS};
-use crate::convergence::{ConvergenceError, SyncOutcome};
+use crate::asynchronous::kernel::{resolve_all, GossipRule};
 use crate::opinion::{Color, Configuration};
 
 /// A synchronous gossip protocol executed in discrete rounds.
@@ -14,13 +13,15 @@ use crate::opinion::{Color, Configuration};
 /// configuration as it was when the round began and update simultaneously.
 /// Stateless color-only protocols can delegate to
 /// [`simultaneous_color_update`]; protocols with per-node auxiliary state
-/// (like [`crate::sync::OneExtraBit`]) manage their own buffers.
-pub trait SyncProtocol {
+/// (like [`crate::sync::OneExtraBit`]) manage their own buffers. The
+/// kernel's [`GossipRule`]s are synchronous protocols themselves.
+///
+/// A protocol's [`Debug`](std::fmt::Debug) form is its name in the
+/// façade's [`Protocol`](crate::facade::Protocol) and
+/// [`Sim`](crate::facade::Sim) output.
+pub trait SyncProtocol: std::fmt::Debug {
     /// Executes one synchronous round.
     fn round(&mut self, g: &dyn Topology, config: &mut Configuration, rng: &mut SimRng);
-
-    /// Human-readable protocol name for tables and logs.
-    fn name(&self) -> &'static str;
 
     /// Resets any per-run internal state (phase counters, bit vectors).
     ///
@@ -48,28 +49,72 @@ pub fn simultaneous_color_update(
     config.replace_all(&next);
 }
 
-/// One synchronous round of a gossip rule: every node pulls from the
+/// A gossip rule in synchronous rounds: every node pulls from the
 /// round-start snapshot and updates under the kernel's
-/// [`GossipRule::decide`] — the shared `round` of
-/// [`crate::sync::TwoChoices`], [`crate::sync::Voter`] and
-/// [`crate::sync::ThreeMajority`].
-pub(crate) fn gossip_round(
+/// [`GossipRule::decide`].
+///
+/// * Two-Choices (Cooper, Elsässer & Radzik) is Theorem 1.1 of the paper:
+///   on `K_n` with initial gap `c_1 − c_2 ≥ z√(n log n)` it converges to
+///   the plurality within `O(n/c_1 · log n)` rounds w.h.p., and needs
+///   `Ω(n/c_1 + log n)` in expectation, `Ω(k)` when `c_1 = Θ(n/k)`.
+/// * 3-Majority (Becchetti et al.) has, on the clique, the same drift per
+///   round as Two-Choices up to lower-order terms.
+/// * Voter reaches consensus in `Θ(n)` expected rounds on the clique, and
+///   each color wins with its initial share: the baseline that shows
+///   what the other rules' drift buys.
+///
+/// # Example
+///
+/// ```
+/// use rapid_core::prelude::*;
+/// use rapid_graph::prelude::*;
+/// use rapid_sim::prelude::*;
+///
+/// let out = Sim::builder()
+///     .topology(Complete::new(300))
+///     .counts(&[200, 100])
+///     .protocol(GossipRule::TwoChoices)
+///     .seed(Seed::new(5))
+///     .build()
+///     .expect("valid experiment")
+///     .run_to_consensus()
+///     .expect("converges");
+/// assert_eq!(out.winner, Some(Color::new(0)));
+/// ```
+impl SyncProtocol for GossipRule {
+    fn round(&mut self, g: &dyn Topology, config: &mut Configuration, rng: &mut SimRng) {
+        // One match per round; every node's pulls and rule are then fixed.
+        match *self {
+            GossipRule::Voter => gossip_round::<1>(GossipRule::Voter, g, config, rng),
+            GossipRule::TwoChoices => gossip_round::<2>(GossipRule::TwoChoices, g, config, rng),
+            GossipRule::ThreeMajority => {
+                gossip_round::<3>(GossipRule::ThreeMajority, g, config, rng)
+            }
+        }
+    }
+}
+
+/// One synchronous round of `rule`, which pulls `PULLS` peers: one
+/// `sample_neighbor` per pull, in pull order, for each node in index
+/// order.
+#[inline(always)]
+fn gossip_round<const PULLS: usize>(
     rule: GossipRule,
     g: &dyn Topology,
     config: &mut Configuration,
     rng: &mut SimRng,
 ) {
     simultaneous_color_update(g, config, rng, |u, snapshot, g, rng| {
-        let own = snapshot[u.index()];
-        let mut pulled = [own; MAX_PULLS];
-        let pulled = &mut pulled[..rule.pulls()];
-        resolve_all(pulled, || Some(snapshot[g.sample_neighbor(u, rng).index()]));
-        rule.decide(own, pulled)
+        let mut pulled = [Color::new(0); PULLS];
+        resolve_all(&mut pulled, || {
+            Some(snapshot[g.sample_neighbor(u, rng).index()])
+        });
+        rule.decide(snapshot[u.index()], &pulled)
     });
 }
 
-/// Per-round measurements collected by [`run_sync_traced`] (and, through
-/// the [`crate::facade::Observer`] impl, by the `Sim` façade).
+/// Per-round measurements, collected by the `Sim` façade through the
+/// [`crate::facade::Observer`] impl.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoundTrace {
     /// `c_1` (support of the current leader) after each round.
@@ -99,163 +144,92 @@ impl RoundTrace {
     }
 }
 
-/// Runs `proto` on `config` until unanimity or `max_rounds`, optionally
-/// recording a [`RoundTrace`]. The protocol is
-/// [`reset`](SyncProtocol::reset) first, so a protocol value can be
-/// reused across runs. (Most callers want the `Sim` builder instead —
-/// `Sim::builder().topology(g).counts(…).protocol(proto)` — which drives
-/// this engine with stop conditions and observers on top.)
-///
-/// # Errors
-///
-/// [`ConvergenceError::BudgetExhausted`] if `max_rounds` rounds pass
-/// without unanimity.
-pub fn run_sync_traced(
-    proto: &mut dyn SyncProtocol,
-    g: &dyn Topology,
-    config: &mut Configuration,
-    rng: &mut SimRng,
-    max_rounds: u64,
-    mut trace: Option<&mut RoundTrace>,
-) -> Result<(SyncOutcome, u64), ConvergenceError> {
-    if g.n() != config.n() {
-        return Err(ConvergenceError::SizeMismatch {
-            topology_n: g.n(),
-            config_n: config.n(),
-        });
-    }
-    proto.reset();
-    if let Some(t) = trace.as_deref_mut() {
-        t.record(config);
-    }
-    if let Some(winner) = config.unanimous() {
-        return Ok((SyncOutcome { winner, rounds: 0 }, 0));
-    }
-    for round in 1..=max_rounds {
-        proto.round(g, config, rng);
-        if let Some(t) = trace.as_deref_mut() {
-            t.record(config);
-        }
-        if let Some(winner) = config.unanimous() {
-            return Ok((
-                SyncOutcome {
-                    winner,
-                    rounds: round,
-                },
-                round,
-            ));
-        }
-    }
-    Err(ConvergenceError::BudgetExhausted { budget: max_rounds })
-}
-
-/// Test-only untraced driver, shared by the protocol unit tests (the
-/// behaviour of the removed `run_sync_to_consensus` shim).
-#[cfg(test)]
-pub(crate) fn run_sync_to_consensus(
-    proto: &mut dyn SyncProtocol,
-    g: &dyn Topology,
-    config: &mut Configuration,
-    rng: &mut SimRng,
-    max_rounds: u64,
-) -> Result<SyncOutcome, ConvergenceError> {
-    run_sync_traced(proto, g, config, rng, max_rounds, None).map(|(o, _)| o)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::ConvergenceError;
+    use crate::facade::{Outcome, Sim, StopCondition};
     use rapid_graph::complete::Complete;
     use rapid_sim::rng::Seed;
 
+    const RULES: [GossipRule; 3] = [
+        GossipRule::Voter,
+        GossipRule::TwoChoices,
+        GossipRule::ThreeMajority,
+    ];
+
     /// A protocol where everyone adopts color 0 immediately.
+    #[derive(Debug)]
     struct Dictator;
     impl SyncProtocol for Dictator {
         fn round(&mut self, g: &dyn Topology, config: &mut Configuration, rng: &mut SimRng) {
             simultaneous_color_update(g, config, rng, |_, _, _, _| Color::new(0));
         }
-        fn name(&self) -> &'static str {
-            "dictator"
-        }
     }
 
     /// A protocol that never changes anything.
+    #[derive(Debug)]
     struct Frozen;
     impl SyncProtocol for Frozen {
         fn round(&mut self, _: &dyn Topology, _: &mut Configuration, _: &mut SimRng) {}
-        fn name(&self) -> &'static str {
-            "frozen"
-        }
+    }
+
+    /// `proto` on `K_n` from `counts`, run by the façade.
+    fn run_on_clique(
+        proto: impl SyncProtocol + Send + 'static,
+        counts: &[u64],
+        seed: u64,
+        max_rounds: u64,
+    ) -> Outcome {
+        Sim::builder()
+            .topology(Complete::new(counts.iter().sum::<u64>() as usize))
+            .counts(counts)
+            .protocol(proto)
+            .seed(Seed::new(seed))
+            .stop(StopCondition::RoundBudget(max_rounds))
+            .build()
+            .expect("valid experiment")
+            .run()
     }
 
     #[test]
     fn dictator_converges_in_one_round() {
-        let g = Complete::new(10);
-        let mut config = Configuration::from_counts(&[5, 5]).expect("valid");
-        let mut rng = SimRng::from_seed_value(Seed::new(1));
-        let out =
-            run_sync_to_consensus(&mut Dictator, &g, &mut config, &mut rng, 10).expect("converges");
-        assert_eq!(out.rounds, 1);
-        assert_eq!(out.winner, Color::new(0));
+        let out = run_on_clique(Dictator, &[5, 5], 1, 10);
+        assert_eq!(out.rounds, Some(1));
+        assert_eq!(out.winner, Some(Color::new(0)));
     }
 
     #[test]
     fn frozen_exhausts_budget() {
-        let g = Complete::new(4);
-        let mut config = Configuration::from_counts(&[2, 2]).expect("valid");
-        let mut rng = SimRng::from_seed_value(Seed::new(2));
-        let err = run_sync_to_consensus(&mut Frozen, &g, &mut config, &mut rng, 7)
+        let err = run_on_clique(Frozen, &[2, 2], 2, 7)
+            .into_consensus()
             .expect_err("cannot converge");
         assert_eq!(err, ConvergenceError::BudgetExhausted { budget: 7 });
     }
 
     #[test]
     fn already_unanimous_returns_zero_rounds() {
-        let g = Complete::new(4);
-        let mut config = Configuration::from_counts(&[4, 0]).expect("valid");
-        let mut rng = SimRng::from_seed_value(Seed::new(3));
-        let out = run_sync_to_consensus(&mut Frozen, &g, &mut config, &mut rng, 10)
-            .expect("already done");
-        assert_eq!(out.rounds, 0);
+        let out = run_on_clique(Frozen, &[4, 0], 3, 10);
+        assert_eq!(out.as_sync().expect("already done").rounds, 0);
     }
 
     #[test]
     fn trace_records_initial_state_plus_each_round() {
-        let g = Complete::new(10);
-        let mut config = Configuration::from_counts(&[6, 4]).expect("valid");
-        let mut rng = SimRng::from_seed_value(Seed::new(4));
         let mut trace = RoundTrace::default();
-        let (out, rounds) = run_sync_traced(
-            &mut Dictator,
-            &g,
-            &mut config,
-            &mut rng,
-            10,
-            Some(&mut trace),
-        )
-        .expect("converges");
-        assert_eq!(out.rounds, rounds);
-        assert_eq!(trace.len(), rounds as usize + 1);
+        let out = Sim::builder()
+            .topology(Complete::new(10))
+            .counts(&[6, 4])
+            .protocol(Dictator)
+            .seed(Seed::new(4))
+            .build()
+            .expect("valid experiment")
+            .run_observed(&mut trace)
+            .as_sync()
+            .expect("converges");
+        assert_eq!(trace.len(), out.rounds as usize + 1);
         assert_eq!(trace.c1[0], 6);
         assert_eq!(*trace.c1.last().expect("non-empty"), 10);
         assert!(!trace.is_empty());
-    }
-
-    #[test]
-    fn size_mismatch_is_rejected() {
-        let g = Complete::new(5);
-        let mut config = Configuration::from_counts(&[2, 2]).expect("valid");
-        let mut rng = SimRng::from_seed_value(Seed::new(5));
-        let err = run_sync_to_consensus(&mut Frozen, &g, &mut config, &mut rng, 1)
-            .expect_err("size mismatch must be reported, not panic");
-        assert_eq!(
-            err,
-            ConvergenceError::SizeMismatch {
-                topology_n: 5,
-                config_n: 4
-            }
-        );
-        assert!(err.to_string().contains("disagree on n"));
     }
 
     #[test]
@@ -275,5 +249,96 @@ mod tests {
             config.colors(),
             &[Color::new(1), Color::new(2), Color::new(0)]
         );
+    }
+
+    /// Every one of 10 runs of `rule` from `counts` converges, and the
+    /// plurality (color 0) wins at least 9 of them.
+    fn assert_strong_plurality_wins(rule: GossipRule, counts: &[u64]) {
+        let wins = (0..10)
+            .filter(|&seed| {
+                let out = run_on_clique(rule, counts, seed, 10_000);
+                out.winner.expect("converges") == Color::new(0)
+            })
+            .count();
+        assert!(wins >= 9, "{rule:?}: the plurality won only {wins}/10 runs");
+    }
+
+    #[test]
+    fn two_choices_strong_plurality_wins() {
+        assert_strong_plurality_wins(GossipRule::TwoChoices, &[250, 75, 75]);
+    }
+
+    #[test]
+    fn three_majority_strong_plurality_wins() {
+        assert_strong_plurality_wins(GossipRule::ThreeMajority, &[250, 50, 50, 50]);
+    }
+
+    #[test]
+    fn voter_converges_on_small_clique() {
+        let out = run_on_clique(GossipRule::Voter, &[15, 15], 4, 100_000);
+        let winner = out
+            .winner
+            .expect("voter eventually hits an absorbing state");
+        assert!(winner == Color::new(0) || winner == Color::new(1));
+    }
+
+    #[test]
+    fn voter_win_rate_tracks_the_initial_share() {
+        // With c_0 = 3n/4, color 0 should win about 75% of runs — far from
+        // the ~100% a drift-based rule achieves.
+        let trials = 60;
+        let wins = (0..trials)
+            .filter(|&seed| {
+                let out = run_on_clique(GossipRule::Voter, &[30, 10], seed, 1_000_000);
+                out.winner.expect("voter hits an absorbing state") == Color::new(0)
+            })
+            .count();
+        let rate = wins as f64 / trials as f64;
+        assert!(
+            (0.5..0.95).contains(&rate),
+            "voter win rate {rate} should sit near 0.75, not at certainty"
+        );
+    }
+
+    #[test]
+    fn unanimity_is_absorbing() {
+        let g = Complete::new(50);
+        for mut rule in RULES {
+            let mut config = Configuration::from_counts(&[50, 0]).expect("valid");
+            let mut rng = SimRng::from_seed_value(Seed::new(1));
+            rule.round(&g, &mut config, &mut rng);
+            assert_eq!(config.unanimous(), Some(Color::new(0)), "{rule:?}");
+        }
+    }
+
+    #[test]
+    fn rounds_conserve_counts() {
+        let g = Complete::new(100);
+        for mut rule in RULES {
+            let mut config = Configuration::from_counts(&[60, 40]).expect("valid");
+            let mut rng = SimRng::from_seed_value(Seed::new(2));
+            for _ in 0..5 {
+                rule.round(&g, &mut config, &mut rng);
+                assert_eq!(config.counts().as_slice().iter().sum::<u64>(), 100);
+            }
+        }
+    }
+
+    #[test]
+    fn support_never_grows() {
+        // With k = n distinct colors, too: a node adopts only colors it
+        // sampled (3-Majority's all-distinct tie included), so the
+        // support cannot grow.
+        let g = Complete::new(30);
+        for mut rule in RULES {
+            let colors: Vec<Color> = (0..30).map(Color::new).collect();
+            let mut config = Configuration::from_assignment(colors, 30).expect("valid");
+            let mut rng = SimRng::from_seed_value(Seed::new(7));
+            for _ in 0..3 {
+                let before = config.counts().support_size();
+                rule.round(&g, &mut config, &mut rng);
+                assert!(config.counts().support_size() <= before, "{rule:?}");
+            }
+        }
     }
 }

@@ -195,10 +195,6 @@ impl SyncProtocol for OneExtraBit {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "one-extra-bit"
-    }
-
     fn reset(&mut self) {
         self.bits.clear();
         self.pos = 0;
@@ -212,7 +208,7 @@ mod tests {
     use rapid_graph::complete::Complete;
     use rapid_sim::rng::Seed;
 
-    use crate::sync::engine::run_sync_to_consensus;
+    use crate::facade::{Sim, StopCondition};
 
     #[test]
     fn params_scale_with_k_and_n() {
@@ -269,12 +265,17 @@ mod tests {
         let mut counts = vec![base; k];
         counts[0] = c1;
         counts[1] += rest % (k as u64 - 1);
-        let g = Complete::new(n as usize);
-        let mut config = Configuration::from_counts(&counts).expect("valid");
-        let mut rng = SimRng::from_seed_value(Seed::new(5));
-        let mut proto = OneExtraBit::for_network(n as usize, k);
-        let out =
-            run_sync_to_consensus(&mut proto, &g, &mut config, &mut rng, 2000).expect("converges");
+        let out = Sim::builder()
+            .topology(Complete::new(n as usize))
+            .counts(&counts)
+            .protocol(OneExtraBit::for_network(n as usize, k))
+            .seed(Seed::new(5))
+            .stop(StopCondition::RoundBudget(2000))
+            .build()
+            .expect("valid experiment")
+            .run()
+            .as_sync()
+            .expect("converges");
         assert_eq!(out.winner, Color::new(0));
         // Polylog bound with generous constant: ≪ k · ln n ≈ 152.
         assert!(out.rounds < 120, "took {} rounds", out.rounds);

@@ -5,9 +5,8 @@
 //! test thread inside its counted window. Other threads (the test
 //! harness runs its own) allocate at times of their own, and counting
 //! them made the pins flaky.
-//! Both protocols run through `run_until_consensus`, the batch loop that
-//! `Sim::run` drives, and each count must come back as a step budget
-//! spent in full.
+//! Both protocols tick through `SeqSim::run_batch`, the batch loop that
+//! `Sim::run` drives, and every counted step must run.
 //!
 //! * Gossip (Two-Choices on `K_4096`) allocates nothing.
 //! * Rapid on `K_4096` is not allocation-free. A Two-Choices sample
@@ -26,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rapid_core::facade::Sim;
+use rapid_core::facade::{BoxedSource, BoxedTopology, Sim};
 use rapid_core::prelude::*;
 use rapid_graph::prelude::*;
 use rapid_sim::prelude::*;
@@ -109,14 +108,22 @@ fn builder(distribution: InitialDistribution) -> SimBuilder {
         .seed(Seed::new(0xA11C))
 }
 
-/// Allocations while `run` spends its budget of [`COUNTED`] steps.
-fn counted(run: impl FnOnce(u64) -> Result<(), ConvergenceError>) -> u64 {
-    let (result, allocations) = allocations_in(|| run(COUNTED));
-    assert_eq!(
-        result,
-        Err(ConvergenceError::BudgetExhausted { budget: COUNTED }),
-        "every counted step must run"
-    );
+/// Ticks `sim` through `run_batch` for `steps` more steps, or until
+/// unanimity or every node halted; whether every step ran.
+fn run_steps(sim: &mut SeqSim<BoxedTopology, BoxedSource>, steps: u64) -> bool {
+    let end = sim.steps() + steps;
+    while sim.steps() < end && sim.halted_count() < N {
+        if sim.run_batch(end - sim.steps(), SimTime::MAX).is_some() {
+            return false;
+        }
+    }
+    sim.steps() == end
+}
+
+/// Allocations while `sim` runs [`COUNTED`] steps.
+fn counted(sim: &mut SeqSim<BoxedTopology, BoxedSource>) -> u64 {
+    let (all_ran, allocations) = allocations_in(|| run_steps(sim, COUNTED));
+    assert!(all_ran, "every counted step must run");
     allocations
 }
 
@@ -130,8 +137,8 @@ fn sequential_engines_allocate_only_where_pinned_once_warm() {
         .expect("valid gossip assembly")
         .into_gossip()
         .expect("gossip rule was selected");
-    let _ = gossip.run_until_consensus(N as u64);
-    let allocations = counted(|budget| gossip.run_until_consensus(budget).map(drop));
+    run_steps(&mut gossip, N as u64);
+    let allocations = counted(&mut gossip);
     assert_eq!(
         allocations, 0,
         "Two-Choices: {allocations} allocations over {COUNTED} warm steps"
@@ -144,8 +151,8 @@ fn sequential_engines_allocate_only_where_pinned_once_warm() {
         .expect("valid rapid assembly")
         .into_rapid()
         .expect("rapid protocol was selected");
-    let _ = rapid.run_until_consensus(3 * N as u64 * params.phase_len());
-    let allocations = counted(|budget| rapid.run_until_consensus(budget).map(drop));
+    run_steps(&mut rapid, 3 * N as u64 * params.phase_len());
+    let allocations = counted(&mut rapid);
     assert_eq!(
         allocations, RAPID_ALLOCATIONS,
         "Rapid: {allocations} allocations over {COUNTED} warm steps"

@@ -1,6 +1,6 @@
 //! The unified `Sim` builder façade: misuse diagnostics, determinism,
-//! stop-condition composition, observers, and equivalence with the legacy
-//! drivers it replaces.
+//! stop-condition composition, observers, and equivalence with the
+//! engines it assembles, stepped by hand.
 
 use rapid_core::facade::{BuildError, Clock, Outcome, Sim, StopCondition, StopReason};
 use rapid_core::prelude::*;
@@ -11,7 +11,7 @@ fn two_choices_on_clique(n: usize, counts: &[u64], seed: u64) -> Sim {
     Sim::builder()
         .topology(Complete::new(n))
         .counts(counts)
-        .protocol(TwoChoices::new())
+        .protocol(GossipRule::TwoChoices)
         .seed(Seed::new(seed))
         .build()
         .expect("valid experiment")
@@ -37,7 +37,7 @@ fn missing_topology_and_initial_state_are_typed_errors() {
 
     let err = Sim::builder()
         .topology(Complete::new(10))
-        .protocol(TwoChoices::new())
+        .protocol(GossipRule::TwoChoices)
         .build()
         .expect_err("no initial state");
     assert_eq!(err, BuildError::MissingInitialState);
@@ -48,7 +48,7 @@ fn size_mismatch_is_a_typed_error_not_a_panic() {
     let err = Sim::builder()
         .topology(Complete::new(10))
         .counts(&[5, 4]) // 9 nodes for a 10-node topology
-        .protocol(TwoChoices::new())
+        .protocol(GossipRule::TwoChoices)
         .build()
         .expect_err("n mismatch");
     assert_eq!(
@@ -65,7 +65,7 @@ fn empty_configuration_is_rejected() {
     let err = Sim::builder()
         .topology(Complete::new(4))
         .counts(&[0, 0])
-        .protocol(TwoChoices::new())
+        .protocol(GossipRule::TwoChoices)
         .build()
         .expect_err("empty population");
     assert!(matches!(err, BuildError::Config(_)), "got {err:?}");
@@ -73,7 +73,7 @@ fn empty_configuration_is_rejected() {
     let err = Sim::builder()
         .topology(Complete::new(4))
         .counts(&[4])
-        .protocol(TwoChoices::new())
+        .protocol(GossipRule::TwoChoices)
         .build()
         .expect_err("single opinion");
     assert!(matches!(err, BuildError::Config(_)), "got {err:?}");
@@ -163,7 +163,7 @@ fn halt_after_requires_gossip() {
     let err = Sim::builder()
         .topology(Complete::new(8))
         .counts(&[4, 4])
-        .protocol(TwoChoices::new())
+        .protocol(GossipRule::TwoChoices)
         .halt_after(5)
         .build()
         .expect_err("halting is an async-gossip feature");
@@ -209,28 +209,39 @@ fn same_seed_means_identical_outcome_for_every_engine() {
 
 // ------------------------------------------- direct-engine equivalence
 
+/// Two-Choices rounds on `K_n`, stepped by hand until unanimity on the
+/// engine the builder assembles from `counts` and `seed`: an unshuffled
+/// configuration and an rng seeded with the master seed. Returns the
+/// outcome and the configuration before the first round and after each.
+fn two_choices_by_hand(counts: &[u64], seed: u64) -> (SyncOutcome, Vec<Configuration>) {
+    let g = Complete::new(counts.iter().sum::<u64>() as usize);
+    let mut config = Configuration::from_counts(counts).expect("valid");
+    let mut rng = SimRng::from_seed_value(Seed::new(seed));
+    let mut rule = GossipRule::TwoChoices;
+    let mut states = vec![config.clone()];
+    let winner = loop {
+        if let Some(winner) = config.unanimous() {
+            break winner;
+        }
+        assert!(states.len() <= 10_000, "no consensus in 10,000 rounds");
+        rule.round(&g, &mut config, &mut rng);
+        states.push(config.clone());
+    };
+    let rounds = states.len() as u64 - 1;
+    (SyncOutcome { winner, rounds }, states)
+}
+
 #[test]
 fn builder_sync_run_matches_the_direct_engine() {
     let counts = [150u64, 80, 70];
     for seed in [1u64, 7, 42] {
-        let g = Complete::new(300);
-        let mut config = Configuration::from_counts(&counts).expect("valid");
-        let mut rng = SimRng::from_seed_value(Seed::new(seed));
-        let (direct, _) = run_sync_traced(
-            &mut TwoChoices::new(),
-            &g,
-            &mut config,
-            &mut rng,
-            10_000,
-            None,
-        )
-        .expect("converges");
-
+        let (direct, states) = two_choices_by_hand(&counts, seed);
         let outcome = two_choices_on_clique(300, &counts, seed)
             .run_to_consensus()
             .expect("converges");
         assert_eq!(outcome.as_sync(), Some(direct), "seed {seed}");
-        assert_eq!(outcome.final_counts, config.counts().as_slice());
+        let last = states.last().expect("the initial state");
+        assert_eq!(outcome.final_counts, last.counts().as_slice());
     }
 }
 
@@ -250,7 +261,7 @@ fn builder_async_runs_match_directly_constructed_engines() {
         SequentialScheduler::new(128, seed.child(0)),
         seed.child(1),
     );
-    let direct = direct.run_until_consensus(10_000_000).expect("converges");
+    let winner = direct.run_batch(10_000_000, SimTime::MAX);
     let built = Sim::builder()
         .topology(Complete::new(128))
         .counts(&counts)
@@ -260,9 +271,10 @@ fn builder_async_runs_match_directly_constructed_engines() {
         .expect("valid experiment")
         .run_to_consensus()
         .expect("converges");
+    assert!(winner.is_some(), "the direct engine converges");
     assert_eq!(
         (built.winner, built.time, built.steps),
-        (Some(direct.winner), Some(direct.time), direct.steps)
+        (winner, Some(direct.now()), direct.steps())
     );
 
     let params = Params::for_network(128, 2);
@@ -276,7 +288,17 @@ fn builder_async_runs_match_directly_constructed_engines() {
         seed.child(1),
     );
     let budget = direct_sim.default_step_budget();
-    let direct = direct_sim.run_until_consensus(budget).expect("converges");
+    // The run converges before any node halts, so within one batch.
+    let winner = direct_sim
+        .run_batch(budget, SimTime::MAX)
+        .expect("converges before the first halt");
+    let direct = RapidOutcome {
+        winner,
+        time: direct_sim.now(),
+        steps: direct_sim.steps(),
+        first_halt: direct_sim.first_halt(),
+        before_first_halt: true,
+    };
     let built = Sim::builder()
         .topology(Complete::new(128))
         .counts(&counts)
@@ -554,7 +576,7 @@ fn round_budget_counts_rounds_for_sync_engines() {
     let out = Sim::builder()
         .topology(Complete::new(50))
         .counts(&[25, 25])
-        .protocol(Voter::new())
+        .protocol(GossipRule::Voter)
         .seed(Seed::new(2))
         .stop(StopCondition::RoundBudget(10))
         .build()
@@ -592,7 +614,7 @@ fn first_halt_stop_alone_keeps_the_default_budget() {
     let out = Sim::builder()
         .topology(Complete::new(2))
         .counts(&[1, 1])
-        .protocol(TwoChoices::new())
+        .protocol(GossipRule::TwoChoices)
         .seed(Seed::new(12))
         .stop(StopCondition::FirstHalt)
         .build()
@@ -628,7 +650,7 @@ fn default_budget_prevents_infinite_runs() {
     let out = Sim::builder()
         .topology(Complete::new(2))
         .counts(&[1, 1])
-        .protocol(TwoChoices::new())
+        .protocol(GossipRule::TwoChoices)
         .seed(Seed::new(3))
         .build()
         .expect("valid experiment")
@@ -644,27 +666,19 @@ fn default_budget_prevents_infinite_runs() {
 #[test]
 fn round_trace_observer_matches_legacy_traced_run() {
     let counts = [60u64, 40];
-    let mut legacy_trace = RoundTrace::default();
-    let g = Complete::new(100);
-    let mut config = Configuration::from_counts(&counts).expect("valid");
-    let mut rng = SimRng::from_seed_value(Seed::new(4));
-    let (legacy, _) = run_sync_traced(
-        &mut TwoChoices::new(),
-        &g,
-        &mut config,
-        &mut rng,
-        10_000,
-        Some(&mut legacy_trace),
-    )
-    .expect("converges");
-
+    let (direct, states) = two_choices_by_hand(&counts, 4);
     let mut trace = RoundTrace::default();
     let outcome = two_choices_on_clique(100, &counts, 4)
         .run_observed(&mut trace)
         .as_sync()
         .expect("converged");
-    assert_eq!(outcome, legacy);
-    assert_eq!(trace, legacy_trace);
+    assert_eq!(outcome, direct);
+    let top = |c: &Configuration| c.counts().top_two();
+    let c1: Vec<u64> = states.iter().map(|c| top(c).c1).collect();
+    let c2: Vec<u64> = states.iter().map(|c| top(c).c2).collect();
+    let support: Vec<usize> = states.iter().map(|c| c.counts().support_size()).collect();
+    assert_eq!((trace.c1.clone(), trace.c2.clone()), (c1, c2));
+    assert_eq!(trace.support, support);
     assert_eq!(trace.len() as u64, outcome.rounds + 1);
 }
 

@@ -229,22 +229,22 @@ fn adversary_created_unanimity_is_detected_at_the_strike_tick() {
                 });
             rapid_base(8, &[5, 3], seed)
                 .faults(plan)
+                .stop(StopCondition::StepBudget(1_000_000))
                 .build()
                 .expect("valid")
-                .into_rapid()
-                .expect("rapid protocol was selected")
         };
         // Drive a probe copy tick by tick to find the exact step at which
         // the strikes first produce unanimity.
         let mut probe = mk();
         let created_at = loop {
-            probe.tick();
+            probe.step();
             if probe.config().unanimous().is_some() {
                 break probe.steps();
             }
         };
-        // The engine's own run loop must report it at that very step.
-        let out = mk().run_until_consensus(1_000_000).expect("detected");
+        // The run loop, which checks unanimity in batches, must report it
+        // at that very step.
+        let out = mk().run_to_consensus().expect("detected");
         assert_eq!(
             out.steps, created_at,
             "seed {seed}: unanimity created at step {created_at} but reported at {}",
@@ -295,7 +295,7 @@ fn non_neutral_faults_reject_synchronous_protocols() {
     let err = Sim::builder()
         .topology(Complete::new(16))
         .counts(&[8, 8])
-        .protocol(TwoChoices::new())
+        .protocol(GossipRule::TwoChoices)
         .faults(FaultPlan::none().with_loss(0.1))
         .build()
         .expect_err("faults are an async-model feature");
@@ -305,7 +305,7 @@ fn non_neutral_faults_reject_synchronous_protocols() {
     let out = Sim::builder()
         .topology(Complete::new(100))
         .counts(&[70, 30])
-        .protocol(TwoChoices::new())
+        .protocol(GossipRule::TwoChoices)
         .faults(FaultPlan::none())
         .seed(Seed::new(2))
         .build()

@@ -88,7 +88,7 @@ fn macro_rejects_sync_protocols_and_halt_budgets() {
         Sim::builder()
             .topology(Complete::new(100))
             .counts(&[75, 25])
-            .protocol(TwoChoices::new())
+            .protocol(GossipRule::TwoChoices)
             .engine(EngineKind::Macro),
     )
     .expect_err("sync protocol");

@@ -74,8 +74,21 @@ fn engine(topo: &Topo, rapid: bool, n: usize, workers: usize) -> ShardedSim {
     )
 }
 
+/// Runs epochs until unanimity or every node halted — the stops
+/// `Sim::run` checks between epochs — or `max_epochs` pass; the winner,
+/// if any.
+fn run_epochs(sim: &mut ShardedSim, max_epochs: u64) -> Option<Color> {
+    for _ in 0..max_epochs {
+        if sim.config().unanimous().is_some() || sim.halted_count() == sim.config().n() {
+            break;
+        }
+        sim.run_epoch();
+    }
+    sim.config().unanimous()
+}
+
 fn run_hash(sim: &mut ShardedSim) -> u64 {
-    let winner = sim.run_until_consensus(1_000_000);
+    let winner = run_epochs(sim, 1_000_000);
     let mut h = Fnv::new();
     h.push_u64(winner.map_or(u64::MAX, |c| c.index() as u64));
     h.push_u64(sim.epoch());
@@ -155,7 +168,7 @@ fn trace_sequences_are_gap_free_under_every_parallelism() {
         let obs = Obs::new();
         let mut sim = engine(&Topo::Clique, true, 1 << 10, workers);
         sim.attach_obs(Arc::clone(&obs));
-        sim.run_until_consensus(1_000_000);
+        run_epochs(&mut sim, 1_000_000);
         let records = obs.trace.records();
         assert!(!records.is_empty(), "parallelism {spec}: no events");
         let mut last: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();

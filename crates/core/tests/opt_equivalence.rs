@@ -79,14 +79,17 @@ fn gossip_outcomes_match_pre_optimization_goldens() {
         if g.event_queue {
             b = b.clock(Clock::EventQueue { rate: 1.0 });
         }
-        let mut sim = b.build().expect("valid").into_gossip().expect("gossip");
-        let out = sim.run_until_consensus(50_000_000).expect("converges");
+        let out = b
+            .build()
+            .expect("valid")
+            .run_to_consensus()
+            .expect("converges");
         let label = format!("{} seed={} eq={}", g.rule, g.seed, g.event_queue);
-        assert_eq!(out.winner.index(), g.winner, "{label}: winner");
+        assert_eq!(out.winner, Some(Color::new(g.winner)), "{label}: winner");
         assert_eq!(out.steps, g.steps, "{label}: steps");
         assert_eq!(
-            out.time.as_secs().to_bits(),
-            g.time_bits,
+            out.time.map(|t| t.as_secs().to_bits()),
+            Some(g.time_bits),
             "{label}: consensus time"
         );
     }
@@ -102,14 +105,15 @@ fn gossip_with_halt_budget_matches_golden() {
         .seed(Seed::new(9))
         .stop(StopCondition::StepBudget(50_000_000))
         .build()
-        .expect("valid")
-        .into_gossip()
-        .expect("gossip");
-    let out = sim.run_until_consensus(50_000_000).expect("converges");
-    assert_eq!(out.winner.index(), 0);
+        .expect("valid");
+    let out = sim.run_to_consensus().expect("converges");
+    assert_eq!(out.winner, Some(Color::new(0)));
     assert_eq!(out.steps, 11_423);
-    assert_eq!(out.time.as_secs().to_bits(), 0x4016_d893_74bc_6889);
-    assert_eq!(sim.halted_count(), 0);
+    assert_eq!(
+        out.time.map(|t| t.as_secs().to_bits()),
+        Some(0x4016_d893_74bc_6889)
+    );
+    assert_eq!(sim.halted_count(), Some(0));
     assert_eq!(sim.first_halt(), None);
 }
 
@@ -117,7 +121,7 @@ fn gossip_with_halt_budget_matches_golden() {
 fn rapid_on_event_queue_matches_golden() {
     let counts = [472u64, 200, 200, 152];
     let params = Params::for_network(1024, 4);
-    let mut sim = Sim::builder()
+    let out = Sim::builder()
         .topology(Complete::new(1024))
         .counts(&counts)
         .rapid(params)
@@ -125,10 +129,9 @@ fn rapid_on_event_queue_matches_golden() {
         .seed(Seed::new(5))
         .build()
         .expect("valid")
-        .into_rapid()
-        .expect("rapid");
-    let budget = sim.default_step_budget();
-    let out = sim.run_until_consensus(budget).expect("converges");
+        .run()
+        .as_rapid()
+        .expect("converges");
     assert_eq!(out.winner.index(), 0);
     assert_eq!(out.steps, 295_105);
     assert_eq!(out.time.as_secs().to_bits(), 0x4071_ff64_354a_a829);
@@ -138,7 +141,7 @@ fn rapid_on_event_queue_matches_golden() {
 /// A synchronous rule on `K_n`: winner, rounds and an FNV-1a hash of the
 /// per-round `(c1, c2, support)` trace.
 struct SyncGolden {
-    name: &'static str,
+    rule: GossipRule,
     counts: &'static [u64],
     seed: u64,
     winner: usize,
@@ -148,7 +151,7 @@ struct SyncGolden {
 
 const SYNC_GOLDENS: &[SyncGolden] = &[
     SyncGolden {
-        name: "voter",
+        rule: GossipRule::Voter,
         counts: &[60, 40],
         seed: 11,
         winner: 0,
@@ -156,7 +159,7 @@ const SYNC_GOLDENS: &[SyncGolden] = &[
         trace_hash: 0xad1a_b2ec_8d0d_8986,
     },
     SyncGolden {
-        name: "two-choices",
+        rule: GossipRule::TwoChoices,
         counts: &[300, 200, 100],
         seed: 12,
         winner: 0,
@@ -164,7 +167,7 @@ const SYNC_GOLDENS: &[SyncGolden] = &[
         trace_hash: 0x41c7_5c72_84e2_85e8,
     },
     SyncGolden {
-        name: "3-majority",
+        rule: GossipRule::ThreeMajority,
         counts: &[300, 200, 100],
         seed: 13,
         winner: 0,
@@ -176,24 +179,18 @@ const SYNC_GOLDENS: &[SyncGolden] = &[
 #[test]
 fn sync_rule_traces_match_goldens() {
     for g in SYNC_GOLDENS {
-        let mut proto: Box<dyn SyncProtocol> = match g.name {
-            "voter" => Box::new(Voter::new()),
-            "two-choices" => Box::new(TwoChoices::new()),
-            _ => Box::new(ThreeMajority::new()),
-        };
-        let topology = Complete::new(g.counts.iter().sum::<u64>() as usize);
-        let mut config = Configuration::from_counts(g.counts).expect("valid");
-        let mut rng = SimRng::from_seed_value(Seed::new(g.seed));
         let mut trace = RoundTrace::default();
-        let (out, _) = run_sync_traced(
-            proto.as_mut(),
-            &topology,
-            &mut config,
-            &mut rng,
-            1_000_000,
-            Some(&mut trace),
-        )
-        .expect("converges");
+        let out = Sim::builder()
+            .topology(Complete::new(g.counts.iter().sum::<u64>() as usize))
+            .counts(g.counts)
+            .protocol(g.rule)
+            .seed(Seed::new(g.seed))
+            .stop(StopCondition::RoundBudget(1_000_000))
+            .build()
+            .expect("valid")
+            .run_observed(&mut trace)
+            .as_sync()
+            .expect("converges");
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let words = trace.c1.iter().chain(&trace.c2).copied();
         for v in words.chain(trace.support.iter().map(|&s| s as u64)) {
@@ -201,12 +198,12 @@ fn sync_rule_traces_match_goldens() {
                 h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
-        assert_eq!(out.winner.index(), g.winner, "{}: winner", g.name);
-        assert_eq!(out.rounds, g.rounds, "{}: rounds", g.name);
+        assert_eq!(out.winner.index(), g.winner, "{:?}: winner", g.rule);
+        assert_eq!(out.rounds, g.rounds, "{:?}: rounds", g.rule);
         assert_eq!(
             h, g.trace_hash,
-            "{}: per-round trace (got {h:#018x})",
-            g.name
+            "{:?}: per-round trace (got {h:#018x})",
+            g.rule
         );
     }
 }

@@ -136,15 +136,15 @@ fn sync_rounds_preserve_population() {
         let mut config = Configuration::from_counts(&counts).expect("validated");
         let complete = Complete::new(config.n());
         let mut rng = SimRng::from_seed_value(g.seed());
-        let mut voter = Voter::new();
-        let mut tc = TwoChoices::new();
-        let mut tm = ThreeMajority::new();
+        let mut rules = [
+            GossipRule::Voter,
+            GossipRule::TwoChoices,
+            GossipRule::ThreeMajority,
+        ];
         let mut oeb = OneExtraBit::for_network(config.n().max(2), k);
         let proto: &mut dyn SyncProtocol = match g.usize(0..4) {
-            0 => &mut voter,
-            1 => &mut tc,
-            2 => &mut tm,
-            _ => &mut oeb,
+            3 => &mut oeb,
+            i => &mut rules[i],
         };
         let support_before: Vec<usize> = (0..k)
             .filter(|&j| config.counts().as_slice()[j] > 0)

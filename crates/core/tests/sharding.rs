@@ -84,11 +84,24 @@ fn engine(topo: &Topo, proto: Proto, n: usize, workers: usize) -> ShardedSim {
     )
 }
 
+/// Runs epochs until unanimity or every node halted — the stops
+/// `Sim::run` checks between epochs — or `max_epochs` pass; the winner,
+/// if any.
+fn run_epochs(sim: &mut ShardedSim, max_epochs: u64) -> Option<Color> {
+    for _ in 0..max_epochs {
+        if sim.config().unanimous().is_some() || sim.halted_count() == sim.config().n() {
+            break;
+        }
+        sim.run_epoch();
+    }
+    sim.config().unanimous()
+}
+
 /// Runs to consensus (or the epoch cap) and hashes everything the run
 /// decided: winner, epochs, steps, per-node colors, halt/jump counters.
 fn run_hash(topo: &Topo, proto: Proto, n: usize, workers: usize) -> u64 {
     let mut sim = engine(topo, proto, n, workers);
-    let winner = sim.run_until_consensus(1_000_000);
+    let winner = run_epochs(&mut sim, 1_000_000);
     let mut h = Fnv::new();
     h.push_u64(winner.map_or(u64::MAX, |c| c.index() as u64));
     h.push_u64(sim.epoch());
@@ -206,7 +219,7 @@ fn rapid_completes_at_ten_million_on_er() {
     let config = Configuration::from_counts(&counts).expect("valid");
     let proto = AsyncProtocol::Rapid(Schedule::new(Params::for_network(n, 2)));
     let mut sim = ShardedSim::new(Box::new(g), config, proto, Seed::new(0xACC), 1.0, 4);
-    let winner = sim.run_until_consensus(100_000);
+    let winner = run_epochs(&mut sim, 100_000);
     assert_eq!(
         winner,
         Some(Color::new(0)),
@@ -221,12 +234,12 @@ fn non_dividing_shard_counts_are_still_identical() {
     // must reproduce the single-shard run exactly.
     let baseline = {
         let mut sim = engine(&Topo::Clique, Some(GossipRule::TwoChoices), 1000, 1);
-        sim.run_until_consensus(1_000_000);
+        run_epochs(&mut sim, 1_000_000);
         sim.config().colors().to_vec()
     };
     for workers in [3, 7, 8] {
         let mut sim = engine(&Topo::Clique, Some(GossipRule::TwoChoices), 1000, workers);
-        sim.run_until_consensus(1_000_000);
+        run_epochs(&mut sim, 1_000_000);
         assert_eq!(
             sim.config().colors(),
             &baseline[..],

@@ -43,8 +43,7 @@ pub struct RunOpts {
     /// `--set seed=N`, applied after the other `--set`s.
     pub seed: Option<u64>,
     /// `--parallelism SPEC` sets trial (and, as `TRIALSxSHARDS`, shard)
-    /// workers; `--threads N` is the back-compat alias for the trial
-    /// axis (default: all cores for trials, one shard worker).
+    /// workers (default: all cores for trials, one shard worker).
     pub parallelism: Parallelism,
     /// `--format table|json|csv`.
     pub format: OutputFormat,

@@ -109,7 +109,7 @@ fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
                     let out = Sim::builder()
                         .topology(Complete::new(n as usize))
                         .counts(&counts)
-                        .protocol(TwoChoices::new())
+                        .protocol(GossipRule::TwoChoices)
                         .seed(seed)
                         .stop(StopCondition::RoundBudget(budget))
                         .build()

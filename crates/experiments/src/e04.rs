@@ -211,7 +211,8 @@ fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
                 {
                     let counts = counts.clone();
                     move |_, seed| {
-                        let tc = run_sync(TwoChoices::new(), n, &counts, tc_budget, seed.child(0));
+                        let tc =
+                            run_sync(GossipRule::TwoChoices, n, &counts, tc_budget, seed.child(0));
                         let proto = OneExtraBit::for_network(n as usize, k);
                         let oeb = run_sync(proto, n, &counts, 5_000, seed.child(1));
                         (tc, oeb)

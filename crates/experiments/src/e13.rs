@@ -123,13 +123,13 @@ fn run_entrant(
     // The one-selector payoff: every entrant is the same expression with a
     // different `Protocol`.
     let (protocol, budget): (Protocol, u64) = match e {
-        Entrant::Voter => (Protocol::Sync(Box::new(Voter::new())), 40 * n), // Θ(n) expected
+        Entrant::Voter => (Protocol::Sync(Box::new(GossipRule::Voter)), 40 * n), // Θ(n) expected
         Entrant::TwoChoices => (
-            Protocol::Sync(Box::new(TwoChoices::new())),
+            Protocol::Sync(Box::new(GossipRule::TwoChoices)),
             600 * k as u64 + 10_000,
         ),
         Entrant::ThreeMajority => (
-            Protocol::Sync(Box::new(ThreeMajority::new())),
+            Protocol::Sync(Box::new(GossipRule::ThreeMajority)),
             600 * k as u64 + 10_000,
         ),
         Entrant::OneExtraBit => (

@@ -185,7 +185,7 @@ fn run_cell(
             }
         } else {
             let outcome = builder
-                .protocol(TwoChoices::new())
+                .protocol(GossipRule::TwoChoices)
                 .stop(StopCondition::RoundBudget(200_000))
                 .build()
                 // lint: allow(panic-hygiene): inputs are fixed by the experiment/benchmark definition; build failure is a programming error

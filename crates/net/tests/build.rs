@@ -2,7 +2,7 @@
 //! deployment cannot honor, with a typed error naming the axis.
 
 use rapid_core::facade::{BuildError, EngineKind, NetSpec, Sim, SimBuilder, StopCondition};
-use rapid_core::{Clock, GossipRule, TwoChoices};
+use rapid_core::{Clock, GossipRule};
 use rapid_graph::complete::Complete;
 use rapid_net::Cluster;
 use rapid_sim::fault::FaultPlan;
@@ -44,7 +44,7 @@ fn kind_mismatches_stay_typed_errors() {
 
 #[test]
 fn synchronous_protocols_are_unsupported() {
-    let err = net_spec(base().protocol(TwoChoices)).unwrap_err();
+    let err = net_spec(base().protocol(GossipRule::TwoChoices)).unwrap_err();
     assert!(matches!(err, BuildError::NetUnsupported(_)), "{err}");
     assert!(err.to_string().contains("synchronous"), "{err}");
 }

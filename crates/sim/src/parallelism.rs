@@ -4,9 +4,8 @@
 //! threads: the experiment runner parallelises *trials*
 //! (`run_trials_on`), the sharded micro engine parallelises *shards of
 //! one run*, and the deployment runtime parallelises *transport
-//! workers*. Historically each grew its own knob (`Threads`,
-//! `--workers`); this module is the one shared vocabulary that replaces
-//! them.
+//! workers*. This module is their one shared vocabulary, and
+//! `--parallelism` their one flag.
 //!
 //! [`Workers`] is a single-axis policy: either a fixed count or
 //! "ask the OS" ([`Workers::Auto`]). [`Parallelism`] bundles the two
@@ -71,9 +70,8 @@ impl std::fmt::Display for Workers {
 ///
 /// `trial_workers` fans independent trials out across threads;
 /// `shard_workers` splits the nodes of *one* micro run (or the
-/// transport of one deployment) across threads. The default keeps the
-/// historical behaviour of the `Threads` policy it replaces: trials
-/// auto-parallel, runs unsharded.
+/// transport of one deployment) across threads. By default trials run
+/// on every core and runs are unsharded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Parallelism {
     /// Worker policy for trial-level fan-out (`run_trials_on`).
@@ -124,7 +122,7 @@ impl Parallelism {
     ///
     /// * `"auto"` — both axes automatic.
     /// * `"N"` — `N` trial workers, shards left at the unsharded
-    ///   default (the exact semantics of the old `--threads N`).
+    ///   default.
     /// * `"NxM"` — `N` trial workers and `M` shard workers; either
     ///   side may be `auto`.
     ///

@@ -8,8 +8,9 @@
 //!   one per (canonical parameter assignment, seed) pair, in a fixed
 //!   deterministic enumeration order;
 //! * [`scheduler`] fans the items across
-//!   `Parallelism::trial_workers` via a work-stealing [`queue`], streams
-//!   each result as a JSONL line the moment it completes, and returns
+//!   `Parallelism::trial_workers`, which claim them by one shared atomic
+//!   index, streams each result as a JSONL line the moment it completes,
+//!   and returns
 //!   the index-sorted result set — bit-identical under any worker count
 //!   or arrival order, because every item's output depends only on
 //!   (experiment, params, seed);
@@ -25,7 +26,6 @@
 #![deny(missing_docs)]
 
 pub mod cache;
-pub mod queue;
 pub mod scheduler;
 pub mod spec;
 

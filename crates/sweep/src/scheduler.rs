@@ -6,10 +6,11 @@
 //! 1. **Cache check** (single-threaded): every item's [`cache_key`] is
 //!    looked up by the coordinator alone, so the cache needs no locking
 //!    and hit/miss counters are exact.
-//! 2. **Fan out**: misses go into a work-stealing [`StealQueue`] and
-//!    `trial_workers` threads drain it. Each runner call is wrapped in
-//!    `catch_unwind`, so one poisoned trial fails *that record* while
-//!    the queue still drains and every other trial completes.
+//! 2. **Fan out**: `trial_workers` threads claim the misses by one
+//!    shared atomic index, as `run_trials_on` claims trials. Each runner
+//!    call is wrapped in `catch_unwind`, so one poisoned trial fails
+//!    *that record* while the workers claim every other miss and those
+//!    trials complete.
 //! 3. **Stream**: the coordinator invokes the caller's `on_record` sink
 //!    the moment each record exists — cache hits immediately, computed
 //!    trials in completion (arrival) order — which is what `xp sweep`
@@ -22,6 +23,7 @@
 //!    cache state. `tests/determinism.rs` pins this with a golden hash.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use rapid_experiments::json::{self, JsonValue};
@@ -29,7 +31,6 @@ use rapid_experiments::report::Report;
 use rapid_sim::parallelism::{Parallelism, Workers};
 
 use crate::cache::{cache_key, CacheCounters, CacheKey, CacheRecord, ResultCache};
-use crate::queue::StealQueue;
 use crate::spec::{SweepError, SweepSpec, WorkItem};
 
 /// How one trial's record came to be.
@@ -218,29 +219,30 @@ pub fn run_sweep_with(
     let mut cache_error: Option<String> = None;
     if !misses.is_empty() {
         let workers = parallelism.trial_workers.resolve(misses.len());
-        let expected = misses.len();
-        let queue = StealQueue::new(workers, misses);
-        let (tx, rx) = mpsc::channel::<(WorkItem, CacheKey, Result<Report, String>)>();
+        // Each worker claims the next unclaimed miss. `Relaxed` suffices:
+        // the index publishes no data, the misses were all written before
+        // the workers spawned, and results travel back over the channel.
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<(usize, Result<Report, String>)>();
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queue = &queue;
-                let runner = &runner;
+            for _ in 0..workers {
+                let (next, misses, runner) = (&next, &misses, &runner);
                 let tx = tx.clone();
-                scope.spawn(move || {
-                    while let Some((item, key)) = queue.pop(w) {
-                        let out =
-                            catch_unwind(AssertUnwindSafe(|| runner(&item))).map_err(panic_message);
-                        // A send error means the coordinator stopped
-                        // listening; keep draining so the queue empties.
-                        let _ = tx.send((item, key, out));
-                    }
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some((item, _)) = misses.get(i) else {
+                        return;
+                    };
+                    let out =
+                        catch_unwind(AssertUnwindSafe(|| runner(item))).map_err(panic_message);
+                    // A send error means the coordinator stopped
+                    // listening; keep claiming so every miss is taken.
+                    let _ = tx.send((i, out));
                 });
             }
             drop(tx);
-            for _ in 0..expected {
-                let Ok((item, key, out)) = rx.recv() else {
-                    break;
-                };
+            for (i, out) in rx {
+                let (item, key) = (&misses[i].0, misses[i].1);
                 let params_json = item.params.to_json_value().to_compact();
                 let record = match out {
                     Ok(report) => {
@@ -260,7 +262,7 @@ pub fn run_sweep_with(
                         }
                         TrialRecord {
                             index: item.index,
-                            experiment: item.experiment,
+                            experiment: item.experiment.clone(),
                             seed: item.seed,
                             params_json,
                             report_json: Some(report_json),
@@ -270,7 +272,7 @@ pub fn run_sweep_with(
                     }
                     Err(message) => TrialRecord {
                         index: item.index,
-                        experiment: item.experiment,
+                        experiment: item.experiment.clone(),
                         seed: item.seed,
                         params_json,
                         report_json: None,

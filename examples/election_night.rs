@@ -73,7 +73,7 @@ fn main() {
     let n_usize = n as usize;
     race(
         "voter",
-        || Protocol::Sync(Box::new(Voter::new())),
+        || Protocol::Sync(Box::new(GossipRule::Voter)),
         &counts,
         n_usize,
         10,
@@ -81,7 +81,7 @@ fn main() {
     );
     race(
         "two-choices",
-        || Protocol::Sync(Box::new(TwoChoices::new())),
+        || Protocol::Sync(Box::new(GossipRule::TwoChoices)),
         &counts,
         n_usize,
         20,
@@ -89,7 +89,7 @@ fn main() {
     );
     race(
         "3-majority",
-        || Protocol::Sync(Box::new(ThreeMajority::new())),
+        || Protocol::Sync(Box::new(GossipRule::ThreeMajority)),
         &counts,
         n_usize,
         30,

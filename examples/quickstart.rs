@@ -25,7 +25,7 @@ fn main() {
     let out = Sim::builder()
         .topology(Complete::new(n as usize))
         .distribution(workload.clone())
-        .protocol(TwoChoices::new())
+        .protocol(GossipRule::TwoChoices)
         .seed(Seed::new(1))
         .build()
         .expect("valid experiment")

@@ -25,7 +25,10 @@
 //! Every run — synchronous rounds, asynchronous gossip, or the paper's
 //! full rapid protocol — is assembled through the unified
 //! [`Sim`](core::facade::Sim) builder: pick a topology, an initial
-//! state, a protocol, a clock, and go.
+//! state, a protocol, a clock, and go. Each update rule is one
+//! [`GossipRule`](core::GossipRule) value, in synchronous rounds
+//! (`.protocol(rule)`) as under Poisson clocks (`.gossip(rule)`), and
+//! `Sim::run` is the one loop that runs any per-node engine to its end.
 //!
 //! ```
 //! use rapid_plurality::prelude::*;
@@ -37,7 +40,7 @@
 //! let outcome = Sim::builder()
 //!     .topology(Complete::new(1000))
 //!     .distribution(workload.clone())
-//!     .protocol(TwoChoices::new())
+//!     .protocol(GossipRule::TwoChoices)
 //!     .seed(Seed::new(7))
 //!     .build()
 //!     .expect("valid experiment")

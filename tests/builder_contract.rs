@@ -342,14 +342,14 @@ fn rows() -> Vec<Row> {
         ),
         (
             "synchronous protocol",
-            || base().protocol(TwoChoices::new()),
+            || base().protocol(GossipRule::TwoChoices),
             unsupported(SYNC),
         ),
         (
             "synchronous protocol with faults",
             || {
                 base()
-                    .protocol(TwoChoices::new())
+                    .protocol(GossipRule::TwoChoices)
                     .faults(FaultPlan::none().with_loss(0.1))
             },
             [
@@ -756,9 +756,9 @@ impl Assembly {
         };
         b = match &self.protocol {
             None => b,
-            Some(Proto::Voter) => b.protocol(Voter::new()),
-            Some(Proto::TwoChoices) => b.protocol(TwoChoices::new()),
-            Some(Proto::ThreeMajority) => b.protocol(ThreeMajority::new()),
+            Some(Proto::Voter) => b.protocol(GossipRule::Voter),
+            Some(Proto::TwoChoices) => b.protocol(GossipRule::TwoChoices),
+            Some(Proto::ThreeMajority) => b.protocol(GossipRule::ThreeMajority),
             Some(Proto::OneExtraBit) => b.protocol(OneExtraBit::for_network(self.n, k.max(2))),
             Some(Proto::Gossip(rule)) => b.gossip(*rule),
             Some(Proto::Rapid { broken }) => {

@@ -17,11 +17,11 @@ fn all_sync_protocols_find_a_clear_plurality() {
     let makers: Vec<(&str, ProtocolMaker)> = vec![
         (
             "two-choices",
-            Box::new(|| Protocol::Sync(Box::new(TwoChoices::new()))),
+            Box::new(|| Protocol::Sync(Box::new(GossipRule::TwoChoices))),
         ),
         (
             "3-majority",
-            Box::new(|| Protocol::Sync(Box::new(ThreeMajority::new()))),
+            Box::new(|| Protocol::Sync(Box::new(GossipRule::ThreeMajority))),
         ),
         (
             "one-extra-bit",
@@ -64,7 +64,7 @@ fn two_choices_works_beyond_the_clique() {
         let out = Sim::builder()
             .topology(g)
             .counts(&counts)
-            .protocol(TwoChoices::new())
+            .protocol(GossipRule::TwoChoices)
             .shuffle(true)
             .seed(Seed::new(200 + seed))
             .stop(StopCondition::RoundBudget(100_000))
@@ -135,8 +135,8 @@ fn one_extra_bit_is_polylog_while_two_choices_grows() {
                 .expect("synchronous") as f64
         };
         for seed in 0..trials {
-            tc_mean +=
-                rounds(Protocol::Sync(Box::new(TwoChoices::new())), 300 + seed) / trials as f64;
+            tc_mean += rounds(Protocol::Sync(Box::new(GossipRule::TwoChoices)), 300 + seed)
+                / trials as f64;
             oeb_mean += rounds(
                 Protocol::Sync(Box::new(OneExtraBit::for_network(n as usize, 32))),
                 400 + seed,

@@ -37,6 +37,12 @@ neither) and a verdict, the first of:
 So a median past the bound whose CI reaches back within it reads slower
 or unresolved, never worse than bound.
 
+The workload form then prints one line per metric across both seeds:
+each seed's verdict and one combined verdict, `worse than bound` if
+either seed reads it, `gain`, `slower` or `no change` only if both seeds
+read that verdict, and `unresolved` otherwise. One seed can show a few
+per cent that is not there; a gain needs both.
+
 Directions and bounds come from BENCHMARK.json; a kernel has no bound.
 
 Exit codes: 0 measured; 1 an end-to-end metric is worse than its bound;
@@ -279,8 +285,28 @@ def pairs(parent, change, count, measure):
     return by_metric(parent), by_metric(change)
 
 
+def combine(verdicts):
+    """One verdict from a metric's per-seed verdicts (None where a seed lacks it)."""
+    if "worse than bound" in verdicts:
+        return "worse than bound"
+    if len(set(verdicts)) == 1 and verdicts[0] in ("gain", "slower", "no change"):
+        return verdicts[0]
+    return "unresolved"
+
+
+def across_seeds(per_seed):
+    """The report across seeds: one line per metric, each seed's verdict and the combined one."""
+    names = dict.fromkeys(name for verdicts in per_seed for name in verdicts)
+    lines = [f"{'metric':<24} " + "".join(f"{'seed ' + str(s):<19}" for s in SEEDS) + "verdict"]
+    for name in names:
+        verdicts = [v.get(name) for v in per_seed]
+        lines.append(f"{name:<24} " + "".join(f"{v or '-':<19}" for v in verdicts)
+                     + combine(verdicts))
+    return "\n".join(lines)
+
+
 def compare_and_print(parent_samples, change_samples, specs):
-    """Judges and prints every metric; True if an end-to-end one is worse than its bound."""
+    """Judges and prints every metric both sides report; their verdicts by name."""
     rows = []
     for name, values in parent_samples.items():
         if name not in change_samples:
@@ -296,7 +322,7 @@ def compare_and_print(parent_samples, change_samples, specs):
         only = [name for name in mine if name not in theirs]
         if only:
             print(f"only the {label} reports: {', '.join(only)}")
-    return any(r["verdict"] == "worse than bound" for _, _, r in rows)
+    return {name: r["verdict"] for name, _, r in rows}
 
 
 def main(argv=None):
@@ -343,12 +369,13 @@ def measure(args):
     seconds = bench["run_seconds"]
     worse = changed = False
     for name in names:
+        per_seed = []
         for seed in SEEDS:
             print(f"\n== {name} seed {seed}: {args.pairs} pairs at {seconds} s")
             for side in (parent, change):
                 side.attempted = side.failed = 0
             p, c = pairs(parent, change, args.pairs, lambda s: s.workload(name, seed, seconds))
-            worse |= compare_and_print(p, c, specs)
+            per_seed.append(compare_and_print(p, c, specs))
             print(f"trials failed/attempted: parent {parent.failed}/{parent.attempted}, "
                   f"change {change.failed}/{change.attempted}")
             done = subprocess.run([sys.executable, "perfbench/run.py", "compare",
@@ -359,6 +386,9 @@ def measure(args):
                 fail(f"run.py compare exited {done.returncode}\n{done.stderr}")
             changed |= done.returncode == 3
             print("\n".join(l for l in done.stdout.splitlines() if not l.startswith("hosts:")))
+        print(f"\n== {name}: one verdict across both seeds")
+        print(across_seeds(per_seed))
+        worse |= "worse than bound" in (v for verdicts in per_seed for v in verdicts.values())
     return 3 if changed else 1 if worse else 0
 
 

@@ -159,6 +159,37 @@ class Verdicts(unittest.TestCase):
         self.assertEqual(ab.bootstrap_ci(BASE, change), ab.bootstrap_ci(BASE, change))
 
 
+class AcrossSeeds(unittest.TestCase):
+    def test_a_gain_on_one_seed_alone_is_unresolved(self):
+        # An A/A run read gain on 424242 and no change on seed 1.
+        self.assertEqual(ab.combine(["no change", "gain"]), "unresolved")
+
+    def test_a_gain_on_both_seeds_is_a_gain(self):
+        self.assertEqual(ab.combine(["gain", "gain"]), "gain")
+        self.assertEqual(ab.combine(["slower", "slower"]), "slower")
+
+    def test_worse_than_bound_on_either_seed_decides(self):
+        self.assertEqual(ab.combine(["no change", "worse than bound"]), "worse than bound")
+        self.assertEqual(ab.combine(["worse than bound", "gain"]), "worse than bound")
+
+    def test_no_change_on_both_seeds_is_no_change(self):
+        self.assertEqual(ab.combine(["no change", "no change"]), "no change")
+
+    def test_unresolved_or_missing_seeds_stay_unresolved(self):
+        self.assertEqual(ab.combine(["unresolved", "unresolved"]), "unresolved")
+        self.assertEqual(ab.combine(["gain", None]), "unresolved")
+        self.assertEqual(ab.combine(["gain", "slower"]), "unresolved")
+
+    def test_the_report_prints_each_seed_and_the_combined_verdict(self):
+        report = ab.across_seeds([{"trial_cpu_s_p50": "no change", "setup_s": "unresolved"},
+                                  {"trial_cpu_s_p50": "gain"}])
+        lines = report.splitlines()
+        self.assertEqual(lines[0].split(), ["metric", "seed", "1", "seed", "424242", "verdict"])
+        self.assertEqual(lines[1].split(), ["trial_cpu_s_p50", "no", "change", "gain",
+                                            "unresolved"])
+        self.assertEqual(lines[2].split(), ["setup_s", "unresolved", "-", "unresolved"])
+
+
 class Parsing(unittest.TestCase):
     def test_perfbench_result_line(self):
         attempted, failed, metrics = ab.parse_result_line(RESULT_LINE)
@@ -179,8 +210,8 @@ class Report(unittest.TestCase):
         specs = {"a": {"unit": "s", "better": "lower"}}
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            worse = ab.compare_and_print({"a": BASE, "b": BASE}, {"a": BASE, "c": BASE}, specs)
-        self.assertFalse(worse)
+            verdicts = ab.compare_and_print({"a": BASE, "b": BASE}, {"a": BASE, "c": BASE}, specs)
+        self.assertEqual(verdicts, {"a": "no change"})
         self.assertIn("only the parent reports: b", out.getvalue())
         self.assertIn("only the change reports: c", out.getvalue())
 
