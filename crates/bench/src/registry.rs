@@ -249,7 +249,7 @@ fn scheduler_event_queue_65536() -> Box<dyn FnMut()> {
 
 fn scheduler_jittered_1024() -> Box<dyn FnMut()> {
     let inner = SequentialScheduler::with_mode(1024, Seed::new(4), TimeMode::Sampled);
-    let mut s = JitteredScheduler::new(inner, Seed::new(5), 2.0);
+    let mut s = LatencyScheduler::new(inner, Seed::new(5), LatencyModel::Exponential { rate: 2.0 });
     Box::new(move || {
         for _ in 0..BATCH {
             std::hint::black_box(s.next_activation());

@@ -67,13 +67,11 @@ use std::sync::Arc;
 
 use rapid_graph::topology::Topology;
 use rapid_obs::{Obs, TraceEvent};
-use rapid_sim::fault::{FaultError, FaultPlan, LatencyScheduler};
+use rapid_sim::fault::{FaultError, FaultPlan, LatencyModel, LatencyScheduler};
 use rapid_sim::parallelism::Parallelism;
+pub use rapid_sim::poisson::MIN_RATE;
 use rapid_sim::rng::{Seed, SimRng};
-use rapid_sim::scheduler::{
-    ActivationSource, EventQueueScheduler, HeterogeneousScheduler, JitteredScheduler,
-    SequentialScheduler, TimeMode,
-};
+use rapid_sim::scheduler::{ActivationSource, EventQueueScheduler, SequentialScheduler, TimeMode};
 use rapid_sim::time::SimTime;
 
 use crate::asynchronous::kernel::{AsyncProtocol, GossipRule};
@@ -1038,7 +1036,8 @@ impl SimBuilder {
     }
 
     /// Wraps the clock in exponential response delays at `delay_rate`
-    /// (the discussion-section extension).
+    /// (the discussion-section extension): a [`LatencyScheduler`] with
+    /// [`LatencyModel::Exponential`], on its own stream.
     pub fn jitter(mut self, delay_rate: f64) -> Self {
         self.jitter = Some(delay_rate);
         self
@@ -1532,17 +1531,6 @@ fn common_rate(clock: &Clock) -> Option<f64> {
     }
 }
 
-/// The slowest clock or jitter rate a build accepts.
-///
-/// Every exponential gap or delay is `−ln(U)/rate`, where the sampler's
-/// uniform `U` is at least 2⁻⁵³, so one gap is at most
-/// `53·ln 2/rate ≈ 36.7/rate` time units. Even 2⁶⁴ of them, more steps
-/// than a run can count, sum to less than `f64::MAX` at any rate above
-/// ≈ 3.8·10⁻²⁸⁸: every run above the floor keeps a finite clock, with
-/// eight orders of magnitude to spare. Below it, a long enough run
-/// overflows simulation time to infinity, which panics.
-pub const MIN_RATE: f64 = 1e-280;
-
 /// Whether `rate` is a usable clock or jitter rate ([`MIN_RATE`]).
 fn valid_rate(rate: f64) -> bool {
     rate.is_finite() && rate >= MIN_RATE
@@ -1602,23 +1590,29 @@ fn build_source(
             Box::new(SequentialScheduler::with_mode(n, seed.child(0), *mode))
         }
         Clock::EventQueue { rate } => Box::new(EventQueueScheduler::new(n, seed.child(0), *rate)),
-        Clock::UniformSkew { skew } => Box::new(HeterogeneousScheduler::with_uniform_skew(
+        Clock::UniformSkew { skew } => Box::new(EventQueueScheduler::with_uniform_skew(
             n,
             *skew,
             seed.child(0),
         )),
-        Clock::Rates(rates) => Box::new(HeterogeneousScheduler::new(rates.clone(), seed.child(0))),
+        Clock::Rates(rates) => Box::new(EventQueueScheduler::with_rates(
+            rates.clone(),
+            seed.child(0),
+        )),
     };
-    let inner = match jitter {
-        Some(rate) => Box::new(JitteredScheduler::new(inner, seed.child(3), rate)) as BoxedSource,
-        None => inner,
-    };
-    match faults.map(|f| f.latency) {
-        Some(model) if !model.is_none() => {
-            Box::new(LatencyScheduler::new(inner, seed.child(5), model))
+    // Each delay law wraps the clock in turn: the jitter's exponential law,
+    // then the fault plan's latency.
+    let jitter = jitter.map(|rate| LatencyModel::Exponential { rate });
+    let delays = [
+        (seed.child(3), jitter),
+        (seed.child(5), faults.map(|f| f.latency)),
+    ];
+    delays.into_iter().fold(inner, |source, delay| match delay {
+        (stream, Some(model)) if !model.is_none() => {
+            Box::new(LatencyScheduler::new(source, stream, model))
         }
-        _ => inner,
-    }
+        _ => source,
+    })
 }
 
 enum Engine {

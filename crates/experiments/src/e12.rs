@@ -4,9 +4,10 @@
 //! response arrives after an `Exponential(mu)` delay (μ constant,
 //! independent of `n`) should preserve the `O(log n)` run-time shape.
 //!
-//! Implementation: the [`JitteredScheduler`] postpones each tick's *effect*
-//! by an exponential response latency (see `rapid-sim`'s `delay` module for
-//! the modelling discussion); the protocol itself is unchanged.
+//! Implementation: the builder's `.jitter(rate)` wraps the clock in a
+//! [`LatencyScheduler`] with [`LatencyModel::Exponential`], which postpones
+//! each tick's *effect* by an exponential response latency; the protocol
+//! itself is unchanged.
 //!
 //! Shape check: `time/ln n` stays within a constant band across both the
 //! delay rates and the `n` sweep, degrading smoothly as the mean delay
@@ -150,9 +151,9 @@ fn run_on(cfg: &Config, parallelism: Parallelism) -> Report {
             let time: OnlineStats = valid.iter().map(|r| r.0).collect();
             let success = valid.iter().filter(|r| r.1).count() as f64 / valid.len() as f64;
             let delay_label = if rate > 0.0 {
-                ResponseDelay::exponential(rate).to_string()
+                LatencyModel::Exponential { rate }.to_string()
             } else {
-                ResponseDelay::None.to_string()
+                LatencyModel::None.to_string()
             };
             let mean_delay = if rate > 0.0 { 1.0 / rate } else { 0.0 };
             table.push_row(vec![

@@ -54,7 +54,7 @@ pub const STREAM_REGISTRY: &[StreamEntry] = &[
     StreamEntry {
         id: 3,
         owner: "jitter",
-        consumer: "`JitteredScheduler` delay draws",
+        consumer: "`LatencyScheduler` exponential jitter draws (`.jitter`)",
         introduced_in: "PR 1",
     },
     StreamEntry {

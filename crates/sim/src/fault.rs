@@ -57,7 +57,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::node::NodeId;
-use crate::poisson::sample_exponential;
+use crate::poisson::{sample_exponential, MIN_RATE};
 use crate::rng::{Seed, SimRng};
 use crate::scheduler::{Activation, ActivationSource};
 use crate::time::SimTime;
@@ -104,7 +104,10 @@ impl LatencyModel {
         matches!(self, LatencyModel::None)
     }
 
-    /// Validates the parameters.
+    /// Validates the parameters: besides their ranges, a law's largest
+    /// draw must be a finite time. An exponential rate below [`MIN_RATE`]
+    /// or a Pareto tail too heavy for its scale would overflow simulation
+    /// time in the middle of a run.
     ///
     /// # Errors
     ///
@@ -127,17 +130,19 @@ impl LatencyModel {
                 }
             }
             LatencyModel::Exponential { rate } => {
-                if rate.is_finite() && rate > 0.0 {
+                if rate.is_finite() && rate >= MIN_RATE {
                     Ok(())
                 } else {
-                    Err("exponential latency rate must be positive and finite")
+                    Err("exponential latency rate must be finite and at least MIN_RATE (1e-280)")
                 }
             }
             LatencyModel::Pareto { scale, shape } => {
-                if scale.is_finite() && scale > 0.0 && shape.is_finite() && shape > 0.0 {
-                    Ok(())
-                } else {
+                if !(scale.is_finite() && scale > 0.0 && shape.is_finite() && shape > 0.0) {
                     Err("Pareto latency needs positive finite scale and shape")
+                } else if !lomax(scale, shape, SMALLEST_UNIT).is_finite() {
+                    Err("Pareto latency's largest draw is not a finite time")
+                } else {
+                    Ok(())
                 }
             }
         }
@@ -151,12 +156,18 @@ impl LatencyModel {
             LatencyModel::Constant(c) => c,
             LatencyModel::Uniform { lo, hi } => lo + (hi - lo) * rng.unit_f64(),
             LatencyModel::Exponential { rate } => sample_exponential(rng, rate),
-            LatencyModel::Pareto { scale, shape } => {
-                let u = rng.unit_f64_open_left();
-                scale * (u.powf(-1.0 / shape) - 1.0)
-            }
+            LatencyModel::Pareto { scale, shape } => lomax(scale, shape, rng.unit_f64_open_left()),
         }
     }
+}
+
+/// 2⁻⁵³, the smallest uniform [`SimRng::unit_f64_open_left`] returns: the
+/// one that gives a latency law its largest draw.
+const SMALLEST_UNIT: f64 = f64::EPSILON / 2.0;
+
+/// The Lomax draw `scale · (u^{−1/shape} − 1)` for the uniform `u`.
+fn lomax(scale: f64, shape: f64, u: f64) -> f64 {
+    scale * (u.powf(-1.0 / shape) - 1.0)
 }
 
 impl std::fmt::Display for LatencyModel {
@@ -450,11 +461,6 @@ impl FaultState {
         self.down[node.index()]
     }
 
-    /// How many nodes are currently crashed.
-    pub fn down_count(&self) -> usize {
-        self.down.iter().filter(|&&d| d).count()
-    }
-
     /// Decides whether one message is lost. Draws randomness only for
     /// `0 < loss < 1`; the endpoints are decided without touching the
     /// fault stream.
@@ -505,9 +511,10 @@ impl FaultState {
 
 /// Wraps an [`ActivationSource`], postponing each activation's *effect*
 /// by a draw from a [`LatencyModel`] and re-delivering in effect-time
-/// order. The generalisation of
-/// [`JitteredScheduler`](crate::scheduler::JitteredScheduler) to
-/// arbitrary (including heavy-tailed) latency laws.
+/// order. With [`LatencyModel::Exponential`] this is the discussion
+/// section's response delay (the `Sim` builder's `.jitter(rate)`); the
+/// other laws, heavy-tailed ones included, are the fault layer's edge
+/// latencies.
 ///
 /// # Example
 ///
@@ -545,11 +552,12 @@ impl<S: ActivationSource> LatencyScheduler<S> {
             // lint: allow(panic-hygiene): documented panic — the # Panics section requires a checked model
             panic!("invalid latency model: {why}");
         }
-        // Same buffering rationale as JitteredScheduler: keep enough
-        // delayed events queued that the heap head is (with overwhelming
-        // probability) the globally next effect. Heavy-tailed draws can in
-        // principle exceed any finite lookahead; the window below keeps
-        // inversions negligible for the tail indices the experiments use.
+        // Keep enough delayed events queued that the heap head is the
+        // globally next effect. At clock rate 1 the window holds about 4
+        // time units of arrivals, so that holds while delays stay well
+        // below 4 (the experiments' exponential rates are >= 1). Slower
+        // or heavier-tailed laws can outlast the window, and then
+        // activations come out of time order.
         let lookahead = inner.n().max(64) * 4;
         LatencyScheduler {
             inner,
@@ -689,12 +697,13 @@ mod tests {
             ChurnEvent::crash(NodeId::new(2), SimTime::from_secs(2.0)),
         ]);
         let mut f = FaultState::new(&plan, 4, Seed::new(3));
-        assert_eq!(f.down_count(), 0);
+        let down = |f: &FaultState| (0..4).filter(|&i| f.is_down(NodeId::new(i))).count();
+        assert_eq!(down(&f), 0);
         f.advance_to(SimTime::from_secs(1.5));
         assert!(f.is_down(NodeId::new(1)));
         assert!(!f.is_down(NodeId::new(2)));
         f.advance_to(SimTime::from_secs(2.5));
-        assert_eq!(f.down_count(), 2);
+        assert_eq!(down(&f), 2);
         f.advance_to(SimTime::from_secs(3.5));
         assert!(!f.is_down(NodeId::new(1)), "node 1 rejoined");
         assert!(f.is_down(NodeId::new(2)), "node 2 is gone for good");

@@ -7,19 +7,18 @@
 //!   (SplitMix64 seeding a xoshiro256++ engine), implemented here with no
 //!   external dependencies so streams are stable forever.
 //! * [`time`] — totally ordered simulation time ([`SimTime`]).
-//! * [`poisson`] — exponential inter-arrival sampling and Poisson processes,
-//!   the clock model of the paper's asynchronous setting.
+//! * [`poisson`] — exponential and Poisson sampling, the clock model of
+//!   the paper's asynchronous setting.
 //! * [`scheduler`] — activation sources: the **sequential model** (each step
 //!   activates a uniformly random node; `n` steps ≈ one time unit) and the
-//!   **continuous-time model** (per-node Poisson(1) clocks via an event
-//!   queue). The paper analyses the former and invokes their equivalence
-//!   (Mosk-Aoyama & Shah, 2008); this crate implements both so the
-//!   equivalence can be tested rather than assumed.
-//! * [`delay`] — response-delay models for the discussion-section extension
-//!   (exponentially distributed pull latencies).
+//!   **continuous-time model** (per-node Poisson clocks via an event queue,
+//!   at one common rate or per-node rates). The paper analyses the former
+//!   and invokes their equivalence (Mosk-Aoyama & Shah, 2008); this crate
+//!   implements both so the equivalence can be tested rather than assumed.
 //! * [`fault`] — the fault & adversary layer: message loss, per-edge
-//!   latency distributions (including heavy-tailed), churn schedules, and
-//!   budgeted opinion-corrupting adversaries, all seed-deterministic.
+//!   latency distributions (including the discussion section's exponential
+//!   response delays and heavy-tailed ones), churn schedules, and budgeted
+//!   opinion-corrupting adversaries, all seed-deterministic.
 //! * [`trace`] — recording and replaying activation sequences.
 //! * [`metrics`] — per-node activation statistics (tick concentration).
 //! * [`parallelism`] — the shared worker-count vocabulary
@@ -47,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod delay;
 pub mod fault;
 pub mod metrics;
 pub mod node;
@@ -59,7 +57,6 @@ pub mod testkit;
 pub mod time;
 pub mod trace;
 
-pub use delay::ResponseDelay;
 pub use fault::{
     AdversaryKind, AdversaryPlan, ChurnEvent, FaultError, FaultPlan, FaultState, LatencyModel,
     LatencyScheduler,
@@ -67,18 +64,16 @@ pub use fault::{
 pub use metrics::ActivationStats;
 pub use node::NodeId;
 pub use parallelism::{Parallelism, Workers};
-pub use poisson::{sample_exponential, sample_poisson, PoissonProcess};
+pub use poisson::{sample_exponential, sample_poisson};
 pub use rng::{Seed, SimRng, SplitMix64};
 pub use scheduler::{
-    Activation, ActivationSource, EventQueueScheduler, HeterogeneousScheduler, JitteredScheduler,
-    SequentialScheduler, TimeMode,
+    Activation, ActivationSource, EventQueueScheduler, SequentialScheduler, TimeMode,
 };
 pub use time::SimTime;
 pub use trace::{ActivationTrace, TraceReplay};
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
-    pub use crate::delay::ResponseDelay;
     pub use crate::fault::{
         AdversaryKind, AdversaryPlan, ChurnEvent, FaultPlan, FaultState, LatencyModel,
         LatencyScheduler,
@@ -86,11 +81,10 @@ pub mod prelude {
     pub use crate::metrics::ActivationStats;
     pub use crate::node::NodeId;
     pub use crate::parallelism::{Parallelism, Workers};
-    pub use crate::poisson::{sample_exponential, PoissonProcess};
+    pub use crate::poisson::sample_exponential;
     pub use crate::rng::{Seed, SimRng};
     pub use crate::scheduler::{
-        Activation, ActivationSource, EventQueueScheduler, HeterogeneousScheduler,
-        JitteredScheduler, SequentialScheduler, TimeMode,
+        Activation, ActivationSource, EventQueueScheduler, SequentialScheduler, TimeMode,
     };
     pub use crate::time::SimTime;
     pub use crate::trace::{ActivationTrace, TraceReplay};

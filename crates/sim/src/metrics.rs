@@ -108,18 +108,6 @@ impl ActivationStats {
             // lint: allow(panic-hygiene): constructors reject n = 0, so the per-node collections are non-empty
             .map(|ts| ts.into_iter().max().expect("n > 0"))
     }
-
-    /// The fraction of nodes whose tick count deviates from the mean by more
-    /// than `threshold`.
-    pub fn fraction_deviating_by(&self, threshold: f64) -> f64 {
-        let mean = self.total as f64 / self.n() as f64;
-        let bad = self
-            .counts
-            .iter()
-            .filter(|&&c| (c as f64 - mean).abs() > threshold)
-            .count();
-        bad as f64 / self.n() as f64
-    }
 }
 
 #[cfg(test)]
@@ -169,13 +157,6 @@ mod tests {
             time: SimTime::from_secs(0.9),
         });
         assert_eq!(stats.last_first_activation(), Some(SimTime::from_secs(0.9)));
-    }
-
-    #[test]
-    fn fraction_deviating_is_zero_for_huge_threshold() {
-        let stats = run(10, 1000, 3);
-        assert_eq!(stats.fraction_deviating_by(1e9), 0.0);
-        assert!(stats.fraction_deviating_by(-1.0) > 0.0);
     }
 
     #[test]

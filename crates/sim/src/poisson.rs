@@ -2,12 +2,26 @@
 //!
 //! Every node carries an independent Poisson clock with rate λ = 1: the
 //! inter-tick gaps are i.i.d. Exponential(1). [`sample_exponential`] draws
-//! such gaps; [`PoissonProcess`] iterates the resulting arrival times; and
-//! [`sample_poisson`] draws the number of arrivals in a fixed window (used
-//! by tests that validate tick-concentration claims directly).
+//! such gaps (the schedulers sum them into arrival times), and
+//! [`sample_poisson`] draws the number of arrivals in a fixed window (the
+//! epoch engine's per-node tick counts). [`MIN_RATE`] is the floor every
+//! validated clock and delay rate keeps.
 
 use crate::rng::SimRng;
-use crate::time::SimTime;
+
+/// The slowest clock or delay rate a validated run accepts: the `Sim`
+/// builder's clock and jitter checks and
+/// [`LatencyModel::check`](crate::fault::LatencyModel::check) reject
+/// anything slower.
+///
+/// Every exponential gap or delay is `−ln(U)/rate`, where the sampler's
+/// uniform `U` is at least 2⁻⁵³, so one gap is at most
+/// `53·ln 2/rate ≈ 36.7/rate` time units. Even 2⁶⁴ of them, more steps
+/// than a run can count, sum to less than `f64::MAX` at any rate above
+/// ≈ 3.8·10⁻²⁸⁸: every run above the floor keeps a finite clock, with
+/// eight orders of magnitude to spare. Below it, a long enough run
+/// overflows simulation time to infinity, which panics.
+pub const MIN_RATE: f64 = 1e-280;
 
 /// Samples an `Exponential(rate)` variate.
 ///
@@ -67,58 +81,6 @@ pub fn sample_poisson(rng: &mut SimRng, lambda: f64) -> u64 {
             return k;
         }
         k += 1;
-    }
-}
-
-/// A Poisson arrival process: an infinite iterator of arrival times.
-///
-/// # Example
-///
-/// ```
-/// use rapid_sim::prelude::*;
-/// let mut rng = SimRng::from_seed_value(Seed::new(2));
-/// let mut clock = PoissonProcess::new(1.0);
-/// let t1 = clock.next_arrival(&mut rng);
-/// let t2 = clock.next_arrival(&mut rng);
-/// assert!(t2 >= t1);
-/// ```
-#[derive(Clone, Debug)]
-pub struct PoissonProcess {
-    rate: f64,
-    now: SimTime,
-}
-
-impl PoissonProcess {
-    /// Creates a rate-`rate` Poisson process starting at time zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive and finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "Poisson process rate must be positive and finite, got {rate}"
-        );
-        PoissonProcess {
-            rate,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Returns the process rate λ.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Returns the time of the most recent arrival (zero before the first).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advances to and returns the next arrival time.
-    pub fn next_arrival(&mut self, rng: &mut SimRng) -> SimTime {
-        self.now += SimTime::from_secs(sample_exponential(rng, self.rate));
-        self.now
     }
 }
 
@@ -190,36 +152,5 @@ mod tests {
     fn poisson_zero_rate_is_zero() {
         let mut rng = SimRng::from_seed_value(Seed::new(14));
         assert_eq!(sample_poisson(&mut rng, 0.0), 0);
-    }
-
-    #[test]
-    fn process_arrivals_increase() {
-        let mut rng = SimRng::from_seed_value(Seed::new(15));
-        let mut p = PoissonProcess::new(2.0);
-        assert_eq!(p.rate(), 2.0);
-        let mut last = SimTime::ZERO;
-        for _ in 0..100 {
-            let t = p.next_arrival(&mut rng);
-            assert!(t >= last);
-            last = t;
-        }
-        assert_eq!(p.now(), last);
-    }
-
-    #[test]
-    fn process_count_in_window_is_poisson_like() {
-        // Count arrivals in [0, T]; mean should be rate * T.
-        let mut rng = SimRng::from_seed_value(Seed::new(16));
-        let t_end = SimTime::from_secs(50.0);
-        let mut total = 0u64;
-        let reps = 200;
-        for _ in 0..reps {
-            let mut p = PoissonProcess::new(1.0);
-            while p.next_arrival(&mut rng) <= t_end {
-                total += 1;
-            }
-        }
-        let mean = total as f64 / reps as f64;
-        assert!((mean - 50.0).abs() < 2.0, "mean arrivals {mean} vs 50");
     }
 }

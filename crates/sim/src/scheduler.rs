@@ -12,12 +12,15 @@
 //!   sequence of activation *times* exactly that of `n` superposed unit
 //!   Poisson processes.
 //! * [`EventQueueScheduler`] — per-node Poisson clocks in continuous time,
-//!   realised with a binary-heap event queue. Statistically equivalent to
-//!   the sequential scheduler in `Sampled` mode; an integration test checks
-//!   this with a Kolmogorov–Smirnov test instead of taking it on faith.
-//! * [`JitteredScheduler`] — the discussion-section extension: each tick's
-//!   *effect* is delayed by an exponential response latency, modelling pulls
-//!   whose answers do not arrive instantaneously.
+//!   realised with a binary-heap event queue. Every node shares one rate,
+//!   or each ticks at its own (the discussion section's heterogeneous
+//!   clocks). Statistically equivalent to the sequential scheduler in
+//!   `Sampled` mode; an integration test checks this with a
+//!   Kolmogorov–Smirnov test instead of taking it on faith.
+//!
+//! Response delays (the discussion section's exponentially delayed pulls)
+//! wrap any of these in a [`LatencyScheduler`](crate::fault::LatencyScheduler)
+//! with [`LatencyModel::Exponential`](crate::fault::LatencyModel::Exponential).
 //!
 //! All schedulers yield a stream of [`Activation`]s through the
 //! [`ActivationSource`] trait, so protocol drivers are scheduler-agnostic.
@@ -116,7 +119,6 @@ pub struct SequentialScheduler {
     // the division (plus `SimTime::from_secs` range checks) is measurable
     // at tens of millions of activations per run.
     expected_gap: SimTime,
-    tick_counts: Vec<u64>,
 }
 
 impl SequentialScheduler {
@@ -143,29 +145,12 @@ impl SequentialScheduler {
             now: SimTime::ZERO,
             mode,
             expected_gap: SimTime::from_secs(1.0 / n as f64),
-            tick_counts: vec![0; n],
         }
-    }
-
-    /// Returns the current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// Returns the number of steps executed so far.
     pub fn steps(&self) -> u64 {
         self.step
-    }
-
-    /// Per-node tick counts accumulated so far.
-    pub fn tick_counts(&self) -> &[u64] {
-        &self.tick_counts
-    }
-
-    /// Borrow the scheduler's RNG (e.g. to seed protocol decisions from the
-    /// same stream, preserving single-seed determinism).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
     }
 }
 
@@ -183,7 +168,6 @@ impl ActivationSource for SequentialScheduler {
         };
         self.now += gap;
         let node = NodeId::new(self.rng.bounded_usize(self.n));
-        self.tick_counts[node.index()] += 1;
         let a = Activation {
             step: self.step,
             node,
@@ -194,8 +178,14 @@ impl ActivationSource for SequentialScheduler {
     }
 }
 
-/// Continuous-time model: every node owns an independent Poisson(1) clock;
+/// Continuous-time model: every node owns an independent Poisson clock;
 /// activations are delivered in global time order via a binary heap.
+///
+/// All nodes share one rate ([`new`](Self::new)), or node `i` ticks at
+/// its own rate ([`with_rates`](Self::with_rates),
+/// [`with_uniform_skew`](Self::with_uniform_skew)) — the discussion
+/// section's heterogeneous clocks, which experiment E15 uses to measure
+/// the asynchronous protocol's tolerance to clock skew.
 ///
 /// # Example
 ///
@@ -205,16 +195,34 @@ impl ActivationSource for SequentialScheduler {
 /// let a = s.next_activation();
 /// let b = s.next_activation();
 /// assert!(b.time >= a.time);
+/// let mut skewed = EventQueueScheduler::with_rates(vec![0.5, 1.0, 2.0], Seed::new(1));
+/// assert!(skewed.next_activation().node.index() < 3);
 /// ```
 #[derive(Clone, Debug)]
 pub struct EventQueueScheduler {
     n: usize,
-    rate: f64,
+    rates: Rates,
     rng: SimRng,
     heap: BinaryHeap<Reverse<(SimTime, u64, NodeId)>>,
     step: u64,
     seq: u64,
-    tick_counts: Vec<u64>,
+}
+
+/// The clock rates of an [`EventQueueScheduler`]: one for every node, or
+/// one per node.
+#[derive(Clone, Debug)]
+enum Rates {
+    Common(f64),
+    PerNode(Vec<f64>),
+}
+
+impl Rates {
+    fn of(&self, node: usize) -> f64 {
+        match self {
+            Rates::Common(rate) => *rate,
+            Rates::PerNode(rates) => rates[node],
+        }
+    }
 }
 
 impl EventQueueScheduler {
@@ -224,125 +232,27 @@ impl EventQueueScheduler {
     ///
     /// Panics if `n == 0` or `rate` is not strictly positive and finite.
     pub fn new(n: usize, seed: Seed, rate: f64) -> Self {
-        assert!(n > 0, "network must contain at least one node");
         assert!(
             rate.is_finite() && rate > 0.0,
             "clock rate must be positive and finite, got {rate}"
         );
-        let mut rng = SimRng::from_seed_value(seed);
-        let mut heap = BinaryHeap::with_capacity(n);
-        let mut seq = 0u64;
-        for i in 0..n {
-            let t = SimTime::from_secs(sample_exponential(&mut rng, rate));
-            heap.push(Reverse((t, seq, NodeId::new(i))));
-            seq += 1;
-        }
-        EventQueueScheduler {
-            n,
-            rate,
-            rng,
-            heap,
-            step: 0,
-            seq,
-            tick_counts: vec![0; n],
-        }
+        Self::seeded(n, Rates::Common(rate), seed)
     }
 
-    /// Per-node tick counts accumulated so far.
-    pub fn tick_counts(&self) -> &[u64] {
-        &self.tick_counts
-    }
-}
-
-impl ActivationSource for EventQueueScheduler {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn next_activation(&mut self) -> Activation {
-        // Replace the heap root in place instead of pop + push: one
-        // sift-down instead of a sift-down and a sift-up. The delivered
-        // order is unchanged — the heap still always yields the minimum of
-        // the same (time, seq, node) multiset — and the RNG draw sequence
-        // is identical (one exponential per activation), so activation
-        // streams are bit-for-bit those of the pop+push implementation.
-        // lint: allow(panic-hygiene): the heap is seeded with one event per node and every pop is followed by a push
-        let mut top = self.heap.peek_mut().expect("event queue is never empty");
-        let Reverse((time, _, node)) = *top;
-        let next = time + SimTime::from_secs(sample_exponential(&mut self.rng, self.rate));
-        *top = Reverse((next, self.seq, node));
-        drop(top);
-        self.seq += 1;
-        self.tick_counts[node.index()] += 1;
-        let a = Activation {
-            step: self.step,
-            node,
-            time,
-        };
-        self.step += 1;
-        a
-    }
-}
-
-/// Heterogeneous Poisson clocks (discussion-section extension): node `i`
-/// ticks at its own rate `rates[i]`, instead of the paper's uniform λ = 1.
-///
-/// The paper conjectures its techniques "carry over to a much more general
-/// setting" than unit-rate clocks; experiment E15 uses this scheduler to
-/// measure the asynchronous protocol's tolerance to clock skew.
-///
-/// # Example
-///
-/// ```
-/// use rapid_sim::prelude::*;
-/// use rapid_sim::scheduler::HeterogeneousScheduler;
-/// let rates = vec![0.5, 1.0, 2.0];
-/// let mut s = HeterogeneousScheduler::new(rates, Seed::new(1));
-/// let a = s.next_activation();
-/// assert!(a.node.index() < 3);
-/// ```
-#[derive(Clone, Debug)]
-pub struct HeterogeneousScheduler {
-    rates: Vec<f64>,
-    rng: SimRng,
-    heap: BinaryHeap<Reverse<(SimTime, u64, NodeId)>>,
-    step: u64,
-    seq: u64,
-    tick_counts: Vec<u64>,
-}
-
-impl HeterogeneousScheduler {
     /// Creates a scheduler where node `i` ticks at rate `rates[i]`.
     ///
     /// # Panics
     ///
     /// Panics if `rates` is empty or any rate is not strictly positive and
     /// finite.
-    pub fn new(rates: Vec<f64>, seed: Seed) -> Self {
-        assert!(!rates.is_empty(), "network must contain at least one node");
+    pub fn with_rates(rates: Vec<f64>, seed: Seed) -> Self {
         for (i, &r) in rates.iter().enumerate() {
             assert!(
                 r.is_finite() && r > 0.0,
                 "clock rate of node {i} must be positive and finite, got {r}"
             );
         }
-        let mut rng = SimRng::from_seed_value(seed);
-        let mut heap = BinaryHeap::with_capacity(rates.len());
-        let mut seq = 0u64;
-        for (i, &r) in rates.iter().enumerate() {
-            let t = SimTime::from_secs(sample_exponential(&mut rng, r));
-            heap.push(Reverse((t, seq, NodeId::new(i))));
-            seq += 1;
-        }
-        let n = rates.len();
-        HeterogeneousScheduler {
-            rates,
-            rng,
-            heap,
-            step: 0,
-            seq,
-            tick_counts: vec![0; n],
-        }
+        Self::seeded(rates.len(), Rates::PerNode(rates), seed)
     }
 
     /// Creates a scheduler with rates drawn uniformly from
@@ -361,37 +271,49 @@ impl HeterogeneousScheduler {
         let rates: Vec<f64> = (0..n)
             .map(|_| 1.0 - skew + 2.0 * skew * rng.unit_f64())
             .collect();
-        Self::new(rates, seed.child(1))
+        Self::with_rates(rates, seed.child(1))
     }
 
-    /// The per-node clock rates.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
-    /// Per-node tick counts accumulated so far.
-    pub fn tick_counts(&self) -> &[u64] {
-        &self.tick_counts
+    /// Seeds the queue with every node's first tick, drawn in node order.
+    fn seeded(n: usize, rates: Rates, seed: Seed) -> Self {
+        assert!(n > 0, "network must contain at least one node");
+        let mut rng = SimRng::from_seed_value(seed);
+        let mut heap = BinaryHeap::with_capacity(n);
+        for i in 0..n {
+            let t = SimTime::from_secs(sample_exponential(&mut rng, rates.of(i)));
+            heap.push(Reverse((t, i as u64, NodeId::new(i))));
+        }
+        EventQueueScheduler {
+            n,
+            rates,
+            rng,
+            heap,
+            step: 0,
+            seq: n as u64,
+        }
     }
 }
 
-impl ActivationSource for HeterogeneousScheduler {
+impl ActivationSource for EventQueueScheduler {
     fn n(&self) -> usize {
-        self.rates.len()
+        self.n
     }
 
     fn next_activation(&mut self) -> Activation {
-        // In-place root replacement; see `EventQueueScheduler` for why this
-        // is bit-identical to pop + push.
+        // Replace the heap root in place instead of pop + push: one
+        // sift-down instead of a sift-down and a sift-up. The delivered
+        // order is unchanged — the heap still always yields the minimum of
+        // the same (time, seq, node) multiset — and the RNG draw sequence
+        // is identical (one exponential per activation), so activation
+        // streams are bit-for-bit those of the pop+push implementation.
         // lint: allow(panic-hygiene): the heap is seeded with one event per node and every pop is followed by a push
         let mut top = self.heap.peek_mut().expect("event queue is never empty");
         let Reverse((time, _, node)) = *top;
-        let rate = self.rates[node.index()];
+        let rate = self.rates.of(node.index());
         let next = time + SimTime::from_secs(sample_exponential(&mut self.rng, rate));
         *top = Reverse((next, self.seq, node));
         drop(top);
         self.seq += 1;
-        self.tick_counts[node.index()] += 1;
         let a = Activation {
             step: self.step,
             node,
@@ -402,96 +324,10 @@ impl ActivationSource for HeterogeneousScheduler {
     }
 }
 
-/// Response-delay model (discussion-section extension): each tick's effect
-/// is postponed by an independent `Exponential(delay_rate)` latency, and
-/// activations are re-delivered in *effect-time* order.
-///
-/// This models a pull whose answer arrives after an exponential delay: the
-/// node's protocol step completes — and becomes visible to others — only
-/// when the response lands. The wrapped scheduler keeps its own clock law.
-///
-/// # Example
-///
-/// ```
-/// use rapid_sim::prelude::*;
-/// let inner = SequentialScheduler::with_mode(10, Seed::new(1), TimeMode::Sampled);
-/// let mut s = JitteredScheduler::new(inner, Seed::new(2), 2.0);
-/// let a = s.next_activation();
-/// let b = s.next_activation();
-/// assert!(b.time >= a.time);
-/// ```
-#[derive(Clone, Debug)]
-pub struct JitteredScheduler<S> {
-    inner: S,
-    rng: SimRng,
-    delay_rate: f64,
-    // Min-heap of delayed activations, ordered by effect time.
-    pending: BinaryHeap<Reverse<(SimTime, u64, NodeId)>>,
-    seq: u64,
-    step_out: u64,
-    lookahead: usize,
-}
-
-impl<S: ActivationSource> JitteredScheduler<S> {
-    /// Wraps `inner`, delaying each activation by `Exponential(delay_rate)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay_rate` is not strictly positive and finite.
-    pub fn new(inner: S, seed: Seed, delay_rate: f64) -> Self {
-        assert!(
-            delay_rate.is_finite() && delay_rate > 0.0,
-            "delay rate must be positive and finite, got {delay_rate}"
-        );
-        // Keep enough delayed events buffered that the head of the heap is
-        // (with overwhelming probability) the globally next effect. A
-        // lookahead of ~64 expected delays' worth of arrivals suffices: the
-        // probability of an Exp(μ) delay exceeding 64/μ is e^{-64}.
-        let lookahead = inner.n().max(64) * 4;
-        JitteredScheduler {
-            inner,
-            rng: SimRng::from_seed_value(seed),
-            delay_rate,
-            pending: BinaryHeap::new(),
-            seq: 0,
-            step_out: 0,
-            lookahead,
-        }
-    }
-
-    fn refill(&mut self) {
-        while self.pending.len() < self.lookahead {
-            let a = self.inner.next_activation();
-            let d = sample_exponential(&mut self.rng, self.delay_rate);
-            let effect = a.time + SimTime::from_secs(d);
-            self.pending.push(Reverse((effect, self.seq, a.node)));
-            self.seq += 1;
-        }
-    }
-}
-
-impl<S: ActivationSource> ActivationSource for JitteredScheduler<S> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn next_activation(&mut self) -> Activation {
-        self.refill();
-        // lint: allow(panic-hygiene): refill() above guarantees the buffer is non-empty
-        let Reverse((time, _, node)) = self.pending.pop().expect("pending refilled");
-        let a = Activation {
-            step: self.step_out,
-            node,
-            time,
-        };
-        self.step_out += 1;
-        a
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{LatencyModel, LatencyScheduler};
 
     #[test]
     fn sequential_expected_time_advances_by_one_over_n() {
@@ -522,10 +358,10 @@ mod tests {
         let n = 16;
         let mut s = SequentialScheduler::new(n, Seed::new(3));
         let steps = 16_000;
+        let mut counts = vec![0u64; n];
         for _ in 0..steps {
-            s.next_activation();
+            counts[s.next_activation().node.index()] += 1;
         }
-        let counts = s.tick_counts();
         let expected = steps as f64 / n as f64;
         for (i, &c) in counts.iter().enumerate() {
             assert!(
@@ -566,8 +402,9 @@ mod tests {
         let n = 64;
         let mut s = EventQueueScheduler::new(n, Seed::new(6), 1.0);
         let horizon = SimTime::from_secs(100.0);
-        s.run_until(horizon, |_| {});
-        for (i, &c) in s.tick_counts().iter().enumerate() {
+        let mut counts = vec![0u64; n];
+        s.run_until(horizon, |a| counts[a.node.index()] += 1);
+        for (i, &c) in counts.iter().enumerate() {
             assert!(
                 (c as f64 - 100.0).abs() < 60.0,
                 "node {i} ticked {c} times in 100 units"
@@ -577,8 +414,10 @@ mod tests {
 
     #[test]
     fn jittered_scheduler_is_time_ordered_and_complete() {
+        // Jitter is a latency wrap with the exponential law.
         let inner = SequentialScheduler::with_mode(16, Seed::new(7), TimeMode::Sampled);
-        let mut s = JitteredScheduler::new(inner, Seed::new(8), 1.0);
+        let jitter = LatencyModel::Exponential { rate: 1.0 };
+        let mut s = LatencyScheduler::new(inner, Seed::new(8), jitter);
         let mut last = SimTime::ZERO;
         let mut per_node = [0u64; 16];
         for _ in 0..3000 {
@@ -619,20 +458,19 @@ mod tests {
     #[test]
     fn heterogeneous_rates_control_tick_shares() {
         // A node with rate 4 should tick ~4x as often as a rate-1 node.
-        let mut s = HeterogeneousScheduler::new(vec![1.0, 4.0], Seed::new(10));
-        s.run_until(SimTime::from_secs(2000.0), |_| {});
-        let c = s.tick_counts();
+        let mut s = EventQueueScheduler::with_rates(vec![1.0, 4.0], Seed::new(10));
+        let mut c = [0u64; 2];
+        s.run_until(SimTime::from_secs(2000.0), |a| c[a.node.index()] += 1);
         let ratio = c[1] as f64 / c[0] as f64;
         assert!(
             (ratio - 4.0).abs() < 0.5,
             "tick ratio {ratio} vs rate ratio 4"
         );
-        assert_eq!(s.rates(), &[1.0, 4.0]);
     }
 
     #[test]
     fn heterogeneous_is_time_ordered() {
-        let mut s = HeterogeneousScheduler::with_uniform_skew(32, 0.5, Seed::new(11));
+        let mut s = EventQueueScheduler::with_uniform_skew(32, 0.5, Seed::new(11));
         let mut last = SimTime::ZERO;
         for _ in 0..2000 {
             let a = s.next_activation();
@@ -644,13 +482,19 @@ mod tests {
 
     #[test]
     fn zero_skew_equals_unit_rates() {
-        let s = HeterogeneousScheduler::with_uniform_skew(8, 0.0, Seed::new(12));
-        assert!(s.rates().iter().all(|&r| (r - 1.0).abs() < 1e-12));
+        // Zero skew draws every rate as exactly 1, and per-node rates that
+        // are all equal replay the common-rate clock bit for bit.
+        let seed = Seed::new(12);
+        let mut skewed = EventQueueScheduler::with_uniform_skew(8, 0.0, seed);
+        let mut unit = EventQueueScheduler::new(8, seed.child(1), 1.0);
+        for _ in 0..500 {
+            assert_eq!(skewed.next_activation(), unit.next_activation());
+        }
     }
 
     #[test]
     #[should_panic(expected = "must be positive")]
     fn heterogeneous_rejects_zero_rate() {
-        let _ = HeterogeneousScheduler::new(vec![1.0, 0.0], Seed::new(13));
+        let _ = EventQueueScheduler::with_rates(vec![1.0, 0.0], Seed::new(13));
     }
 }

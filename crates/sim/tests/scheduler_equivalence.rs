@@ -1,17 +1,19 @@
 //! Pins the scheduler activation streams bit-for-bit.
 //!
-//! The event-queue schedulers replace the heap root in place instead of
+//! The event-queue scheduler replaces the heap root in place instead of
 //! pop + push (one sift instead of two), and the sequential scheduler
 //! precomputes its expected-mode gap. These are pure performance changes:
 //! the golden hashes below were captured from the pre-optimization
 //! implementations, so any divergence in the delivered `(step, node,
 //! time)` stream — down to the last bit of the `f64` times — fails here.
+//! The per-node-rate and exponential-delay pins were captured from the
+//! separate heterogeneous and jittered schedulers that the event-queue
+//! scheduler's per-node rates and the exponential latency wrap replaced.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rapid_sim::prelude::*;
-use rapid_sim::scheduler::HeterogeneousScheduler;
 
 fn fnv(acc: u64, x: u64) -> u64 {
     (acc ^ x).wrapping_mul(0x100_0000_01b3)
@@ -36,8 +38,23 @@ fn event_queue_stream_matches_pre_optimization_golden() {
 
 #[test]
 fn heterogeneous_stream_matches_pre_optimization_golden() {
-    let mut s = HeterogeneousScheduler::with_uniform_skew(32, 0.5, Seed::new(11));
+    let mut s = EventQueueScheduler::with_uniform_skew(32, 0.5, Seed::new(11));
     assert_eq!(stream_hash(&mut s, 10_000), 0x5212_f2ea_4ca5_acd7);
+}
+
+#[test]
+fn explicit_rates_stream_matches_golden() {
+    let rates = vec![0.25, 0.5, 1.0, 2.0, 4.0, 1.5, 3.0, 0.75];
+    let mut s = EventQueueScheduler::with_rates(rates, Seed::new(13));
+    assert_eq!(stream_hash(&mut s, 20_000), 0xb2dc_6186_caad_b11a);
+}
+
+#[test]
+fn exponential_delay_stream_matches_golden() {
+    let inner = SequentialScheduler::with_mode(16, Seed::new(108), TimeMode::Sampled);
+    let jitter = LatencyModel::Exponential { rate: 1.0 };
+    let mut s = LatencyScheduler::new(inner, Seed::new(8), jitter);
+    assert_eq!(stream_hash(&mut s, 20_000), 0xe8d2_3745_2ce4_ea19);
 }
 
 #[test]

@@ -93,6 +93,16 @@ fn faults(plan: FaultPlan) -> SimBuilder {
     base().faults(plan)
 }
 
+/// A Lomax latency law of scale 1, whose largest draw `2^(53/shape) − 1`
+/// is finite only for shapes above 53/1024 ≈ 0.0518.
+fn pareto(shape: f64) -> LatencyModel {
+    LatencyModel::Pareto { scale: 1.0, shape }
+}
+
+fn latency(model: LatencyModel) -> SimBuilder {
+    faults(FaultPlan::none().with_latency(model))
+}
+
 /// One row: a single bad axis and its outcome at `[Seq, Epoch, Macro,
 /// MeanField, Net]`.
 type Row = (
@@ -134,6 +144,8 @@ const SKEW: [&str; 3] = [
 const EPOCH_FAULTS: &str = "fault plans (crash/loss bookkeeping is per-activation, not per-epoch)";
 const NET_FAULTS: &str = "fault plans (a deployment's losses and delays are real, not injected)";
 const RATE: &str = "event-queue rate must be finite and at least MIN_RATE (1e-280)";
+const LATENCY: &str = "latency models (per-edge delays reorder individual activations)";
+const EXP_FLOOR: &str = "exponential latency rate must be finite and at least MIN_RATE (1e-280)";
 const MEAN_FIELD_STOPS: &str =
     "stop conditions on the mean-field engine (it integrates to its own horizon)";
 
@@ -312,8 +324,30 @@ fn rows() -> Vec<Row> {
         ),
         (
             "latency",
-            || faults(FaultPlan::none().with_latency(LatencyModel::Constant(1.0))),
-            per_node_fault("latency models (per-edge delays reorder individual activations)"),
+            || latency(LatencyModel::Constant(1.0)),
+            per_node_fault(LATENCY),
+        ),
+        (
+            "latency exp(rate=1e-308)",
+            || latency(LatencyModel::Exponential { rate: 1e-308 }),
+            all(BuildError::Faults(FaultError::InvalidLatency(EXP_FLOOR))),
+        ),
+        (
+            "latency exp(rate=MIN_RATE)",
+            || latency(LatencyModel::Exponential { rate: MIN_RATE }),
+            per_node_fault(LATENCY),
+        ),
+        (
+            "latency pareto(shape=0.01)",
+            || latency(pareto(0.01)),
+            all(BuildError::Faults(FaultError::InvalidLatency(
+                "Pareto latency's largest draw is not a finite time",
+            ))),
+        ),
+        (
+            "latency pareto(shape=0.052)",
+            || latency(pareto(0.052)),
+            per_node_fault(LATENCY),
         ),
         (
             "churn",
@@ -436,6 +470,25 @@ fn every_entry_point_reports_each_bad_axis_exactly() {
         }
     }
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// The latency laws closest to the overflow bound run to their budget on
+/// Two-Choices over K_256, where the laws beyond it used to panic mid-run.
+#[test]
+fn latency_laws_at_the_overflow_bound_run_to_their_budget() {
+    for model in [LatencyModel::Exponential { rate: MIN_RATE }, pareto(0.052)] {
+        let mut sim = Sim::builder()
+            .topology(Complete::new(256))
+            .counts(&[160, 96])
+            .gossip(GossipRule::TwoChoices)
+            .faults(FaultPlan::none().with_latency(model))
+            .stop(StopCondition::StepBudget(20_000))
+            .build()
+            .expect("a law inside the bound builds");
+        let outcome = sim.run();
+        let finite = outcome.time.is_some_and(|t| t.as_secs().is_finite());
+        assert!(finite, "{model}: {outcome:?}");
+    }
 }
 
 /// The mismatch payload names the entry point for the declared kind,
@@ -597,7 +650,9 @@ fn exact_counts(rng: &mut SimRng, n: usize, k: usize) -> Vec<u64> {
 }
 
 impl Assembly {
-    fn random(rng: &mut SimRng) -> Self {
+    /// Draws an assembly from `rng`; Pareto latency laws draw from
+    /// `tails`, so they leave every other assembly's draws as they were.
+    fn random(rng: &mut SimRng, tails: &mut SimRng) -> Self {
         let n = 2 + rng.bounded_usize(15);
         let k = if rng.bounded(20) == 0 {
             1
@@ -687,7 +742,17 @@ impl Assembly {
             0 => Some(FaultPlan::none()),
             1 => Some(FaultPlan::none().with_loss(pick(rng, &[0.1, 1.0, 1.5, f64::NAN]))),
             2 => {
-                Some(FaultPlan::none().with_latency(LatencyModel::Exponential { rate: rate(rng) }))
+                let rate = rate(rng);
+                // Half the laws are Lomax tails whose small shapes put the
+                // largest draw on both sides of overflow.
+                let law = match tails.bounded(2) {
+                    0 => LatencyModel::Exponential { rate },
+                    _ => LatencyModel::Pareto {
+                        scale: pick(tails, &[1.0, 1e300]),
+                        shape: pick(tails, &[0.01, 0.052, 0.5, 2.0]),
+                    },
+                };
+                Some(FaultPlan::none().with_latency(law))
             }
             3 => {
                 let node = NodeId::new(rng.bounded_usize(n + 2));
@@ -828,11 +893,13 @@ impl Assembly {
 
 #[test]
 fn random_assemblies_never_panic_and_budgeted_runs_end() {
-    let mut rng = SimRng::from_seed_value(Seed::new(0x5EED_B11D));
+    let seed = Seed::new(0x5EED_B11D);
+    let mut rng = SimRng::from_seed_value(seed);
+    let mut tails = SimRng::from_seed_value(seed.child(1));
     let (mut accepted, mut ran) = (0, 0);
     let mut panics = Vec::new();
     for case in 0..2_000 {
-        let assembly = Assembly::random(&mut rng);
+        let assembly = Assembly::random(&mut rng, &mut tails);
         match catch_unwind(AssertUnwindSafe(|| assembly.exercise())) {
             Ok(None) => {}
             Ok(Some(budgeted)) => {
